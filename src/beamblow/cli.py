@@ -18,8 +18,9 @@ from .bounds import fmt, report_items, summary_row, thm31_constants
 from .config import parse_config, parse_sweep_config
 from .errors import BeamblowError
 from .functionals import snapshot
-from .harness import (SWEEP_RESULT_KEYS, _evaluate, constants_items,
-                      exit_code_for, run, sweep, verify, write_artifacts)
+from .harness import (SWEEP_RESULT_KEYS, FAILURE_MARKER, _evaluate,
+                      constants_items, exit_code_for, integrator_failure,
+                      run, sweep, verify, write_artifacts)
 from .mesh import inner
 from .scenarios import construct_energy_level
 from .spectra import compute_constants
@@ -79,7 +80,7 @@ def _cmd_spectra(args) -> int:
 def _cmd_simulate(args) -> int:
     config, out = _load(args)
     code = run(config, out)
-    marker = out / "FAILED"
+    marker = out / FAILURE_MARKER
     if marker.exists():
         print(f"run failed: {marker.read_text().strip()}", file=sys.stderr)
     else:
@@ -98,6 +99,11 @@ def _cmd_bounds(args) -> int:
     table = (",".join(SWEEP_RESULT_KEYS) + "\n"
              + ",".join(row[k] for k in SWEEP_RESULT_KEYS) + "\n")
     (out / "bounds.csv").write_text(table)
+    failure = integrator_failure(artifacts.traj)
+    if failure is not None:
+        print(f"run failed: {type(failure).__name__}: {failure}",
+              file=sys.stderr)
+        return exit_code_for(failure)
     return 0
 
 

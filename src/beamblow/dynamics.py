@@ -12,7 +12,7 @@ pass.  Both stages solve one SPD system
     [I + dt^2/4 B - (dt/2 + m dt^2/4) L] v_new = rhs
 
 directly (banded Cholesky) in one dimension, and by conjugate
-gradients with a lagged LU preconditioner in two.
+gradients preconditioned with a sine-basis solve in two.
 
 Step-size control combines an amplitude brake (the step shrinks as the
 solution norms grow, which resolves the blow-up tail) with an energy
@@ -29,14 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import functionals, mesh
 from .errors import ConvergenceFailure
 from .functionals import FunctionalSnapshot, ModelParams
 from .mesh import Grid
-from .solvers import (conjugate_gradient, lu_preconditioner,
-                      operator_norm_estimate, solve_spd_banded, upper_bands)
+from .operators import operators
+from .solvers import conjugate_gradient, solve_spd_banded
 
 
 @dataclass(frozen=True)
@@ -78,37 +77,30 @@ class State:
 
 
 class StepWorkspace:
-    """Operator matrices plus per-solve machinery.
+    """The grid's operators plus the implicit solve of one step.
 
     In one dimension the implicit system is pentadiagonal and is solved
-    directly by banded Cholesky; in two dimensions it falls back to
-    conjugate gradients with a lagged LU preconditioner."""
+    directly by banded Cholesky.  In two dimensions it is solved by
+    conjugate gradients preconditioned with the sine-basis inverse of
+    I + a Lap_h^2 - c Lap_h, which differs from the system only by the
+    clamped boundary term, so no factorization is ever made."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.B = mesh.biharmonic_matrix(grid)
-        self.L = mesh.laplacian_matrix(grid)
-        self.norm_B = operator_norm_estimate(self.B)
-        self.norm_L = operator_norm_estimate(self.L)
-        self.banded = grid.dim == 1
-        if self.banded:
-            self._B_band = upper_bands(self.B, 2)
-            self._L_band = upper_bands(self.L, 2)
-            self._eye_band = np.zeros_like(self._B_band)
-            self._eye_band[2] = 1.0
-        self._eye = sp.identity(grid.size, format="csr")
-        self._pc = None
-        self._pc_coeffs = None
+        self.ops = operators(grid)
+        self.B = self.ops.B
+        self.L = self.ops.L
 
     def solve(self, a: float, c: float, rhs: np.ndarray, x0: np.ndarray,
               cg_rtol: float) -> np.ndarray:
-        if self.banded:
-            return solve_spd_banded(
-                self._eye_band + a * self._B_band - c * self._L_band, rhs)
+        ops = self.ops
+        if self.grid.dim == 1:
+            eye_band, B_band, L_band = ops.bands
+            return solve_spd_banded(eye_band + a * B_band - c * L_band, rhs)
         return conjugate_gradient(
             self.matvec(a, c), rhs, x0=x0, rtol=cg_rtol, max_iter=500,
-            M=self.preconditioner(a, c),
-            a_norm=1.0 + a * self.norm_B + c * self.norm_L)
+            M=ops.preconditioner(a, c),
+            a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
 
     @staticmethod
     def coefficients(dt: float, mbar: float) -> tuple[float, float]:
@@ -117,15 +109,6 @@ class StepWorkspace:
     def matvec(self, a: float, c: float):
         B, L = self.B, self.L
         return lambda x: x + a * (B @ x) - c * (L @ x)
-
-    def preconditioner(self, a: float, c: float):
-        if self._pc is not None:
-            a0, c0 = self._pc_coeffs
-            if abs(a - a0) <= 0.15 * a0 and abs(c - c0) <= 0.15 * c0:
-                return self._pc
-        self._pc = lu_preconditioner(self._eye + a * self.B - c * self.L)
-        self._pc_coeffs = (a, c)
-        return self._pc
 
 
 def damping_flow(params: ModelParams, v: np.ndarray,

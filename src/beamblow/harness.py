@@ -140,6 +140,13 @@ def write_artifacts(out: Path, artifacts: RunArtifacts) -> None:
     _write_report(out / "report.txt", artifacts)
 
 
+def integrator_failure(traj: Trajectory) -> SolverFailure | None:
+    """The error a run reports when its integration failed, else None."""
+    if traj.termination == "solver_failure":
+        return SolverFailure(traj.note or "integrator failed")
+    return None
+
+
 def run(config: RunConfig, output_dir: str | Path) -> int:
     """Evaluate one configuration and write its artifacts.
 
@@ -156,8 +163,9 @@ def run(config: RunConfig, output_dir: str | Path) -> int:
         (out / "config.txt").write_text(serialize_config(config))
         artifacts = _evaluate(config)
         write_artifacts(out, artifacts)
-        if artifacts.traj.termination == "solver_failure":
-            raise SolverFailure(artifacts.traj.note or "integrator failed")
+        failure = integrator_failure(artifacts.traj)
+        if failure is not None:
+            raise failure
         return 0
     except Exception as exc:
         marker.write_text(f"{type(exc).__name__}: {exc}\n")

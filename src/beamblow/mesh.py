@@ -20,10 +20,11 @@ with L the Dirichlet Laplacian and B the clamped biharmonic matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+
+from .operators import operators
 
 
 @dataclass(frozen=True)
@@ -65,61 +66,15 @@ def make_grid(dim: int, n_interior: int, extent: float = 1.0) -> Grid:
                 h=h, weight=h**dim)
 
 
-def _lap_1d(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
-
-
-def _bih_1d(n: int, h: float) -> sp.csr_matrix:
-    """Pentadiagonal fourth-difference with clamped (mirror ghost) closure.
-
-    Interior indices 0..n-1 sit at x = h..nh; the physical boundary nodes
-    carry zero and drop out, while second neighbours that land one node
-    outside the boundary fold back onto the first interior node.
-    """
-    A = sp.lil_matrix((n, n))
-    for i in range(n):
-        A[i, i] += 6.0
-        for j in (i - 1, i + 1):
-            if 0 <= j < n:
-                A[i, j] += -4.0
-        for j in (i - 2, i + 2):
-            jj = j
-            if jj == -2:
-                jj = 0
-            elif jj == n + 1:
-                jj = n - 1
-            if 0 <= jj < n:
-                A[i, jj] += 1.0
-    return (A / h**4).tocsr()
-
-
-@lru_cache(maxsize=None)
 def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
     """Dirichlet Laplacian on the interior nodes (negative definite)."""
-    L1 = _lap_1d(grid.n_interior, grid.h)
-    if grid.dim == 1:
-        return L1
-    eye = sp.identity(grid.n_interior, format="csr")
-    return (sp.kron(L1, eye) + sp.kron(eye, L1)).tocsr()
+    return operators(grid).L
 
 
-@lru_cache(maxsize=None)
 def biharmonic_matrix(grid: Grid) -> sp.csr_matrix:
-    """Clamped biharmonic operator (symmetric positive definite).
-
-    In 2d the mixed term pairs the two 1d Dirichlet Laplacians, and the
-    pure fourth differences use the mirror-ghost closure, giving the
-    13-point clamped plate stencil.
-    """
-    B1 = _bih_1d(grid.n_interior, grid.h)
-    if grid.dim == 1:
-        return B1
-    L1 = _lap_1d(grid.n_interior, grid.h)
-    eye = sp.identity(grid.n_interior, format="csr")
-    return (sp.kron(B1, eye) + 2.0 * sp.kron(L1, L1)
-            + sp.kron(eye, B1)).tocsr()
+    """Clamped biharmonic operator (symmetric positive definite); in 2d
+    the 13-point clamped plate stencil."""
+    return operators(grid).B
 
 
 def _check_field(grid: Grid, u: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 The package solves symmetric positive definite systems in two places:
 shifted-operator solves inside inverse iteration, and the implicit step
 of the time integrator.  Both use preconditioned conjugate gradients
-with a normwise backward-error stopping rule
+(the preconditioner being a sine-basis solve, see ``operators``) with a
+normwise backward-error stopping rule
 
     ||r|| <= rtol * (||b|| + ||A|| * ||x||)
 
@@ -14,6 +15,8 @@ relative residual target).
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,11 +58,10 @@ def solve_spd_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def lu_preconditioner(A: sp.spmatrix) -> spla.LinearOperator:
-    """Exact sparse LU wrapped as a preconditioner.
+    """Exact sparse LU wrapped as a linear operator applying A^{-1}.
 
-    Cheap for banded 1d operators; in the time stepper the
-    factorization is lagged across steps while conjugate gradients
-    corrects against the exact current matrix.
+    Used for the fixed quadratic forms of the embedding sweeps, which
+    are factored once per grid.
     """
     lu = spla.splu(A.tocsc())
     return spla.LinearOperator(A.shape, matvec=lu.solve)
@@ -67,15 +69,22 @@ def lu_preconditioner(A: sp.spmatrix) -> spla.LinearOperator:
 
 def ilu_preconditioner(A: sp.spmatrix, drop_tol: float = 1e-5,
                        fill_factor: float = 20.0) -> spla.LinearOperator:
+    """Incomplete LU wrapped as a preconditioner.  Nothing in the
+    package calls it; it is kept for code that looks it up by name,
+    such as the benchmark's tracer (perfbench/tracing.py)."""
     ilu = spla.spilu(A.tocsc(), drop_tol=drop_tol, fill_factor=fill_factor)
     return spla.LinearOperator(A.shape, matvec=ilu.solve)
 
 
 def conjugate_gradient(A, b: np.ndarray, x0: np.ndarray | None = None, *,
                        rtol: float = 1e-10, max_iter: int = 5000,
-                       M: spla.LinearOperator | None = None,
+                       M: Callable[[np.ndarray], np.ndarray] | None = None,
                        a_norm: float | None = None) -> np.ndarray:
     """Preconditioned CG with backward-error stopping.
+
+    ``A`` is a sparse matrix or a function applying it; ``M`` applies
+    the preconditioner (a function, or a LinearOperator, which is
+    callable).
 
     Raises ConvergenceFailure (with the final relative backward error in
     ``residual``) if the budget runs out.  The recurrence residual is
@@ -94,7 +103,7 @@ def conjugate_gradient(A, b: np.ndarray, x0: np.ndarray | None = None, *,
         return x
 
     r = b - matvec(x)
-    z = M.matvec(r) if M is not None else r
+    z = M(r) if M is not None else r
     p = z.copy()
     rz = float(np.dot(r, z))
 
@@ -124,7 +133,7 @@ def conjugate_gradient(A, b: np.ndarray, x0: np.ndarray | None = None, *,
         err = converged(r, x)
         if err <= rtol:
             return x
-        z = M.matvec(r) if M is not None else r
+        z = M(r) if M is not None else r
         rz_next = float(np.dot(r, z))
         beta = rz_next / rz
         rz = rz_next

@@ -7,7 +7,8 @@ holds exactly for the semi-discrete flow:
 
   * smallest eigenvalues of the Dirichlet Laplacian and the clamped
     plate operator (inverse power iteration with preconditioned CG
-    inner solves, optional deflation for the second pair);
+    inner solves, banded in 1d and sine-basis in 2d, optional deflation
+    for the second pair);
   * best constants of the discrete embeddings ||u||_q <= C * Q(u)^{1/2}
     for the quadratic forms Q built from the gradient, the Laplacian,
     or their sum (extremal fixed-point sweeps with seeded restarts);
@@ -20,39 +21,32 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import mesh
 from .errors import ConvergenceFailure
 from .functionals import ModelParams
 from .mesh import Grid
-from .solvers import conjugate_gradient, ilu_preconditioner, operator_norm_estimate
+from .operators import operators
+from .solvers import conjugate_gradient
 
 _OPERATORS = ("laplacian", "biharmonic")
 
-_precond_cache: dict[tuple[Grid, str], spla.LinearOperator] = {}
-_matrix_cache: dict[tuple[Grid, str], sp.csr_matrix] = {}
 
-
-def _operator_matrix(grid: Grid, operator: str) -> sp.csr_matrix:
-    key = (grid, operator)
-    if key not in _matrix_cache:
-        if operator == "laplacian":
-            _matrix_cache[key] = (-mesh.laplacian_matrix(grid)).tocsr()
-        elif operator == "biharmonic":
-            _matrix_cache[key] = mesh.biharmonic_matrix(grid)
-        else:
-            raise ValueError(f"unknown operator {operator!r}, "
-                             f"expected one of {_OPERATORS}")
-    return _matrix_cache[key]
-
-
-def _preconditioner(grid: Grid, operator: str) -> spla.LinearOperator:
-    key = (grid, operator)
-    if key not in _precond_cache:
-        _precond_cache[key] = ilu_preconditioner(_operator_matrix(grid, operator))
-    return _precond_cache[key]
+def _operator(grid: Grid, operator: str):
+    """Matrix-vector product, infinity norm and preconditioner of a
+    positive operator.  The preconditioner is exact for the Laplacian
+    and, in 1d, for the plate; in 2d it is the sine-basis inverse of
+    Lap_h^2, which differs from the plate by the boundary term."""
+    ops = operators(grid)
+    if operator == "laplacian":
+        L = ops.L
+        return ((lambda x: -(L @ x)), ops.norm_L,
+                ops.preconditioner(0.0, 1.0, shift=0.0))
+    if operator == "biharmonic":
+        return (ops.B.dot, ops.norm_B,
+                ops.preconditioner(1.0, 0.0, shift=0.0))
+    raise ValueError(f"unknown operator {operator!r}, "
+                     f"expected one of {_OPERATORS}")
 
 
 def smallest_eigen(grid: Grid, operator: str = "biharmonic", *,
@@ -64,10 +58,16 @@ def smallest_eigen(grid: Grid, operator: str = "biharmonic", *,
     ``deflate`` projects a previously computed eigenfield out of every
     iterate, yielding the next eigenpair up.  The returned field has
     unit weighted L2 norm and its largest-magnitude entry positive.
+    The inner solves are conjugate gradients preconditioned by
+    ``GridOperators.preconditioner``;
+    undeflated pairs are kept on the grid's operator object.
     """
-    A = _operator_matrix(grid, operator)
-    M = _preconditioner(grid, operator)
-    a_norm = operator_norm_estimate(A)
+    A, a_norm, M = _operator(grid, operator)
+    pairs = operators(grid).eigenpairs
+    key = (operator, tol, max_outer, inner_rtol)
+    if deflate is None and key in pairs:
+        lam, x = pairs[key]
+        return lam, x.copy()
 
     rng = np.random.default_rng(12345)
     x = rng.standard_normal(grid.size)
@@ -76,14 +76,14 @@ def smallest_eigen(grid: Grid, operator: str = "biharmonic", *,
         x -= np.dot(d, x) * d
     x /= np.linalg.norm(x)
 
-    lam = float(x @ (A @ x))
+    lam = float(x @ A(x))
     for _ in range(max_outer):
         y = conjugate_gradient(A, x, x0=x / lam, rtol=inner_rtol,
                                M=M, a_norm=a_norm)
         if deflate is not None:
             y -= np.dot(d, y) * d
         x = y / np.linalg.norm(y)
-        lam_new = float(x @ (A @ x))
+        lam_new = float(x @ A(x))
         if abs(lam_new - lam) <= tol * abs(lam_new):
             lam = lam_new
             break
@@ -98,39 +98,31 @@ def smallest_eigen(grid: Grid, operator: str = "biharmonic", *,
     if x[i] < 0:
         x = -x
     x = x / mesh.norm_l2(grid, x)
+    if deflate is None:
+        pairs[key] = (lam, x.copy())
     return lam, x
 
 
 _DENOMINATORS = ("grad", "lap", "H", "l2")
 
 
-def _quad_matrix(grid: Grid, denominator: str) -> sp.csr_matrix:
+def _quad_form(grid: Grid, denominator: str):
+    """Matrix-vector product and exact solve of a quadratic form."""
     if denominator == "grad":
-        return _operator_matrix(grid, "laplacian")
+        apply, _, solve = _operator(grid, "laplacian")
+        return apply, solve
+    ops = operators(grid)
     if denominator == "lap":
-        return _operator_matrix(grid, "biharmonic")
+        return ops.B.dot, ops.plate_factor.matvec
     if denominator == "H":
-        return (_operator_matrix(grid, "laplacian")
-                + _operator_matrix(grid, "biharmonic")).tocsr()
+        return ops.graph_form.dot, ops.graph_factor.matvec
     if denominator == "l2":
-        return sp.identity(grid.size, format="csr")
+        return np.copy, np.copy
     raise ValueError(f"unknown denominator {denominator!r}, "
                      f"expected one of {_DENOMINATORS}")
 
 
-_quad_lu_cache: dict[tuple[Grid, str], object] = {}
-
-
-def _quad_solver(grid: Grid, denominator: str):
-    key = (grid, denominator)
-    lu = _quad_lu_cache.get(key)
-    if lu is None:
-        lu = spla.splu(_quad_matrix(grid, denominator).tocsc())
-        _quad_lu_cache[key] = lu
-    return lu.solve
-
-
-def _extremal_sweep(grid: Grid, q: float, A: sp.csr_matrix, solve,
+def _extremal_sweep(grid: Grid, q: float, apply, solve,
                     u0: np.ndarray, max_iter: int, patience: int,
                     ftol: float) -> tuple[float, np.ndarray, bool]:
     """Maximize ||u||_q on the ellipsoid Q(u) = weight * u^T A u = 1.
@@ -138,13 +130,13 @@ def _extremal_sweep(grid: Grid, q: float, A: sp.csr_matrix, solve,
     Fixed-point sweeps on the stationarity condition
     |u|^{q-1} sgn(u) = lam A u: each sweep applies A^{-1} to the
     current q-gradient and renormalizes on the ellipsoid, so one
-    direct solve replaces the many small steps a gradient method
+    exact solve replaces the many small steps a gradient method
     would need against a stiff quadratic form.
     """
     w = grid.weight
 
     def q_normalize(v: np.ndarray) -> np.ndarray | None:
-        s = np.sqrt(w * float(v @ (A @ v)))
+        s = np.sqrt(w * float(v @ apply(v)))
         if not np.isfinite(s) or s == 0.0:
             return None
         return v / s
@@ -184,8 +176,7 @@ def embedding_constant(grid: Grid, q: float, denominator: str, *,
     """
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    A = _quad_matrix(grid, denominator)
-    solve = _quad_solver(grid, denominator)
+    apply, solve = _quad_form(grid, denominator)
     rng = np.random.default_rng(seed)
 
     starts = [rng.standard_normal(grid.size) for _ in range(n_restarts)]
@@ -198,7 +189,7 @@ def embedding_constant(grid: Grid, q: float, denominator: str, *,
 
     best_val, best_u, any_ok = -np.inf, None, False
     for u0 in starts:
-        val, u, ok = _extremal_sweep(grid, q, A, solve, u0,
+        val, u, ok = _extremal_sweep(grid, q, apply, solve, u0,
                                      max_iter, patience, ftol)
         any_ok = any_ok or ok
         if val > best_val:

@@ -9,6 +9,7 @@ from beamblow import (
     ConvergenceFailure,
     RunConfig,
     SolverFailure,
+    StepControls,
     SweepConfig,
     parse_config,
     run,
@@ -176,11 +177,18 @@ def test_verify_line_format(verify_report):
     assert lines[-1] == "all suites passed"
 
 
-def test_verify_negative_control():
+def test_verify_negative_control(monkeypatch):
+    # Only the Green-identity suite sees the perturbation; the others
+    # are stubbed to pass so the aggregate verdict hangs on it alone.
+    for name in ("_suite_eigen_benchmark", "_suite_energy_residual_order",
+                 "_suite_lemma21", "_suite_chain_consistency",
+                 "_suite_sandwich"):
+        monkeypatch.setattr(harness, name, lambda: (True, "stubbed"))
     bad = verify(stencil_perturbation=1e-8)
     assert not bad.ok
     by_name = {s.name: s for s in bad.suites}
     assert not by_name["green-identity"].passed
+    assert all(s.passed for s in bad.suites if s.name != "green-identity")
     assert bad.lines()[-1] == "one or more suites FAILED"
 
 
@@ -196,6 +204,22 @@ def test_cli_simulate_and_bounds(tmp_path, capsys):
     text = (outb / "bounds.csv").read_text().splitlines()
     assert text[0].split(",") == list(harness.SWEEP_RESULT_KEYS)
     assert len(text) == 2
+
+
+def test_cli_bounds_fails_when_the_run_failed(tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.setattr(RunConfig, "step_controls",
+                        lambda self: StepControls(max_steps=3))
+    cfg = tmp_path / "run.txt"
+    cfg.write_text(serialize_config(QUIET))
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "sim")]) == 3
+    simulate_err = capsys.readouterr().err
+    assert "step budget of 3 exhausted" in simulate_err
+    out = tmp_path / "bounds"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == simulate_err
+    assert (out / "bounds.csv").exists()
 
 
 def test_cli_spectra(tmp_path, capsys):
