@@ -20,7 +20,7 @@ from .errors import BeamblowError
 from .functionals import snapshot
 from .harness import (SWEEP_RESULT_KEYS, FAILURE_MARKER, _evaluate,
                       constants_items, exit_code_for, integrator_failure,
-                      run, sweep, verify, write_artifacts)
+                      _write_vector, run, sweep, verify, write_artifacts)
 from .mesh import inner
 from .scenarios import construct_energy_level
 from .spectra import compute_constants
@@ -69,7 +69,8 @@ def _load(args) -> tuple:
 
 def _cmd_spectra(args) -> int:
     config, out = _load(args)
-    consts = compute_constants(config.grid(), config.model_params())
+    consts = compute_constants(config.grid(), config.model_params(),
+                               config.seed)
     lines = [f"{k} = {v}" for k, v in constants_items(consts)]
     print("\n".join(lines))
     out.mkdir(parents=True, exist_ok=True)
@@ -111,7 +112,7 @@ def _cmd_construct(args) -> int:
     config, out = _load(args)
     grid = config.grid()
     params = config.model_params()
-    consts = compute_constants(grid, params)
+    consts = compute_constants(grid, params, config.seed)
     chain = thm31_constants(params, consts.B1)
     data = construct_energy_level(grid, params, config.energy_R, chain.B)
     snap = snapshot(grid, data.u0, data.u1, params)
@@ -127,10 +128,8 @@ def _cmd_construct(args) -> int:
     print("\n".join(lines))
     out.mkdir(parents=True, exist_ok=True)
     (out / "construct.txt").write_text("\n".join(lines) + "\n")
-    with (out / "u0.csv").open("w") as fh:
-        fh.writelines("%.17g\n" % x for x in data.u0)
-    with (out / "u1.csv").open("w") as fh:
-        fh.writelines("%.17g\n" % x for x in data.u1)
+    _write_vector(out / "u0.csv", data.u0)
+    _write_vector(out / "u1.csv", data.u1)
     return 0
 
 

@@ -34,8 +34,7 @@ from . import functionals, mesh
 from .errors import ConvergenceFailure
 from .functionals import FunctionalSnapshot, ModelParams
 from .mesh import Grid
-from .operators import operators
-from .solvers import conjugate_gradient, solve_spd_banded
+from .operators import GridOperators, operators
 
 
 @dataclass(frozen=True)
@@ -76,39 +75,9 @@ class State:
     dt: float
 
 
-class StepWorkspace:
-    """The grid's operators plus the implicit solve of one step.
-
-    In one dimension the implicit system is pentadiagonal and is solved
-    directly by banded Cholesky.  In two dimensions it is solved by
-    conjugate gradients preconditioned with the sine-basis inverse of
-    I + a Lap_h^2 - c Lap_h, which differs from the system only by the
-    clamped boundary term, so no factorization is ever made."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.ops = operators(grid)
-        self.B = self.ops.B
-        self.L = self.ops.L
-
-    def solve(self, a: float, c: float, rhs: np.ndarray, x0: np.ndarray,
-              cg_rtol: float) -> np.ndarray:
-        ops = self.ops
-        if self.grid.dim == 1:
-            eye_band, B_band, L_band = ops.bands
-            return solve_spd_banded(eye_band + a * B_band - c * L_band, rhs)
-        return conjugate_gradient(
-            self.matvec(a, c), rhs, x0=x0, rtol=cg_rtol, max_iter=500,
-            M=ops.preconditioner(a, c),
-            a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
-
-    @staticmethod
-    def coefficients(dt: float, mbar: float) -> tuple[float, float]:
-        return 0.25 * dt * dt, 0.5 * dt + 0.25 * mbar * dt * dt
-
-    def matvec(self, a: float, c: float):
-        B, L = self.B, self.L
-        return lambda x: x + a * (B @ x) - c * (L @ x)
+def coefficients(dt: float, mbar: float) -> tuple[float, float]:
+    """(a, c) of the step system I + a B - c L at Kirchhoff value mbar."""
+    return 0.25 * dt * dt, 0.5 * dt + 0.25 * mbar * dt * dt
 
 
 def damping_flow(params: ModelParams, v: np.ndarray,
@@ -126,7 +95,7 @@ def damping_flow(params: ModelParams, v: np.ndarray,
     return v * (1.0 + q * tau * np.abs(v)**q)**(-1.0 / q)
 
 
-def step(ws: StepWorkspace, params: ModelParams, u: np.ndarray,
+def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
          v: np.ndarray, dt: float,
          cg_rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray] | None:
     """One Strang-split step of size dt.
@@ -136,16 +105,17 @@ def step(ws: StepWorkspace, params: ModelParams, u: np.ndarray,
     again.  The corrector averages the frozen nonlinear terms between
     the old state and the predictor; iterating that average to its
     fixed point does not pay, the truncated pass already matches the
-    splitting error.  Returns None when the step produced a non-finite
-    state, the signal to retry with a smaller dt.
+    splitting error.  ``ops`` is the grid's operator object.  Returns
+    None when the step produced a non-finite state, the signal to retry
+    with a smaller dt.
     """
-    grid = ws.grid
+    grid = ops.grid
 
     def implicit_solve(mbar: float, sbar: np.ndarray, x0: np.ndarray):
-        a, c = ws.coefficients(dt, mbar)
-        rhs = v + dt * (-0.5 * (ws.B @ u_sum) + 0.5 * mbar * (ws.L @ u_sum)
-                        + 0.5 * (ws.L @ v) + sbar)
-        return ws.solve(a, c, rhs, x0, cg_rtol)
+        a, c = coefficients(dt, mbar)
+        rhs = v + dt * (-0.5 * (ops.B @ u_sum) + 0.5 * mbar * (ops.L @ u_sum)
+                        + 0.5 * (ops.L @ v) + sbar)
+        return ops.solve(a, c, rhs, x0, cg_rtol)
 
     with np.errstate(over="ignore", invalid="ignore"):
         v = damping_flow(params, v, 0.5 * dt)
@@ -232,7 +202,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
         raise ValueError(f"output_every must be >= 1, got {output_every}")
     u = np.array(u0, dtype=float)
     v = np.array(v0, dtype=float)
-    ws = StepWorkspace(grid)
+    ops = operators(grid)
 
     t = 0.0
     scale = 1.0
@@ -275,7 +245,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
             break
 
         try:
-            result = step(ws, params, u, v, dt,
+            result = step(ops, params, u, v, dt,
                           cg_rtol=controls.cg_rtol)
         except ConvergenceFailure:
             result = None

@@ -84,7 +84,7 @@ def _evaluate(config: RunConfig) -> RunArtifacts:
     """Run the full pipeline for one configuration, in memory."""
     grid = config.grid()
     params = config.model_params()
-    consts = compute_constants(grid, params)
+    consts = compute_constants(grid, params, config.seed)
     data = preset(config.preset, grid, params, config.amplitude,
                   energy_R=config.energy_R)
     traj = simulate(grid, params, data.u0, data.u1, config.step_controls(),

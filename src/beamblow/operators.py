@@ -3,8 +3,9 @@
 One ``GridOperators`` object per grid owns everything derived from the
 grid alone: the Dirichlet Laplacian ``L`` and the clamped biharmonic
 ``B`` with their infinity norms, the banded storage of the 1d stencils,
-the orthonormal sine basis that diagonalizes ``L``, the factorizations
-of the fixed quadratic forms, and the smallest eigenpairs once they are
+the orthonormal sine basis that diagonalizes ``L`` and its closed-form
+eigenpairs, the implicit solve of the time step, the factorizations of
+the fixed quadratic forms, and the results of ``spectra`` once they are
 computed.  Every member is built on first use, so asking for ``L`` does
 not pay for the sine basis.
 
@@ -31,10 +32,12 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .solvers import lu_preconditioner, operator_norm_estimate, upper_bands
+from .solvers import (conjugate_gradient, lu_preconditioner,
+                      operator_norm_estimate, solve_spd_banded, upper_bands)
 
 if TYPE_CHECKING:
     from .mesh import Grid
+    from .spectra import VariationalConstants
 
 
 def _lap_1d(n: int, h: float) -> sp.csr_matrix:
@@ -68,12 +71,15 @@ def _bih_1d(n: int, h: float) -> sp.csr_matrix:
 
 
 class GridOperators:
-    """Operators, transforms, factors and eigenpairs of one grid."""
+    """Operators, transforms, solves and spectral results of one grid."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        # smallest eigenpairs keyed by operator name and solver settings
-        self.eigenpairs: dict[tuple, tuple[float, np.ndarray]] = {}
+        # results of ``spectra``: eigenpairs by operator name, embedding
+        # constants by (q, denominator, seed), bundles by (params, seed)
+        self.eigenpairs: dict[str, tuple[float, np.ndarray]] = {}
+        self.embeddings: dict[tuple, tuple[float, np.ndarray]] = {}
+        self.constants: dict[tuple, VariationalConstants] = {}
 
     @cached_property
     def L(self) -> sp.csr_matrix:
@@ -139,6 +145,21 @@ class GridOperators:
             return mu
         return mu[:, None] + mu[None, :]
 
+    def laplacian_mode(self, k: tuple[int, ...]) -> tuple[float, np.ndarray]:
+        """Eigenpair of -L for the sine mode with index k[d] along axis d:
+        the eigenvalue -(mu_k1 + mu_k2 ...) and the product of the 1d
+        modes sin(pi k_d j / (n+1)), j = 1..n, at unit weighted L2 norm."""
+        g = self.grid
+        n = g.n_interior
+        if not all(1 <= kd <= n for kd in k):
+            raise ValueError(f"no sine mode {k} with n = {n}")
+        j = np.arange(1, n + 1)
+        x = np.ones(1)
+        for kd in k:
+            x = np.outer(x, np.sin(np.pi * kd * j / (n + 1))).ravel()
+        lam = -float(self.mu[tuple(kd - 1 for kd in k)])
+        return lam, x / (np.sqrt(g.weight) * np.linalg.norm(x))
+
     def sine_solve(self, a: float, c: float, r: np.ndarray, *,
                    shift: float = 1.0) -> np.ndarray:
         """Apply (shift I + a Lap_h^2 - c Lap_h)^{-1} to r through the
@@ -164,6 +185,25 @@ class GridOperators:
         factor = sla.cholesky_banded(shift * eye_band + a * B_band
                                      - c * L_band)
         return lambda r: sla.cho_solve_banded((factor, False), r)
+
+    def matvec(self, a: float, c: float):
+        """A function applying I + a B - c L, the time-step matrix."""
+        B, L = self.B, self.L
+        return lambda x: x + a * (B @ x) - c * (L @ x)
+
+    def solve(self, a: float, c: float, rhs: np.ndarray, x0: np.ndarray,
+              rtol: float) -> np.ndarray:
+        """Solve (I + a B - c L) x = rhs: banded Cholesky in 1d; in 2d
+        conjugate gradients from x0 preconditioned by ``sine_solve``,
+        which misses only the clamped boundary term, so no factorization
+        is ever made."""
+        if self.grid.dim == 1:
+            eye_band, B_band, L_band = self.bands
+            return solve_spd_banded(eye_band + a * B_band - c * L_band, rhs)
+        return conjugate_gradient(
+            self.matvec(a, c), rhs, x0=x0, rtol=rtol, max_iter=500,
+            M=self.preconditioner(a, c),
+            a_norm=1.0 + a * self.norm_B + c * self.norm_L)
 
     @cached_property
     def graph_form(self) -> sp.csr_matrix:

@@ -1,7 +1,8 @@
 """Initial-data factories: presets and the arbitrary-energy construction.
 
 The two-mode construction builds data u0 = r1 v1, u1 = r1 v1 + r2 v2
-on the first two Dirichlet eigenfields of the (negative) Laplacian.
+on the first two Dirichlet eigenfields of the (negative) Laplacian,
+which are sine modes known in closed form.
 The radial amplitude r1 is pushed out until the single-mode energy
 chi(r1) drops below the requested level R while the correlation
 inner(u0, u1) = r1^2 clears B*R; the second mode then tops the energy
@@ -18,11 +19,10 @@ import numpy as np
 from .errors import ConstructionFailure
 from .functionals import ModelParams, potential_J
 from .mesh import Grid, inner, norm_l2
-from .spectra import compute_constants, smallest_eigen
+from .operators import operators
+from .spectra import smallest_eigen
 
 PRESET_NAMES = ("sine_bump", "negative_energy", "high_energy")
-
-_basis_cache: dict[Grid, tuple[np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -35,25 +35,15 @@ class InitialData:
 
 
 def eigen_pair_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """First two Dirichlet-Laplacian eigenfields, orthonormalized.
-
-    Both fields carry unit weighted L2 norm; one explicit
-    re-orthogonalization pass keeps |inner(v1, v2)| below 1e-10.
-    """
-    cached = _basis_cache.get(grid)
-    if cached is None:
-        _, v1 = smallest_eigen(grid, "laplacian")
-        _, v2 = smallest_eigen(grid, "laplacian", deflate=v1)
-        v2 = v2 - inner(grid, v1, v2) / inner(grid, v1, v1) * v1
-        v2 = v2 / norm_l2(grid, v2)
-        cross = abs(inner(grid, v1, v2))
-        if cross > 1e-10:
-            raise ConstructionFailure(
-                f"basis re-orthogonalization left inner(v1, v2) = {cross:.3e}")
-        _basis_cache[grid] = (v1, v2)
-        cached = (v1, v2)
-    v1, v2 = cached
-    return v1.copy(), v2.copy()
+    """First two Dirichlet-Laplacian eigenfields at unit weighted L2
+    norm, x scaled to the unit interval: sin(pi x) and sin(2 pi x) in
+    1d.  In 2d v1 is sin(pi x) sin(pi y) and v2 is the fixed (1,2)
+    member sin(pi x) sin(2 pi y) of the degenerate (1,2)/(2,1) pair,
+    x along the first (slow) index of the flattened field."""
+    ops = operators(grid)
+    _, v1 = ops.laplacian_mode((1,) * grid.dim)
+    _, v2 = ops.laplacian_mode((1,) * (grid.dim - 1) + (2,))
+    return v1, v2
 
 
 def chi(r1: float, grid: Grid, v1: np.ndarray, params: ModelParams) -> float:
@@ -165,8 +155,8 @@ def preset(name: str, grid: Grid, params: ModelParams,
         if B is None:
             from .bounds import thm31_constants
 
-            consts = compute_constants(grid, params)
-            chain = thm31_constants(params, consts.B1)
+            lam1_lap, _ = smallest_eigen(grid, "laplacian")
+            chain = thm31_constants(params, lam1_lap**-0.5)
             if not chain.feasible:
                 raise ConstructionFailure("growth chain infeasible; "
                                           "cannot pick the energy weight B")

@@ -5,10 +5,10 @@ constants computed here, always for the discrete operators actually
 used by the time stepper, so every inequality the bound chains rely on
 holds exactly for the semi-discrete flow:
 
-  * smallest eigenvalues of the Dirichlet Laplacian and the clamped
-    plate operator (inverse power iteration with preconditioned CG
-    inner solves, banded in 1d and sine-basis in 2d, optional deflation
-    for the second pair);
+  * smallest eigenpairs of the Dirichlet Laplacian (the first sine
+    mode, in closed form) and of the clamped plate operator (inverse
+    power iteration with preconditioned CG inner solves, banded in 1d
+    and sine-basis in 2d);
   * best constants of the discrete embeddings ||u||_q <= C * Q(u)^{1/2}
     for the quadratic forms Q built from the gradient, the Laplacian,
     or their sum (extremal fixed-point sweeps with seeded restarts);
@@ -18,7 +18,6 @@ holds exactly for the semi-discrete flow:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,76 +30,67 @@ from .solvers import conjugate_gradient
 
 _OPERATORS = ("laplacian", "biharmonic")
 
+# inverse iteration: relative eigenvalue change, sweeps, inner CG rtol
+_EIGEN_TOL, _EIGEN_MAX_OUTER, _EIGEN_INNER_RTOL = 1e-10, 500, 1e-12
+# extremal sweeps: random starts besides the eigenfield, sweep budget,
+# and the stop after _SWEEP_PATIENCE sweeps gaining less than _SWEEP_FTOL
+_SWEEP_RESTARTS, _SWEEP_MAX_ITER = 4, 2000
+_SWEEP_PATIENCE, _SWEEP_FTOL = 20, 1e-11
 
-def _operator(grid: Grid, operator: str):
-    """Matrix-vector product, infinity norm and preconditioner of a
-    positive operator.  The preconditioner is exact for the Laplacian
-    and, in 1d, for the plate; in 2d it is the sine-basis inverse of
-    Lap_h^2, which differs from the plate by the boundary term."""
+
+def _plate_inverse_iteration(grid: Grid) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of B by inverse iteration.  The inner CG solves
+    are preconditioned exactly in 1d, and in 2d by the sine-basis inverse
+    of Lap_h^2, which differs from the plate by the boundary term."""
     ops = operators(grid)
-    if operator == "laplacian":
-        L = ops.L
-        return ((lambda x: -(L @ x)), ops.norm_L,
-                ops.preconditioner(0.0, 1.0, shift=0.0))
-    if operator == "biharmonic":
-        return (ops.B.dot, ops.norm_B,
-                ops.preconditioner(1.0, 0.0, shift=0.0))
-    raise ValueError(f"unknown operator {operator!r}, "
-                     f"expected one of {_OPERATORS}")
-
-
-def smallest_eigen(grid: Grid, operator: str = "biharmonic", *,
-                   deflate: np.ndarray | None = None, tol: float = 1e-10,
-                   max_outer: int = 500,
-                   inner_rtol: float = 1e-12) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of the (positive) operator by inverse iteration.
-
-    ``deflate`` projects a previously computed eigenfield out of every
-    iterate, yielding the next eigenpair up.  The returned field has
-    unit weighted L2 norm and its largest-magnitude entry positive.
-    The inner solves are conjugate gradients preconditioned by
-    ``GridOperators.preconditioner``;
-    undeflated pairs are kept on the grid's operator object.
-    """
-    A, a_norm, M = _operator(grid, operator)
-    pairs = operators(grid).eigenpairs
-    key = (operator, tol, max_outer, inner_rtol)
-    if deflate is None and key in pairs:
-        lam, x = pairs[key]
-        return lam, x.copy()
-
+    A, a_norm = ops.B.dot, ops.norm_B
+    M = ops.preconditioner(1.0, 0.0, shift=0.0)
     rng = np.random.default_rng(12345)
     x = rng.standard_normal(grid.size)
-    if deflate is not None:
-        d = deflate / np.linalg.norm(deflate)
-        x -= np.dot(d, x) * d
     x /= np.linalg.norm(x)
 
     lam = float(x @ A(x))
-    for _ in range(max_outer):
-        y = conjugate_gradient(A, x, x0=x / lam, rtol=inner_rtol,
+    for _ in range(_EIGEN_MAX_OUTER):
+        y = conjugate_gradient(A, x, x0=x / lam, rtol=_EIGEN_INNER_RTOL,
                                M=M, a_norm=a_norm)
-        if deflate is not None:
-            y -= np.dot(d, y) * d
         x = y / np.linalg.norm(y)
         lam_new = float(x @ A(x))
-        if abs(lam_new - lam) <= tol * abs(lam_new):
+        if abs(lam_new - lam) <= _EIGEN_TOL * abs(lam_new):
             lam = lam_new
             break
         lam = lam_new
     else:
         raise ConvergenceFailure(
-            f"inverse iteration for {operator} eigenpair did not settle "
-            f"in {max_outer} sweeps",
+            f"inverse iteration for biharmonic eigenpair did not settle "
+            f"in {_EIGEN_MAX_OUTER} sweeps",
             residual=abs(lam_new - lam) / abs(lam_new))
 
     i = int(np.argmax(np.abs(x)))
     if x[i] < 0:
         x = -x
-    x = x / mesh.norm_l2(grid, x)
-    if deflate is None:
-        pairs[key] = (lam, x.copy())
-    return lam, x
+    return lam, x / mesh.norm_l2(grid, x)
+
+
+def smallest_eigen(grid: Grid,
+                   operator: str = "biharmonic") -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of the (positive) operator -L or B.
+
+    The returned field has unit weighted L2 norm and its largest entry
+    positive.  For the Laplacian it is the first sine mode in closed
+    form; the plate pair comes from inverse iteration.  Pairs are kept
+    on the grid's operator object and handed out as copies.
+    """
+    pairs = operators(grid).eigenpairs
+    if operator not in pairs:
+        if operator == "laplacian":
+            pairs[operator] = operators(grid).laplacian_mode((1,) * grid.dim)
+        elif operator == "biharmonic":
+            pairs[operator] = _plate_inverse_iteration(grid)
+        else:
+            raise ValueError(f"unknown operator {operator!r}, "
+                             f"expected one of {_OPERATORS}")
+    lam, x = pairs[operator]
+    return lam, x.copy()
 
 
 _DENOMINATORS = ("grad", "lap", "H", "l2")
@@ -108,10 +98,10 @@ _DENOMINATORS = ("grad", "lap", "H", "l2")
 
 def _quad_form(grid: Grid, denominator: str):
     """Matrix-vector product and exact solve of a quadratic form."""
-    if denominator == "grad":
-        apply, _, solve = _operator(grid, "laplacian")
-        return apply, solve
     ops = operators(grid)
+    if denominator == "grad":
+        L = ops.L
+        return (lambda x: -(L @ x)), ops.preconditioner(0.0, 1.0, shift=0.0)
     if denominator == "lap":
         return ops.B.dot, ops.plate_factor.matvec
     if denominator == "H":
@@ -123,8 +113,7 @@ def _quad_form(grid: Grid, denominator: str):
 
 
 def _extremal_sweep(grid: Grid, q: float, apply, solve,
-                    u0: np.ndarray, max_iter: int, patience: int,
-                    ftol: float) -> tuple[float, np.ndarray, bool]:
+                    u0: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Maximize ||u||_q on the ellipsoid Q(u) = weight * u^T A u = 1.
 
     Fixed-point sweeps on the stationarity condition
@@ -146,7 +135,7 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
         return -np.inf, u0, False
     val = mesh.norm_lq(grid, u, q)
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(_SWEEP_MAX_ITER):
         grad = np.abs(u)**(q - 1.0) * np.sign(u)
         u_new = q_normalize(solve(grad))
         if u_new is None:
@@ -155,9 +144,9 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
         gain = new_val - val
         u = u_new
         val = max(val, new_val)
-        if abs(gain) < ftol * max(1.0, val):
+        if abs(gain) < _SWEEP_FTOL * max(1.0, val):
             stall += 1
-            if stall >= patience:
+            if stall >= _SWEEP_PATIENCE:
                 return val, u, True
         else:
             stall = 0
@@ -165,21 +154,25 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
 
 
 def embedding_constant(grid: Grid, q: float, denominator: str, *,
-                       seed: int = 0, n_restarts: int = 4,
-                       max_iter: int = 2000, patience: int = 20,
-                       ftol: float = 1e-11) -> tuple[float, np.ndarray]:
+                       seed: int = 0) -> tuple[float, np.ndarray]:
     """Best constant C in ||u||_q <= C * Q(u)^{1/2} and its maximizer.
 
     Runs the extremal fixed-point sweep from several seeded random
     starts plus the smallest eigenfield of the quadratic form, and
-    keeps the best converged run.
+    keeps the best converged run.  Results are kept on the grid's
+    operator object by (q, denominator, seed).
     """
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
+    memo = operators(grid).embeddings
+    key = (float(q), denominator, seed)
+    if key in memo:
+        val, u = memo[key]
+        return val, u.copy()
     apply, solve = _quad_form(grid, denominator)
     rng = np.random.default_rng(seed)
 
-    starts = [rng.standard_normal(grid.size) for _ in range(n_restarts)]
+    starts = [rng.standard_normal(grid.size) for _ in range(_SWEEP_RESTARTS)]
     if denominator == "grad":
         starts.append(smallest_eigen(grid, "laplacian")[1])
     elif denominator in ("lap", "H"):
@@ -189,17 +182,17 @@ def embedding_constant(grid: Grid, q: float, denominator: str, *,
 
     best_val, best_u, any_ok = -np.inf, None, False
     for u0 in starts:
-        val, u, ok = _extremal_sweep(grid, q, apply, solve, u0,
-                                     max_iter, patience, ftol)
+        val, u, ok = _extremal_sweep(grid, q, apply, solve, u0)
         any_ok = any_ok or ok
         if val > best_val:
             best_val, best_u = val, u
     if not any_ok:
         raise ConvergenceFailure(
             f"no extremal sweep for embedding constant (q={q}, "
-            f"denominator={denominator}) converged within {max_iter} "
-            "sweeps")
-    return best_val, best_u
+            f"denominator={denominator}) converged within "
+            f"{_SWEEP_MAX_ITER} sweeps")
+    memo[key] = (best_val, best_u)
+    return best_val, best_u.copy()
 
 
 def well_depth(C: float, params: ModelParams) -> tuple[float, float]:
@@ -225,24 +218,29 @@ class VariationalConstants:
     depth: float
 
 
-@lru_cache(maxsize=None)
 def compute_constants(grid: Grid, params: ModelParams,
                       seed: int = 0) -> VariationalConstants:
-    """All constants the bound chains need, computed once per pairing.
+    """All constants the bound chains need, computed once per pairing
+    and kept on the grid's operator object by (params, seed).
 
     B1 is the Poincare constant ||u|| <= B1 ||grad u||; C, C_a, C_b
     bound ||u||_{p+1} by the graph, gradient and Laplacian norms; and
-    B_star bounds ||u||_{2p} by the Laplacian norm.
+    B_star bounds ||u||_{2p} by the Laplacian norm.  ``seed`` seeds the
+    random starts of the embedding sweeps.
     """
-    lam1_lap, _ = smallest_eigen(grid, "laplacian")
-    lam1_bih, _ = smallest_eigen(grid, "biharmonic")
-    q = params.p + 1.0
-    C, _ = embedding_constant(grid, q, "H", seed=seed)
-    C_a, _ = embedding_constant(grid, q, "grad", seed=seed)
-    C_b, _ = embedding_constant(grid, q, "lap", seed=seed)
-    B_star, _ = embedding_constant(grid, 2.0 * params.p, "lap", seed=seed)
-    lam_star, depth = well_depth(C, params)
-    return VariationalConstants(
-        lam1_lap=lam1_lap, lam1_bih=lam1_bih, B1=lam1_lap**-0.5,
-        C=C, C_a=C_a, C_b=C_b, B_star=B_star,
-        lam_star=lam_star, depth=depth)
+    memo = operators(grid).constants
+    if (params, seed) not in memo:
+        lam1_lap, _ = smallest_eigen(grid, "laplacian")
+        lam1_bih, _ = smallest_eigen(grid, "biharmonic")
+        q = params.p + 1.0
+        C, _ = embedding_constant(grid, q, "H", seed=seed)
+        C_a, _ = embedding_constant(grid, q, "grad", seed=seed)
+        C_b, _ = embedding_constant(grid, q, "lap", seed=seed)
+        B_star, _ = embedding_constant(grid, 2.0 * params.p, "lap",
+                                       seed=seed)
+        lam_star, depth = well_depth(C, params)
+        memo[params, seed] = VariationalConstants(
+            lam1_lap=lam1_lap, lam1_bih=lam1_bih, B1=lam1_lap**-0.5,
+            C=C, C_a=C_a, C_b=C_b, B_star=B_star,
+            lam_star=lam_star, depth=depth)
+    return memo[params, seed]

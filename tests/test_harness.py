@@ -1,7 +1,10 @@
 """Run harness, sweep driver, self-check suites, and the CLI."""
 
+from dataclasses import replace
+
 import pytest
 
+import beamblow.cli as cli
 import beamblow.harness as harness
 from beamblow import (
     ConfigError,
@@ -243,6 +246,36 @@ def test_cli_construct(tmp_path, capsys):
     items = dict(line.split(" = ", 1) for line in text.splitlines() if line)
     assert abs(float(items["E0"]) + 5.0) < 1e-9
     assert (out / "u0.csv").exists() and (out / "u1.csv").exists()
+
+
+class _SeedSeen(Exception):
+    pass
+
+
+def _seed_spy(seen: list):
+    def spy(grid, params, seed=0):
+        seen.append(seed)
+        raise _SeedSeen
+    return spy
+
+
+def test_evaluate_passes_the_configured_seed(monkeypatch):
+    seen = []
+    monkeypatch.setattr(harness, "compute_constants", _seed_spy(seen))
+    with pytest.raises(_SeedSeen):
+        harness._evaluate(replace(QUIET, seed=7))
+    assert seen == [7]
+
+
+@pytest.mark.parametrize("command", ["spectra", "construct"])
+def test_cli_passes_the_configured_seed(tmp_path, monkeypatch, command):
+    seen = []
+    monkeypatch.setattr(cli, "compute_constants", _seed_spy(seen))
+    cfg = tmp_path / "run.txt"
+    cfg.write_text(serialize_config(replace(QUIET, seed=7)))
+    with pytest.raises(_SeedSeen):
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert seen == [7]
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -11,6 +11,8 @@ from beamblow import (
     eigen_pair_basis,
     energy_E,
     inner,
+    laplacian_matrix,
+    make_grid,
     norm_l2,
     potential_J,
     preset,
@@ -33,6 +35,19 @@ def test_eigen_pair_basis(grid64):
     v1[:] = 0.0
     w1, _ = eigen_pair_basis(grid64)
     assert norm_l2(grid64, w1) == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 48), (2, 16), (2, 24)])
+def test_eigen_pair_basis_lies_in_the_first_two_eigenspaces(dim, n):
+    g = make_grid(dim, n)
+    L = laplacian_matrix(g)
+    lam = np.linalg.eigvalsh(-L.toarray())
+    v1, v2 = eigen_pair_basis(g)
+    for v, lam_k in ((v1, lam[0]), (v2, lam[1])):
+        residual = np.linalg.norm(-(L @ v) - lam_k * v)
+        assert residual <= 1e-10 * lam_k * np.linalg.norm(v)
+        assert norm_l2(g, v) == pytest.approx(1.0, rel=1e-14)
+    assert abs(inner(g, v1, v2)) < 1e-14
 
 
 def test_chi_closed_form(grid64, params):

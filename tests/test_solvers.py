@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from beamblow import make_grid
-from beamblow.dynamics import StepWorkspace
+from beamblow.dynamics import coefficients
 from beamblow.operators import operators
 from beamblow.solvers import conjugate_gradient
 
@@ -83,15 +83,28 @@ def test_1d_preconditioner_is_the_exact_banded_inverse(a, c, shift):
 @pytest.mark.parametrize("dt", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
 def test_sine_preconditioned_cg_solves_the_2d_step_system(n, dt):
     g = make_grid(2, n)
-    ws = StepWorkspace(g)
-    a, c = ws.coefficients(dt, mbar=5.0)
-    ops = ws.ops
+    ops = operators(g)
+    a, c = coefficients(dt, mbar=5.0)
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(g.size)
     # raises ConvergenceFailure if rtol is not met within max_iter
-    x = conjugate_gradient(ws.matvec(a, c), rhs, rtol=1e-10, max_iter=30,
+    x = conjugate_gradient(ops.matvec(a, c), rhs, rtol=1e-10, max_iter=30,
                            M=lambda r: ops.sine_solve(a, c, r),
                            a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
     A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()
     ref = spla.spsolve(A, rhs)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 24)])
+def test_step_solve_matches_a_direct_solve(dim, n):
+    g = make_grid(dim, n)
+    ops = operators(g)
+    a, c = coefficients(1e-3, mbar=5.0)
+    rhs = np.random.default_rng(13).standard_normal(g.size)
+    x = ops.solve(a, c, rhs, np.zeros(g.size), 1e-12)
+    A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()
+    ref = spla.spsolve(A, rhs)
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert np.linalg.norm(ops.matvec(a, c)(x) - A @ x) <= (
+        1e-14 * np.linalg.norm(A @ x))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import beamblow.spectra as spectra
 from beamblow import (
     ModelParams,
     biharmonic_matrix,
@@ -15,10 +16,12 @@ from beamblow import (
     lap_norm_sq,
     grad_norm_sq,
     make_grid,
+    norm_l2,
     norm_lq,
     smallest_eigen,
     well_depth,
 )
+from beamblow.operators import operators
 
 # first clamped-beam frequency: smallest positive root of
 # cos(k) cosh(k) = 1, eigenvalue k^4
@@ -49,6 +52,19 @@ def test_eigenvalues_match_dense_solver():
         lam, _ = smallest_eigen(g, op)
         dense = np.linalg.eigvalsh(A.toarray())
         assert lam == pytest.approx(dense[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 32), (2, 4), (2, 16)])
+def test_laplacian_eigenpair_is_the_first_sine_mode(dim, n):
+    g = make_grid(dim, n)
+    L = laplacian_matrix(g)
+    lam, v = smallest_eigen(g, "laplacian")
+    dense = np.linalg.eigvalsh(-L.toarray())
+    assert abs(lam - dense[0]) <= 1e-13 * dense[0]
+    residual = np.linalg.norm(-(L @ v) - lam * v)
+    assert residual <= 1e-12 * lam * np.linalg.norm(v)
+    assert norm_l2(g, v) == pytest.approx(1.0, rel=1e-14)
+    assert np.all(v > 0)
 
 
 def test_laplacian_eigenvalue_2d():
@@ -110,3 +126,30 @@ def test_constants_frozen_values(grid48, params):
     assert consts.B1 == pytest.approx(0.3183644115435677, rel=1e-10)
     assert consts.C == pytest.approx(0.051696739761145756, rel=1e-6)
     assert consts.depth == pytest.approx(4.8358948969523814, rel=1e-6)
+
+
+def test_shared_embedding_constant_is_swept_once(monkeypatch):
+    # p = 2.5 needs the Laplacian-form constant at q = 2p = 5 (B_star),
+    # p = 4 needs it at q = p + 1 = 5 (C_b): one sweep serves both
+    g = make_grid(1, 37)
+    plate = operators(g).B.dot
+    swept = []
+    sweep = spectra._extremal_sweep
+
+    def counted(grid, q, apply, *args):
+        swept.append((q, apply))
+        return sweep(grid, q, apply, *args)
+
+    monkeypatch.setattr(spectra, "_extremal_sweep", counted)
+
+    def lap_sweeps_at_5():
+        return sum(1 for q, apply in swept if q == 5.0 and apply == plate)
+
+    compute_constants(g, ModelParams(p=2.5, r=2.0, gamma=0.5, beta=1.0))
+    assert lap_sweeps_at_5() > 0
+    swept.clear()
+    consts = compute_constants(g, ModelParams(p=4.0, r=2.0, gamma=0.5,
+                                              beta=1.0))
+    assert swept and lap_sweeps_at_5() == 0
+    assert consts.C_b == compute_constants(
+        g, ModelParams(p=2.5, r=2.0, gamma=0.5, beta=1.0)).B_star
