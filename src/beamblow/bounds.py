@@ -16,7 +16,7 @@ integrator actually advances, not for the continuum limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -145,21 +145,16 @@ def thm31_constants(params: ModelParams, B1: float) -> Thm31Chain:
         delta3 = 0.0
 
     if delta3 <= 0.0:
-        return Thm31Chain(p=p, r=r, B1=B1, s=s, delta0=delta0, delta1=delta1,
-                          delta2=delta2, delta3=0.0, eps0=0.0, A=0.0,
-                          B=math.inf, feasible=False,
-                          note="no admissible eps window")
+        return replace(probe, delta1=delta1, delta2=delta2,
+                       note="no admissible eps window")
 
     eps0 = 0.5 * delta3
-    chain = Thm31Chain(p=p, r=r, B1=B1, s=s, delta0=delta0, delta1=delta1,
-                       delta2=delta2, delta3=delta3, eps0=eps0,
-                       A=probe.A_of(eps0), B=r / ((r + 1.0) * eps0),
-                       feasible=True)
+    chain = replace(probe, delta1=delta1, delta2=delta2, delta3=delta3,
+                    eps0=eps0, A=probe.A_of(eps0), B=r / ((r + 1.0) * eps0),
+                    feasible=True)
     if not chain.self_consistent():
-        return Thm31Chain(p=p, r=r, B1=B1, s=s, delta0=delta0, delta1=delta1,
-                          delta2=delta2, delta3=delta3, eps0=eps0,
-                          A=chain.A, B=chain.B, feasible=False,
-                          note="post-hoc consistency check failed")
+        return replace(chain, feasible=False,
+                       note="post-hoc consistency check failed")
     return chain
 
 
@@ -326,11 +321,8 @@ def thm32_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
         return replace(chain, note="vanishing growth coefficient")
 
     decay = L0 ** (-alpha / (1.0 - alpha)) * (1.0 - alpha) / alpha
-    return Thm32Chain(alpha=alpha, mu=mu, M=M, mu0=mu0, zeta=zeta, eps=eps,
-                      C1=C1, s0=s0, C2=C2, mu1=mu1, mu2=mu2, L0=L0,
-                      T_upper=mu2 / mu1 * decay,
-                      T_upper_as_printed=mu1 / mu2 * decay,
-                      applicable=True)
+    return replace(chain, T_upper=mu2 / mu1 * decay,
+                   T_upper_as_printed=mu1 / mu2 * decay, applicable=True)
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +416,8 @@ def thm33_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
         return replace(chain, note="vanishing growth coefficient")
 
     decay = L0 ** (-alpha / (1.0 - alpha)) * (1.0 - alpha) / alpha
-    return Thm33Chain(alpha=alpha, H0=H0, delta=delta, C3=C3, eps=eps,
-                      mu3=mu3, mu4=mu4, L0=L0,
-                      T_upper=mu4 / mu3 * decay,
-                      T_upper_as_printed=mu3 / mu4 * decay,
-                      applicable=True)
+    return replace(chain, T_upper=mu4 / mu3 * decay,
+                   T_upper_as_printed=mu3 / mu4 * decay, applicable=True)
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +462,8 @@ class LowerBounds:
 
     @classmethod
     def from_parts(cls, r34: Thm34Result, r35: Thm35Result) -> "LowerBounds":
-        return cls(F0=r34.F0, varpi=r34.varpi, K1=r34.K1, K2=r34.K2,
-                   T_lower_34_truncated=r34.T_lower_34_truncated,
-                   T_lower_34_with_tail=r34.T_lower_34_with_tail,
-                   G0=r35.G0, C_eff=r35.C_eff, T_lower_35=r35.T_lower_35)
+        parts = {**vars(r34), **vars(r35)}
+        return cls(**{f.name: parts[f.name] for f in fields(cls)})
 
 
 def _lower_34_integral(F0: float, K1: float, K2: float, p: float) -> tuple[float, float]:
@@ -560,15 +547,17 @@ def thm35_lower(grid: Grid, u0: np.ndarray, u1: np.ndarray,
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything the certificate machinery can say about one run."""
+    """Everything the certificate machinery can say about one run.
+
+    The field order is the order of ``report_items``."""
 
     E0: float
+    thm31_verdict: str
+    verdicts: dict[str, bool]
     thm31: Thm31Chain
     thm32: Thm32Chain
     thm33: Thm33Chain
-    lowers: LowerBounds
-    thm31_verdict: str
-    verdicts: dict[str, bool] = field(default_factory=dict)
+    lowers: LowerBounds = field(metadata={"key": "lower"})
     T_upper: float | None = None
     T_num: float | None = None
     T_num_uncertainty: float | None = None
@@ -643,76 +632,47 @@ def full_report(grid: Grid, u0: np.ndarray, u1: np.ndarray,
 
 
 def fmt(value) -> str:
-    """Canonical scalar formatting for reports and CSV cells."""
+    """Canonical scalar formatting for reports, CSV cells and config
+    files: integers exactly, other numbers round-trip at 17 digits."""
     if value is None:
         return "none"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, str):
         return value
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    if isinstance(value, tuple):
+        return ", ".join(map(fmt, value))
     return "%.17g" % float(value)
 
 
-def report_items(report: BoundReport) -> list[tuple[str, str]]:
-    """Flatten a BoundReport into ordered (key, value) string pairs."""
-    c31, c32, c33, low = report.thm31, report.thm32, report.thm33, report.lowers
-    items: list[tuple[str, str]] = [
-        ("E0", fmt(report.E0)),
-        ("thm31_verdict", report.thm31_verdict),
-    ]
-    items += [(k, fmt(v)) for k, v in report.verdicts.items()]
-    items += [
-        ("thm31.s", fmt(c31.s)),
-        ("thm31.delta0", fmt(c31.delta0)),
-        ("thm31.delta1", fmt(c31.delta1)),
-        ("thm31.delta2", fmt(c31.delta2)),
-        ("thm31.delta3", fmt(c31.delta3)),
-        ("thm31.eps0", fmt(c31.eps0)),
-        ("thm31.A", fmt(c31.A)),
-        ("thm31.B", fmt(c31.B)),
-        ("thm31.feasible", fmt(c31.feasible)),
-        ("thm32.alpha", fmt(c32.alpha)),
-        ("thm32.mu", fmt(c32.mu)),
-        ("thm32.M", fmt(c32.M)),
-        ("thm32.mu0", fmt(c32.mu0)),
-        ("thm32.zeta", fmt(c32.zeta)),
-        ("thm32.eps", fmt(c32.eps)),
-        ("thm32.C1", fmt(c32.C1)),
-        ("thm32.s0", fmt(c32.s0)),
-        ("thm32.C2", fmt(c32.C2)),
-        ("thm32.mu1", fmt(c32.mu1)),
-        ("thm32.mu2", fmt(c32.mu2)),
-        ("thm32.L0", fmt(c32.L0)),
-        ("thm32.T_upper", fmt(c32.T_upper)),
-        ("thm32.T_upper_as_printed", fmt(c32.T_upper_as_printed)),
-        ("thm32.note", c32.note or "ok"),
-        ("thm33.alpha", fmt(c33.alpha)),
-        ("thm33.H0", fmt(c33.H0)),
-        ("thm33.delta", fmt(c33.delta)),
-        ("thm33.C3", fmt(c33.C3)),
-        ("thm33.eps", fmt(c33.eps)),
-        ("thm33.mu3", fmt(c33.mu3)),
-        ("thm33.mu4", fmt(c33.mu4)),
-        ("thm33.L0", fmt(c33.L0)),
-        ("thm33.T_upper", fmt(c33.T_upper)),
-        ("thm33.T_upper_as_printed", fmt(c33.T_upper_as_printed)),
-        ("thm33.note", c33.note or "ok"),
-        ("lower.F0", fmt(low.F0)),
-        ("lower.varpi", fmt(low.varpi)),
-        ("lower.K1", fmt(low.K1)),
-        ("lower.K2", fmt(low.K2)),
-        ("lower.T_lower_34_truncated", fmt(low.T_lower_34_truncated)),
-        ("lower.T_lower_34_with_tail", fmt(low.T_lower_34_with_tail)),
-        ("lower.G0", fmt(low.G0)),
-        ("lower.C_eff", fmt(low.C_eff)),
-        ("lower.T_lower_35", fmt(low.T_lower_35)),
-        ("T_upper", fmt(report.T_upper)),
-        ("T_num", fmt(report.T_num)),
-        ("T_num_uncertainty", fmt(report.T_num_uncertainty)),
-        ("blowup_detected", fmt(report.blowup_detected)),
-        ("sandwich_ok", fmt(report.sandwich_ok)),
-    ]
+def scalar_items(obj, prefix: str = "") -> list[tuple[str, str]]:
+    """Flatten a dataclass into ordered (key, value) string pairs.
+
+    Keys follow the field order.  A nested dataclass contributes its
+    own fields under ``<field>.`` (or the field's ``key`` metadata), a
+    dict contributes its entries as they are, and an empty ``note``
+    reads ``ok``."""
+    items: list[tuple[str, str]] = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        key = prefix + f.metadata.get("key", f.name)
+        if is_dataclass(value):
+            items += scalar_items(value, key + ".")
+        elif isinstance(value, dict):
+            items += [(prefix + k, fmt(v)) for k, v in value.items()]
+        else:
+            items.append((key, fmt(value or "ok") if f.name == "note"
+                          else fmt(value)))
     return items
+
+
+def report_items(report: BoundReport) -> list[tuple[str, str]]:
+    """Flatten a BoundReport into ordered (key, value) string pairs:
+    every field of every chain, under ``thm31.``, ``thm32.``,
+    ``thm33.`` and ``lower.``."""
+    return scalar_items(report)
 
 
 def report_lines(report: BoundReport) -> list[str]:
@@ -720,19 +680,18 @@ def report_lines(report: BoundReport) -> list[str]:
     return [f"{key} = {value}" for key, value in report_items(report)]
 
 
+# columns of sweep tables and the bounds CSV; a ``lower.`` report key
+# appears without its prefix
+SUMMARY_COLUMNS = (
+    "E0", "thm31_verdict", "thm31_case_i", "thm31_case_ii",
+    "thm32_applicable", "thm33_applicable", "T_num", "T_upper",
+    "T_lower_34_truncated", "T_lower_34_with_tail", "T_lower_35",
+    "sandwich_ok")
+
+
 def summary_row(report: BoundReport) -> dict[str, str]:
-    """Compact per-run row for sweep tables and the bounds CSV."""
-    return {
-        "E0": fmt(report.E0),
-        "thm31_verdict": report.thm31_verdict,
-        "thm31_case_i": fmt(report.verdicts.get("thm31_case_i", False)),
-        "thm31_case_ii": fmt(report.verdicts.get("thm31_case_ii", False)),
-        "thm32_applicable": fmt(report.verdicts.get("thm32_applicable", False)),
-        "thm33_applicable": fmt(report.verdicts.get("thm33_applicable", False)),
-        "T_num": fmt(report.T_num),
-        "T_upper": fmt(report.T_upper),
-        "T_lower_34_truncated": fmt(report.lowers.T_lower_34_truncated),
-        "T_lower_34_with_tail": fmt(report.lowers.T_lower_34_with_tail),
-        "T_lower_35": fmt(report.lowers.T_lower_35),
-        "sandwich_ok": fmt(report.sandwich_ok),
-    }
+    """Compact per-run row for sweep tables and the bounds CSV, keyed
+    and ordered by SUMMARY_COLUMNS."""
+    items = dict(report_items(report))
+    return {col: items[col] if col in items else items["lower." + col]
+            for col in SUMMARY_COLUMNS}

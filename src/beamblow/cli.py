@@ -14,11 +14,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bounds import fmt, report_items, summary_row, thm31_constants
+from .bounds import (SUMMARY_COLUMNS, fmt, report_lines, summary_row,
+                     thm31_constants)
 from .config import parse_config, parse_sweep_config
 from .errors import BeamblowError
 from .functionals import snapshot
-from .harness import (SWEEP_RESULT_KEYS, FAILURE_MARKER, _evaluate,
+from .harness import (FAILURE_MARKER, _evaluate,
                       constants_items, exit_code_for, integrator_failure,
                       _write_vector, run, sweep, verify, write_artifacts)
 from .mesh import inner
@@ -92,13 +93,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_bounds(args) -> int:
     config, out = _load(args)
     artifacts = _evaluate(config)
-    for key, value in report_items(artifacts.report):
-        print(f"{key} = {value}")
+    print("\n".join(report_lines(artifacts.report)))
     out.mkdir(parents=True, exist_ok=True)
     write_artifacts(out, artifacts)
-    row = summary_row(artifacts.report)
-    table = (",".join(SWEEP_RESULT_KEYS) + "\n"
-             + ",".join(row[k] for k in SWEEP_RESULT_KEYS) + "\n")
+    table = (",".join(SUMMARY_COLUMNS) + "\n"
+             + ",".join(summary_row(artifacts.report).values()) + "\n")
     (out / "bounds.csv").write_text(table)
     failure = integrator_failure(artifacts.traj)
     if failure is not None:

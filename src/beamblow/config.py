@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
+from .bounds import fmt
 from .dynamics import DEFAULT_THRESHOLDS, StepControls
 from .errors import ConfigError
 from .functionals import ModelParams
@@ -49,7 +51,7 @@ class RunConfig:
     energy_R: float = 1.0
     seed: int = 0
     dt_max: float = 1e-3
-    dt_min: float | None = None  # resolved to 1e-12 * dt_max when unset
+    dt_min: float | None = None  # StepControls resolves it to 1e-12 * dt_max
     t_max: float = 10.0
     blow_threshold: float = 1e9
     output_every: int = 10
@@ -67,8 +69,7 @@ class RunConfig:
         return make_grid(self.dim, self.N, self.extent)
 
     def step_controls(self) -> StepControls:
-        dt_min = self.dt_min if self.dt_min is not None else 1e-12 * self.dt_max
-        return StepControls(dt_max=self.dt_max, dt_min=dt_min)
+        return StepControls(dt_max=self.dt_max, dt_min=self.dt_min)
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,6 @@ class SweepConfig:
 
     base: RunConfig = field(default_factory=RunConfig)
     axes: dict[str, tuple] = field(default_factory=dict)
-    max_cells: int = MAX_SWEEP_CELLS
 
     def cells(self) -> list[RunConfig]:
         """All configurations in the product, axes in sorted key order."""
@@ -85,9 +85,9 @@ class SweepConfig:
         total = 1
         for k in keys:
             total *= len(self.axes[k])
-        if total > self.max_cells:
+        if total > MAX_SWEEP_CELLS:
             raise ConfigError(
-                f"sweep product has {total} cells, cap is {self.max_cells}")
+                f"sweep product has {total} cells, cap is {MAX_SWEEP_CELLS}")
         out = []
         for combo in itertools.product(*(self.axes[k] for k in keys)):
             out.append(replace(self.base, **dict(zip(keys, combo))))
@@ -127,61 +127,34 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(p) for p in parts)
 
 
-_PARSERS = {
-    "dim": _parse_int,
-    "N": _parse_int,
-    "extent": _parse_float,
-    "p": _parse_float,
-    "r": _parse_float,
-    "gamma": _parse_float,
-    "beta": _parse_float,
-    "preset": _parse_str,
-    "amplitude": _parse_float,
-    "energy_R": _parse_float,
-    "seed": _parse_int,
-    "dt_max": _parse_float,
-    "dt_min": _parse_optional_float,
-    "t_max": _parse_float,
-    "blow_threshold": _parse_float,
-    "output_every": _parse_int,
-    "thresholds": _parse_float_list,
-    "mu": _parse_float,
-    "alpha_override": _parse_optional_float,
-    "eps_override": _parse_optional_float,
-    "M_safety": _parse_float,
+_PARSERS_BY_TYPE = {
+    int: _parse_int,
+    float: _parse_float,
+    float | None: _parse_optional_float,
+    str: _parse_str,
+    tuple[float, ...]: _parse_float_list,
 }
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
-assert set(_PARSERS) == _FIELD_NAMES
+_PARSERS = {name: _PARSERS_BY_TYPE[kind]
+            for name, kind in get_type_hints(RunConfig).items()}
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Reject configurations outside the admissible regime."""
+    """Reject configurations outside the admissible regime.
+
+    The model, grid and step-control rules are those of the objects a
+    run builds from the configuration; the rest are checked here."""
     def bad(msg: str) -> None:
         raise ConfigError(msg)
 
-    if cfg.dim not in (1, 2):
-        bad(f"dim must be 1 or 2, got {cfg.dim}")
-    if cfg.N < 1:
-        bad(f"N must be positive, got {cfg.N}")
-    if not cfg.extent > 0:
-        bad(f"extent must be positive, got {cfg.extent}")
-    if not cfg.p > 1:
-        bad(f"p must exceed 1, got {cfg.p}")
-    if not 1 <= cfg.r < cfg.p:
-        bad(f"need 1 <= r < p, got r={cfg.r}, p={cfg.p}")
-    if cfg.gamma < 0:
-        bad(f"gamma must be nonnegative, got {cfg.gamma}")
-    if not 2 * cfg.gamma + 1 < cfg.p:
-        bad(f"need 2*gamma + 1 < p, got gamma={cfg.gamma}, p={cfg.p}")
-    if cfg.beta < 0:
-        bad(f"beta must be nonnegative, got {cfg.beta}")
+    try:
+        cfg.model_params()
+        cfg.grid()
+        cfg.step_controls()
+    except ValueError as exc:
+        bad(str(exc))
     if cfg.preset not in PRESET_NAMES:
         bad(f"unknown preset {cfg.preset!r}, choose from {PRESET_NAMES}")
-    if not cfg.dt_max > 0:
-        bad(f"dt_max must be positive, got {cfg.dt_max}")
-    if cfg.dt_min is not None and not 0 < cfg.dt_min <= cfg.dt_max:
-        bad(f"dt_min must lie in (0, dt_max], got {cfg.dt_min}")
     if not cfg.t_max > 0:
         bad(f"t_max must be positive, got {cfg.t_max}")
     if not cfg.blow_threshold > 0:
@@ -274,20 +247,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
 # serialization ------------------------------------------------------------
 
-def _fmt_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple):
-        return ", ".join("%.17g" % v for v in value)
-    if isinstance(value, int):
-        return str(value)
-    return "%.17g" % value
-
-
 def serialize_config(cfg: RunConfig) -> str:
     """Render a configuration so that parse_config recovers it exactly."""
-    lines = [f"{f.name} = {_fmt_value(getattr(cfg, f.name))}"
+    lines = [f"{f.name} = {fmt(getattr(cfg, f.name))}"
              for f in fields(RunConfig)]
     return "\n".join(lines) + "\n"

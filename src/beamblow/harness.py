@@ -22,48 +22,48 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import functionals, mesh
-from .bounds import (BoundReport, _lower_34_integral, fmt, full_report,
-                     report_items, summary_row, thm31_constants)
+from .bounds import (SUMMARY_COLUMNS, BoundReport, _lower_34_integral, fmt,
+                     full_report, report_items, scalar_items, summary_row,
+                     thm31_constants)
 from .config import RunConfig, SweepConfig, serialize_config
 from .dynamics import (BlowupEstimate, StepControls, Trajectory,
                        detect_blowup, simulate)
 from .errors import (ConfigError, ConstructionFailure, ConvergenceFailure,
                      SolverFailure)
-from .functionals import ModelParams
+from .functionals import FunctionalSnapshot, ModelParams
 from .mesh import Grid, make_grid
 from .scenarios import InitialData, preset
 from .spectra import VariationalConstants, compute_constants, smallest_eigen
 
 FAILURE_MARKER = "FAILED"
 
-TIMESERIES_COLUMNS = (
-    "t", "dt", "E", "J", "I", "l2_u", "lp1_u", "linf_u", "l2_v",
-    "grad_u_sq", "lap_u_sq", "dissipation_rate", "energy_residual")
+TIMESERIES_COLUMNS = ("t", "dt", *(f.name for f in fields(FunctionalSnapshot)),
+                      "energy_residual")
 
-SWEEP_RESULT_KEYS = (
-    "E0", "thm31_verdict", "thm31_case_i", "thm31_case_ii",
-    "thm32_applicable", "thm33_applicable", "T_num", "T_upper",
-    "T_lower_34_truncated", "T_lower_34_with_tail", "T_lower_35",
-    "sandwich_ok")
+# exit code and sweep status token of each failure class; any other
+# exception exits 1 with status ``error``
+_FAILURES = {
+    ConfigError: (2, "config_error"),
+    SolverFailure: (3, "solver_failure"),
+    ConstructionFailure: (4, "construction_failure"),
+    ConvergenceFailure: (5, "convergence_failure"),
+}
+
+
+def _failure(exc: BaseException) -> tuple[int, str]:
+    return next((_FAILURES[cls] for cls in type(exc).__mro__
+                 if cls in _FAILURES), (1, "error"))
 
 
 def exit_code_for(exc: BaseException) -> int:
     """Process exit code for a failed run; 0 is success by convention."""
-    if isinstance(exc, ConfigError):
-        return 2
-    if isinstance(exc, SolverFailure):
-        return 3
-    if isinstance(exc, ConstructionFailure):
-        return 4
-    if isinstance(exc, ConvergenceFailure):
-        return 5
-    return 1
+    return _failure(exc)[0]
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,13 @@ def _write_vector(path: Path, values: np.ndarray) -> None:
 def _write_timeseries(path: Path, traj: Trajectory) -> None:
     lines = [",".join(TIMESERIES_COLUMNS)]
     for rec in traj.records:
-        s = rec.snap
-        row = (rec.t, rec.dt, s.E, s.J, s.I, s.l2_u, s.lp1_u, s.linf_u,
-               s.l2_v, s.grad_u_sq, s.lap_u_sq, s.dissipation_rate,
-               rec.energy_residual)
-        lines.append(",".join("%.17g" % x for x in row))
+        row = (rec.t, rec.dt, *vars(rec.snap).values(), rec.energy_residual)
+        lines.append(",".join(map(fmt, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
 def constants_items(consts: VariationalConstants) -> list[tuple[str, str]]:
-    return [(f"constants.{name}", fmt(getattr(consts, name)))
-            for name in ("lam1_lap", "lam1_bih", "B1", "C", "C_a", "C_b",
-                         "B_star", "lam_star", "depth")]
+    return scalar_items(consts, "constants.")
 
 
 def _write_report(path: Path, artifacts: RunArtifacts) -> None:
@@ -177,19 +172,10 @@ def _sweep_cell(task: tuple[int, RunConfig]) -> tuple[int, str, dict | None]:
     index, config = task
     try:
         artifacts = _evaluate(config)
-    except ConfigError:
-        return index, "config_error", None
-    except ConstructionFailure:
-        return index, "construction_failure", None
-    except SolverFailure:
-        return index, "solver_failure", None
-    except ConvergenceFailure:
-        return index, "convergence_failure", None
-    except Exception:
-        return index, "error", None
-    status = "ok"
-    if artifacts.traj.termination == "solver_failure":
-        status = "solver_failure"
+    except Exception as exc:
+        return index, _failure(exc)[1], None
+    failure = integrator_failure(artifacts.traj)
+    status = "ok" if failure is None else _failure(failure)[1]
     return index, status, summary_row(artifacts.report)
 
 
@@ -211,15 +197,15 @@ def sweep(config: SweepConfig, jobs: int = 1) -> str:
             results = list(pool.map(_sweep_cell, tasks))
     results.sort(key=lambda item: item[0])
 
-    header = list(keys) + list(SWEEP_RESULT_KEYS) + ["status"]
+    header = list(keys) + list(SUMMARY_COLUMNS) + ["status"]
     lines = [",".join(header)]
     for index, status, row in results:
         cell = cells[index]
         values = [fmt(getattr(cell, key)) for key in keys]
         if row is None:
-            values += ["none"] * len(SWEEP_RESULT_KEYS)
+            values += ["none"] * len(SUMMARY_COLUMNS)
         else:
-            values += [row[key] for key in SWEEP_RESULT_KEYS]
+            values += row.values()
         values.append(status)
         lines.append(",".join(values))
     return "\n".join(lines) + "\n"

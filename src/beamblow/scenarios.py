@@ -39,7 +39,12 @@ def eigen_pair_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     norm, x scaled to the unit interval: sin(pi x) and sin(2 pi x) in
     1d.  In 2d v1 is sin(pi x) sin(pi y) and v2 is the fixed (1,2)
     member sin(pi x) sin(2 pi y) of the degenerate (1,2)/(2,1) pair,
-    x along the first (slow) index of the flattened field."""
+    x along the first (slow) index of the flattened field.  A grid with
+    one interior node per axis has no second mode."""
+    if grid.n_interior < 2:
+        raise ConstructionFailure("the two-mode construction needs at least "
+                                  "2 interior nodes per axis, got "
+                                  f"{grid.n_interior}")
     ops = operators(grid)
     _, v1 = ops.laplacian_mode((1,) * grid.dim)
     _, v2 = ops.laplacian_mode((1,) * (grid.dim - 1) + (2,))

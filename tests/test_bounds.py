@@ -223,3 +223,15 @@ def test_report_formatting(grid48, params, consts48):
     assert fmt(False) == "false"
     assert fmt(0.5) == "0.5"
     assert fmt("abc") == "abc"
+
+
+def test_fmt_prints_integers_exactly():
+    big = 2**53 + 1
+    assert fmt(big) == "9007199254740993"
+    assert fmt(np.int64(big)) == "9007199254740993"
+    assert fmt(-7) == "-7"
+    # bool is an int subclass and must keep its own spelling
+    assert fmt(True) == "true"
+    assert fmt(np.bool_(False)) == "false"
+    assert fmt(0.1) == "0.10000000000000001"
+    assert fmt((1.0, 2.5)) == "1, 2.5"

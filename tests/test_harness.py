@@ -1,6 +1,7 @@
 """Run harness, sweep driver, self-check suites, and the CLI."""
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -84,6 +85,33 @@ def test_run_detects_blowup(tmp_path):
     assert float(items["T_num"]) <= float(items["T_upper"])
 
 
+def test_report_lists_every_chain_field_once(tmp_path):
+    art = harness._evaluate(FAST_BLOWUP)
+    harness.write_artifacts(tmp_path, art)
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    keys = [line.split(" = ", 1)[0] for line in lines]
+    items = dict(line.split(" = ", 1) for line in lines)
+    report = art.report
+    for prefix, obj in (("constants", art.consts), ("thm31", report.thm31),
+                        ("thm32", report.thm32), ("thm33", report.thm33),
+                        ("lower", report.lowers)):
+        for f in fields(obj):
+            key = f"{prefix}.{f.name}"
+            assert keys.count(key) == 1, key
+            value, text = getattr(obj, f.name), items[key]
+            if isinstance(value, bool):
+                assert text == ("true" if value else "false"), key
+            elif isinstance(value, str):
+                assert text == (value or "ok"), key
+            elif value is None:
+                assert text == "none", key
+            elif math.isnan(value):
+                assert math.isnan(float(text)), key
+            else:
+                assert float(text) == value, key
+    assert len(keys) == len(set(keys))
+
+
 def test_run_failure_leaves_marker(tmp_path, monkeypatch):
     def boom(config):
         raise ConstructionFailure("no admissible amplitude")
@@ -122,7 +150,7 @@ def test_sweep_rows(small_sweep_text):
     csv = sweep(sw)
     lines = csv.splitlines()
     header = lines[0].split(",")
-    assert header == ["p", "r", *harness.SWEEP_RESULT_KEYS, "status"]
+    assert header == ["p", "r", *harness.SUMMARY_COLUMNS, "status"]
     assert len(lines) == 5
     cells = [line.split(",") for line in lines[1:]]
     assert [(c[0], c[1]) for c in cells] == [
@@ -138,6 +166,33 @@ def test_sweep_jobs_invariance(small_sweep_text):
 
     sw = parse_sweep_config(small_sweep_text)
     assert sweep(sw, jobs=1) == sweep(sw, jobs=2)
+
+
+@pytest.mark.parametrize("exc,status", [
+    (ConfigError("x"), "config_error"),
+    (SolverFailure("x"), "solver_failure"),
+    (ConstructionFailure("x"), "construction_failure"),
+    (ConvergenceFailure("x"), "convergence_failure"),
+    (RuntimeError("x"), "error"),
+])
+def test_sweep_cell_status_tokens(monkeypatch, exc, status):
+    def fail(config):
+        raise exc
+
+    monkeypatch.setattr(harness, "_evaluate", fail)
+    assert harness._sweep_cell((3, QUIET)) == (3, status, None)
+
+
+def test_sweep_prints_integer_axes_exactly(monkeypatch):
+    def fail(config):
+        raise ConstructionFailure("x")
+
+    monkeypatch.setattr(harness, "_evaluate", fail)
+    big = 2**53 + 1
+    sw = SweepConfig(base=QUIET, axes={"seed": (big,)})
+    row = sweep(sw).splitlines()[1].split(",")
+    assert row[0] == str(big)
+    assert row[-1] == "construction_failure"
 
 
 def test_sweep_keeps_failures_in_row(monkeypatch):
@@ -205,7 +260,7 @@ def test_cli_simulate_and_bounds(tmp_path, capsys):
     assert main(["bounds", "--config", str(cfg), "--out", str(outb)]) == 0
     assert (outb / "bounds.csv").exists()
     text = (outb / "bounds.csv").read_text().splitlines()
-    assert text[0].split(",") == list(harness.SWEEP_RESULT_KEYS)
+    assert text[0].split(",") == list(harness.SUMMARY_COLUMNS)
     assert len(text) == 2
 
 
@@ -276,6 +331,16 @@ def test_cli_passes_the_configured_seed(tmp_path, monkeypatch, command):
     with pytest.raises(_SeedSeen):
         main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert seen == [7]
+
+
+@pytest.mark.parametrize("command", ["construct", "simulate"])
+def test_cli_one_node_grid_is_a_construction_failure(tmp_path, capsys,
+                                                     command):
+    cfg = tmp_path / "run.txt"
+    cfg.write_text("N = 1\npreset = high_energy\n")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert "2 interior nodes" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
