@@ -113,14 +113,15 @@ def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
 
     def implicit_solve(mbar: float, sbar: np.ndarray, x0: np.ndarray):
         a, c = coefficients(dt, mbar)
-        rhs = v + dt * (-0.5 * (ops.B @ u_sum) + 0.5 * mbar * (ops.L @ u_sum)
-                        + 0.5 * (ops.L @ v) + sbar)
+        rhs = v + dt * (-0.5 * Bu + 0.5 * mbar * Lu + 0.5 * Lv + sbar)
         return ops.solve(a, c, rhs, x0, cg_rtol)
 
     with np.errstate(over="ignore", invalid="ignore"):
         v = damping_flow(params, v, 0.5 * dt)
         u_hat = u + 0.5 * dt * v
         u_sum = u + u_hat
+        # the predictor and the corrector share these products
+        Bu, Lu, Lv = ops.B @ u_sum, ops.L @ u_sum, ops.L @ v
 
         m0 = functionals.kirchhoff(params, mesh.grad_norm_sq(grid, u))
         s0 = functionals.source_term(params, u)

@@ -4,10 +4,10 @@ One ``GridOperators`` object per grid owns everything derived from the
 grid alone: the Dirichlet Laplacian ``L`` and the clamped biharmonic
 ``B`` with their infinity norms, the banded storage of the 1d stencils,
 the orthonormal sine basis that diagonalizes ``L`` and its closed-form
-eigenpairs, the implicit solve of the time step, the factorizations of
-the fixed quadratic forms, and the results of ``spectra`` once they are
-computed.  Every member is built on first use, so asking for ``L`` does
-not pay for the sine basis.
+eigenpairs, the implicit solve of the time step, the fixed quadratic
+forms of the embedding sweeps with their exact solves, and the results
+of ``spectra`` once they are computed.  Every member is built on first
+use, so asking for ``L`` does not pay for the sine basis.
 
 The sine basis is what makes the 2d solves cheap.  With the orthonormal
 matrix S (S = S^T = S^{-1}) the 1d Laplacian is S diag(mu) S, and the
@@ -21,10 +21,16 @@ s I + a Lap_h^2 - c Lap_h is diagonal in the sine basis and is applied
 or inverted with four dense matrix products, and with s = 1 it lies
 below I + a B - c L, which makes it a preconditioner whose error is
 confined to the boundary (Bjorstad, SIAM J. Numer. Anal. 20, 1983).
+
+The fixed forms B and B - L are banded, with half-bandwidth 2 in 1d and
+2n in 2d (lexicographic order, 13-point stencil), so one banded
+Cholesky factorization per form and grid gives their exact solve; it is
+the only factorization in the package.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
@@ -32,12 +38,15 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .solvers import (conjugate_gradient, lu_preconditioner,
-                      operator_norm_estimate, solve_spd_banded, upper_bands)
+from .solvers import (conjugate_gradient, operator_norm_estimate,
+                      solve_spd_banded, upper_bands)
 
 if TYPE_CHECKING:
     from .mesh import Grid
     from .spectra import VariationalConstants
+
+# the fixed quadratic forms of the embedding sweeps: -L, B, B - L and I
+FORMS = ("grad", "lap", "H", "l2")
 
 
 def _lap_1d(n: int, h: float) -> sp.csr_matrix:
@@ -80,6 +89,8 @@ class GridOperators:
         self.eigenpairs: dict[str, tuple[float, np.ndarray]] = {}
         self.embeddings: dict[tuple, tuple[float, np.ndarray]] = {}
         self.constants: dict[tuple, VariationalConstants] = {}
+        # (product, exact solve) of each fixed form, by name in FORMS
+        self.forms: dict[str, tuple[Callable, Callable]] = {}
 
     @cached_property
     def L(self) -> sp.csr_matrix:
@@ -172,20 +183,6 @@ class GridOperators:
         R = r.reshape(n, n)
         return (S @ ((S @ R @ S) / diag) @ S).ravel()
 
-    def preconditioner(self, a: float, c: float, *, shift: float = 1.0):
-        """A function applying an inverse of shift I + a B - c L.
-
-        In 1d the operator is banded and the inverse is exact (banded
-        Cholesky, linear in n).  In 2d it is ``sine_solve``, exact for
-        the Laplacian terms and off only by the clamped boundary term
-        of B."""
-        if self.grid.dim == 2:
-            return lambda r: self.sine_solve(a, c, r, shift=shift)
-        eye_band, B_band, L_band = self.bands
-        factor = sla.cholesky_banded(shift * eye_band + a * B_band
-                                     - c * L_band)
-        return lambda r: sla.cho_solve_banded((factor, False), r)
-
     def matvec(self, a: float, c: float):
         """A function applying I + a B - c L, the time-step matrix."""
         B, L = self.B, self.L
@@ -202,23 +199,41 @@ class GridOperators:
             return solve_spd_banded(eye_band + a * B_band - c * L_band, rhs)
         return conjugate_gradient(
             self.matvec(a, c), rhs, x0=x0, rtol=rtol, max_iter=500,
-            M=self.preconditioner(a, c),
+            M=lambda r: self.sine_solve(a, c, r),
             a_norm=1.0 + a * self.norm_B + c * self.norm_L)
 
-    @cached_property
-    def graph_form(self) -> sp.csr_matrix:
-        """B - L, the quadratic form of ||grad u||^2 + ||lap u||^2."""
-        return (-self.L + self.B).tocsr()
+    def form(self, name: str) -> tuple[Callable, Callable]:
+        """Matrix product and exact solve of the fixed quadratic form
+        ``name``: ``grad`` (-L), ``lap`` (B), ``H`` (B - L) or ``l2``
+        (I).  Each form is built, and factored, once, on first use."""
+        if name not in self.forms:
+            self.forms[name] = self._make_form(name)
+        return self.forms[name]
 
-    @cached_property
-    def plate_factor(self):
-        """Sparse LU of B, applied through ``.matvec``."""
-        return lu_preconditioner(self.B)
-
-    @cached_property
-    def graph_factor(self):
-        """Sparse LU of B - L, applied through ``.matvec``."""
-        return lu_preconditioner(self.graph_form)
+    def _make_form(self, name: str) -> tuple[Callable, Callable]:
+        if name == "l2":
+            return np.copy, np.copy
+        if name == "grad":
+            A = -self.L
+            if self.grid.dim == 2:
+                # exact: the sine basis diagonalizes the Laplacian
+                return A.dot, lambda r: self.sine_solve(0.0, 1.0, r,
+                                                        shift=0.0)
+        elif name == "lap":
+            A = self.B
+        elif name == "H":
+            A = self.B - self.L
+        else:
+            raise ValueError(f"unknown form {name!r}, "
+                             f"expected one of {FORMS}")
+        g = self.grid
+        width = 2 if g.dim == 1 else 2 * g.n_interior
+        # neither call scans for non-finite entries: that scan would read
+        # the whole factor (14 MB on the 2d N = 96 grid) on every solve
+        factor = sla.cholesky_banded(upper_bands(A, width), overwrite_ab=True,
+                                     check_finite=False)
+        return A.dot, lambda r: sla.cho_solve_banded((factor, False), r,
+                                                     check_finite=False)
 
 
 @lru_cache(maxsize=None)

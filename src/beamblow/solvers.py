@@ -1,10 +1,9 @@
 """Sparse linear algebra helpers.
 
-The package solves symmetric positive definite systems in two places:
-shifted-operator solves inside inverse iteration, and the implicit step
-of the time integrator.  Both use preconditioned conjugate gradients
-(the preconditioner being a sine-basis solve, see ``operators``) with a
-normwise backward-error stopping rule
+Fixed symmetric positive definite forms are solved exactly by banded
+Cholesky (see ``operators``).  The one iterative solve is the implicit
+step of the 2d time integrator: conjugate gradients preconditioned by
+a sine-basis solve, with a normwise backward-error stopping rule
 
     ||r|| <= rtol * (||b|| + ||A|| * ||x||)
 
@@ -59,10 +58,8 @@ def solve_spd_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def lu_preconditioner(A: sp.spmatrix) -> spla.LinearOperator:
     """Exact sparse LU wrapped as a linear operator applying A^{-1}.
-
-    Used for the fixed quadratic forms of the embedding sweeps, which
-    are factored once per grid.
-    """
+    No caller in the package; kept for code that looks it up by name,
+    such as the benchmark's tracer (perfbench/tracing.py)."""
     lu = spla.splu(A.tocsc())
     return spla.LinearOperator(A.shape, matvec=lu.solve)
 
@@ -76,48 +73,39 @@ def ilu_preconditioner(A: sp.spmatrix, drop_tol: float = 1e-5,
     return spla.LinearOperator(A.shape, matvec=ilu.solve)
 
 
-def conjugate_gradient(A, b: np.ndarray, x0: np.ndarray | None = None, *,
-                       rtol: float = 1e-10, max_iter: int = 5000,
-                       M: Callable[[np.ndarray], np.ndarray] | None = None,
-                       a_norm: float | None = None) -> np.ndarray:
-    """Preconditioned CG with backward-error stopping.
+def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
+                       b: np.ndarray, x0: np.ndarray, *, rtol: float,
+                       max_iter: int, M: Callable[[np.ndarray], np.ndarray],
+                       a_norm: float) -> np.ndarray:
+    """Preconditioned CG from x0 with backward-error stopping.
 
-    ``A`` is a sparse matrix or a function applying it; ``M`` applies
-    the preconditioner (a function, or a LinearOperator, which is
-    callable).
+    ``A`` and ``M`` are functions applying the operator and the
+    preconditioner; ``a_norm`` is the operator's norm in the stopping
+    rule.
 
     Raises ConvergenceFailure (with the final relative backward error in
     ``residual``) if the budget runs out.  The recurrence residual is
     replaced by the true residual every 50 iterations to stop rounding
     drift from masking stagnation.
     """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if a_norm is None:
-        a_norm = operator_norm_estimate(A)
-    matvec = A.dot if hasattr(A, "dot") else A
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-
+    x = np.array(x0, dtype=float)
     b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0 and x0 is None:
-        return x
 
-    r = b - matvec(x)
-    z = M(r) if M is not None else r
+    r = b - A(x)
+    z = M(r)
     p = z.copy()
     rz = float(np.dot(r, z))
 
-    def converged(res_vec: np.ndarray, xv: np.ndarray) -> float | None:
+    def backward_error(res_vec: np.ndarray, xv: np.ndarray) -> float:
         denom = b_norm + a_norm * float(np.linalg.norm(xv))
-        err = float(np.linalg.norm(res_vec)) / max(denom, 1e-300)
-        return err
+        return float(np.linalg.norm(res_vec)) / max(denom, 1e-300)
 
-    err = converged(r, x)
+    err = backward_error(r, x)
     if err <= rtol:
         return x
 
     for k in range(1, max_iter + 1):
-        Ap = matvec(p)
+        Ap = A(p)
         pAp = float(np.dot(p, Ap))
         if pAp <= 0.0:
             raise ConvergenceFailure(
@@ -127,13 +115,13 @@ def conjugate_gradient(A, b: np.ndarray, x0: np.ndarray | None = None, *,
         alpha = rz / pAp
         x += alpha * p
         if k % 50 == 0:
-            r = b - matvec(x)
+            r = b - A(x)
         else:
             r -= alpha * Ap
-        err = converged(r, x)
+        err = backward_error(r, x)
         if err <= rtol:
             return x
-        z = M(r) if M is not None else r
+        z = M(r)
         rz_next = float(np.dot(r, z))
         beta = rz_next / rz
         rz = rz_next

@@ -7,8 +7,8 @@ holds exactly for the semi-discrete flow:
 
   * smallest eigenpairs of the Dirichlet Laplacian (the first sine
     mode, in closed form) and of the clamped plate operator (inverse
-    power iteration with preconditioned CG inner solves, banded in 1d
-    and sine-basis in 2d);
+    iteration with the exact banded solve of the plate, stopped on its
+    residual);
   * best constants of the discrete embeddings ||u||_q <= C * Q(u)^{1/2}
     for the quadratic forms Q built from the gradient, the Laplacian,
     or their sum (extremal fixed-point sweeps with seeded restarts);
@@ -26,12 +26,11 @@ from .errors import ConvergenceFailure
 from .functionals import ModelParams
 from .mesh import Grid
 from .operators import operators
-from .solvers import conjugate_gradient
 
 _OPERATORS = ("laplacian", "biharmonic")
 
-# inverse iteration: relative eigenvalue change, sweeps, inner CG rtol
-_EIGEN_TOL, _EIGEN_MAX_OUTER, _EIGEN_INNER_RTOL = 1e-10, 500, 1e-12
+# inverse iteration: sweep budget
+_EIGEN_MAX_OUTER = 500
 # extremal sweeps: random starts besides the eigenfield, sweep budget,
 # and the stop after _SWEEP_PATIENCE sweeps gaining less than _SWEEP_FTOL
 _SWEEP_RESTARTS, _SWEEP_MAX_ITER = 4, 2000
@@ -39,32 +38,30 @@ _SWEEP_PATIENCE, _SWEEP_FTOL = 20, 1e-11
 
 
 def _plate_inverse_iteration(grid: Grid) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of B by inverse iteration.  The inner CG solves
-    are preconditioned exactly in 1d, and in 2d by the sine-basis inverse
-    of Lap_h^2, which differs from the plate by the boundary term."""
-    ops = operators(grid)
-    A, a_norm = ops.B.dot, ops.norm_B
-    M = ops.preconditioner(1.0, 0.0, shift=0.0)
+    """Smallest eigenpair of B by inverse iteration with the exact solve
+    of the plate form.  The residual ||Bx - lam x|| (||x|| = 1) then
+    contracts by about lam1/lam2 per sweep until it reaches rounding, so
+    the iteration stops at the first sweep whose residual is not below
+    half the best one so far and returns the best iterate."""
+    apply, solve = operators(grid).form("lap")
     rng = np.random.default_rng(12345)
     x = rng.standard_normal(grid.size)
-    x /= np.linalg.norm(x)
-
-    lam = float(x @ A(x))
+    best_res, lam, best_x = np.inf, 0.0, x
     for _ in range(_EIGEN_MAX_OUTER):
-        y = conjugate_gradient(A, x, x0=x / lam, rtol=_EIGEN_INNER_RTOL,
-                               M=M, a_norm=a_norm)
+        y = solve(x)
         x = y / np.linalg.norm(y)
-        lam_new = float(x @ A(x))
-        if abs(lam_new - lam) <= _EIGEN_TOL * abs(lam_new):
-            lam = lam_new
+        Bx = apply(x)
+        lam_x = float(x @ Bx)
+        res = float(np.linalg.norm(Bx - lam_x * x))
+        if not res < 0.5 * best_res:
             break
-        lam = lam_new
+        best_res, lam, best_x = res, lam_x, x
     else:
         raise ConvergenceFailure(
             f"inverse iteration for biharmonic eigenpair did not settle "
-            f"in {_EIGEN_MAX_OUTER} sweeps",
-            residual=abs(lam_new - lam) / abs(lam_new))
+            f"in {_EIGEN_MAX_OUTER} sweeps", residual=best_res / lam)
 
+    x = best_x
     i = int(np.argmax(np.abs(x)))
     if x[i] < 0:
         x = -x
@@ -91,25 +88,6 @@ def smallest_eigen(grid: Grid,
                              f"expected one of {_OPERATORS}")
     lam, x = pairs[operator]
     return lam, x.copy()
-
-
-_DENOMINATORS = ("grad", "lap", "H", "l2")
-
-
-def _quad_form(grid: Grid, denominator: str):
-    """Matrix-vector product and exact solve of a quadratic form."""
-    ops = operators(grid)
-    if denominator == "grad":
-        L = ops.L
-        return (lambda x: -(L @ x)), ops.preconditioner(0.0, 1.0, shift=0.0)
-    if denominator == "lap":
-        return ops.B.dot, ops.plate_factor.matvec
-    if denominator == "H":
-        return ops.graph_form.dot, ops.graph_factor.matvec
-    if denominator == "l2":
-        return np.copy, np.copy
-    raise ValueError(f"unknown denominator {denominator!r}, "
-                     f"expected one of {_DENOMINATORS}")
 
 
 def _extremal_sweep(grid: Grid, q: float, apply, solve,
@@ -169,7 +147,7 @@ def embedding_constant(grid: Grid, q: float, denominator: str, *,
     if key in memo:
         val, u = memo[key]
         return val, u.copy()
-    apply, solve = _quad_form(grid, denominator)
+    apply, solve = operators(grid).form(denominator)
     rng = np.random.default_rng(seed)
 
     starts = [rng.standard_normal(grid.size) for _ in range(_SWEEP_RESTARTS)]

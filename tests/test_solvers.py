@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from beamblow import make_grid
 from beamblow.dynamics import coefficients
-from beamblow.operators import operators
+from beamblow.operators import FORMS, operators
 from beamblow.solvers import conjugate_gradient
 
 
@@ -66,17 +66,23 @@ def test_sine_solve_inverts_the_shifted_laplacian(dim, n, c):
     assert np.linalg.norm(got - x) <= 1e-13 * np.linalg.norm(x)
 
 
-@pytest.mark.parametrize("a,c,shift", [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0),
-                                       (1e-6, 1e-3, 1.0)])
-def test_1d_preconditioner_is_the_exact_banded_inverse(a, c, shift):
-    g = make_grid(1, 256)
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 16), (2, 32)])
+@pytest.mark.parametrize("name", FORMS)
+def test_form_solve_is_the_exact_inverse_of_its_product(name, dim, n):
+    g = make_grid(dim, n)
     ops = operators(g)
+    apply, solve = ops.form(name)
+    A = {"grad": -ops.L, "lap": ops.B, "H": ops.B - ops.L,
+         "l2": sp.identity(g.size)}[name].tocsc()
     rng = np.random.default_rng(5)
     x = rng.standard_normal(g.size)
-    A = shift * sp.identity(g.size) + a * ops.B - c * ops.L
-    got = ops.preconditioner(a, c, shift=shift)(A @ x)
+    assert np.linalg.norm(apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
+    got = solve(A @ x)
     assert np.linalg.norm(got - x) <= 1e-6 * np.linalg.norm(x)
-    assert "sine" not in vars(ops)
+    ref = spla.spsolve(A, x)
+    assert np.linalg.norm(solve(x) - ref) <= 1e-6 * np.linalg.norm(ref)
+    if dim == 1:
+        assert "sine" not in vars(ops)
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -88,7 +94,8 @@ def test_sine_preconditioned_cg_solves_the_2d_step_system(n, dt):
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(g.size)
     # raises ConvergenceFailure if rtol is not met within max_iter
-    x = conjugate_gradient(ops.matvec(a, c), rhs, rtol=1e-10, max_iter=30,
+    x = conjugate_gradient(ops.matvec(a, c), rhs, np.zeros(g.size),
+                           rtol=1e-10, max_iter=30,
                            M=lambda r: ops.sine_solve(a, c, r),
                            a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
     A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()

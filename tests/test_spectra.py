@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import beamblow.spectra as spectra
 from beamblow import (
@@ -65,6 +67,24 @@ def test_laplacian_eigenpair_is_the_first_sine_mode(dim, n):
     assert residual <= 1e-12 * lam * np.linalg.norm(v)
     assert norm_l2(g, v) == pytest.approx(1.0, rel=1e-14)
     assert np.all(v > 0)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 48), (1, 128), (2, 32), (2, 64)])
+def test_plate_eigenpair_residual_is_at_rounding(dim, n):
+    g = make_grid(dim, n)
+    lam, v = smallest_eigen(g, "biharmonic")
+    residual = np.linalg.norm(biharmonic_matrix(g) @ v - lam * v)
+    assert residual <= 1e-9 * lam * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_plate_eigenpair_on_fine_1d_grids(n):
+    g = make_grid(1, n)
+    lam, v = smallest_eigen(g, "biharmonic")
+    residual = np.linalg.norm(biharmonic_matrix(g) @ v - lam * v)
+    backward = residual / ((operators(g).norm_B + lam) * np.linalg.norm(v))
+    assert backward <= 1e-15
+    assert lam == pytest.approx(CLAMPED_K**4, rel=1e-4)
 
 
 def test_laplacian_eigenvalue_2d():
@@ -153,3 +173,29 @@ def test_shared_embedding_constant_is_swept_once(monkeypatch):
     assert swept and lap_sweeps_at_5() == 0
     assert consts.C_b == compute_constants(
         g, ModelParams(p=2.5, r=2.0, gamma=0.5, beta=1.0)).B_star
+
+
+def test_constants_make_one_banded_factorization_per_form(monkeypatch):
+    # no sparse LU or ILU is made; in 2d B and B - L are factored once
+    # each, however many parameter sets share the grid
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse LU factorization")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
+    cholesky = scipy.linalg.cholesky_banded
+    diagonals = []
+
+    def counted(ab, *args, **kwargs):
+        diagonals.append(ab[-1].copy())
+        return cholesky(ab, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
+    operators.cache_clear()
+    g = make_grid(2, 24)
+    for p in (2.5, 3.0, 4.0):
+        compute_constants(g, ModelParams(p=p, r=2.0, gamma=0.5, beta=1.0))
+    ops = operators(g)
+    assert len(diagonals) == 2
+    for form in (ops.B, ops.B - ops.L):
+        assert any(np.array_equal(d, form.diagonal()) for d in diagonals)
