@@ -1,0 +1,209 @@
+#!/usr/bin/env python3
+"""Per-layer costs of the time stepper and the solves, before and after
+a change.
+
+    python scripts/bench.py --before OTHER_CHECKOUT/src [--case NAME]
+
+measures the ``src`` tree next to this script ("after") and the tree
+given by ``--before``, each in a fresh process with two BLAS threads,
+and writes one BENCH_<case>.json per case at the repository root.
+Without ``--before`` only the "after" side is measured; without
+``--case`` every case runs.
+
+The cases:
+
+  * ``2d_solve``: the 2D time stepper at N = 32, 64 and 128, a fixed
+    number of steps of ``dynamics.simulate`` from a clamped bump of
+    amplitude 200 (p = 3, r = 2), reporting microseconds per implicit
+    solve (the time in ``solvers.conjugate_gradient`` plus the time in
+    sparse factorizations, per CG solve), CG iterations per solve, and
+    factorizations (``solvers.lu_preconditioner`` and
+    ``solvers.ilu_preconditioner`` calls) per accepted step; and the
+    wall time of the first ``spectra.smallest_eigen`` call for the
+    clamped plate at N = 64 and 96, set-up of its solver included.
+  * ``step_1d``: the default 1D run (``RunConfig()``, N = 128) for a
+    fixed number of accepted steps, repeated in one process after a
+    warm-up run, reporting microseconds per call of
+    ``dynamics.step`` (whole and self time), ``functionals.snapshot``,
+    ``dynamics.adapt_dt`` and ``solvers.solve_spd_banded``, and per
+    accepted step of ``dynamics.simulate``; each value is the median
+    over the repetitions, which are also listed.
+
+All counts and times come from the benchmark's tracer
+(``perfbench/tracing.py``), which wraps the program's functions from
+outside, so the same script measures any version that has these names.
+The tracer's own cost per wrapped call is included on both sides.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STEPPER_N = (32, 64, 128)
+EIGEN_N = (64, 96)
+STEPS = 100
+STEP_1D_STEPS = 2000
+STEP_1D_REPEATS = 5
+THREADS = {name: "2" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                  "MKL_NUM_THREADS")}
+FACTORIZATIONS = ("solvers.lu_preconditioner", "solvers.ilu_preconditioner")
+# per-call layers of the 1D step loop, by tracer name
+STEP_1D_LAYERS = {"step": "dynamics.step", "snapshot": "functionals.snapshot",
+                  "adapt_dt": "dynamics.adapt_dt",
+                  "banded_solve": "solvers.solve_spd_banded"}
+
+
+def traced_package(src: str):
+    """beamblow from ``src`` with the benchmark's tracer installed, and
+    a function that clears the tracer's totals."""
+    sys.path.insert(0, src)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from tracing import Tracer
+
+    import beamblow as bb
+
+    tracer = Tracer()
+    tracer.install(bb)
+
+    def reset() -> None:
+        # the installed wrappers keep pointing at this tracer object
+        Tracer.__init__(tracer)
+
+    return bb, tracer, reset
+
+
+def measure_2d_solve(src: str) -> dict:
+    import numpy as np
+
+    bb, tracer, reset = traced_package(src)
+    params = bb.ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
+    stepper = {}
+    for n in STEPPER_N:
+        grid = bb.make_grid(2, n)
+        x = grid.axis_coords()
+        bump = np.outer(np.sin(np.pi * x)**2, np.sin(np.pi * x)**2).ravel()
+        u0 = 200.0 * bump
+        bb.laplacian_matrix(grid), bb.biharmonic_matrix(grid)
+        reset()
+        traj = bb.simulate(grid, params, u0, np.zeros_like(u0),
+                           bb.StepControls(max_steps=STEPS), t_max=10.0,
+                           blow_threshold=1e9)
+        solves = tracer.calls["solvers.conjugate_gradient"]
+        factorizations = sum(tracer.calls[f] for f in FACTORIZATIONS)
+        solve_s = (tracer.total["solvers.conjugate_gradient"]
+                   + sum(tracer.total[f] for f in FACTORIZATIONS))
+        stepper[str(n)] = {
+            "accepted_steps": traj.n_steps,
+            "solves": solves,
+            "us_per_solve": 1e6 * solve_s / max(solves, 1),
+            "cg_iters_per_solve": tracer.cg_iters / max(solves, 1),
+            "factorizations_per_step": factorizations / max(traj.n_steps, 1),
+        }
+
+    eigen = {}
+    for n in EIGEN_N:
+        grid = bb.make_grid(2, n)
+        bb.laplacian_matrix(grid), bb.biharmonic_matrix(grid)
+        reset()
+        bb.smallest_eigen(grid, "biharmonic")
+        eigen[str(n)] = tracer.total["spectra.smallest_eigen"]
+    return {"stepper_steps": STEPS, "stepper": stepper,
+            "plate_smallest_eigen_s": eigen}
+
+
+def measure_step_1d(src: str) -> dict:
+    from dataclasses import replace
+
+    bb, tracer, reset = traced_package(src)
+    cfg = bb.RunConfig()
+    grid, params = cfg.grid(), cfg.model_params()
+    data = bb.preset(cfg.preset, grid, params, cfg.amplitude)
+    controls = replace(cfg.step_controls(), max_steps=STEP_1D_STEPS)
+
+    def run():
+        return bb.simulate(grid, params, data.u0, data.u1, controls,
+                           t_max=cfg.t_max, blow_threshold=cfg.blow_threshold)
+
+    run()  # warm-up: operators, bands and caches built outside the timing
+    reps = []
+    for _ in range(STEP_1D_REPEATS):
+        reset()
+        traj = run()
+        us = {key: 1e6 * tracer.total[name] / max(tracer.calls[name], 1)
+              for key, name in STEP_1D_LAYERS.items()}
+        us["step_self"] = (1e6 * tracer.self_time["dynamics.step"]
+                           / max(tracer.calls["dynamics.step"], 1))
+        us["simulate_per_accepted_step"] = (
+            1e6 * tracer.total["dynamics.simulate"] / max(traj.n_steps, 1))
+        reps.append(us)
+    return {
+        "grid": {"dim": cfg.dim, "N": cfg.N},
+        "accepted_steps": traj.n_steps,
+        "calls": {key: tracer.calls[name]
+                  for key, name in STEP_1D_LAYERS.items()},
+        "us_per_call": {key: statistics.median(r[key] for r in reps)
+                        for key in reps[0]},
+        "repetitions": reps,
+    }
+
+
+CASES = {"2d_solve": measure_2d_solve, "step_1d": measure_step_1d}
+
+
+def run_side(case: str, src: Path) -> dict:
+    env = {**os.environ, **THREADS}
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--case", case, "--measure", str(src)],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def machine() -> dict:
+    info = {"system": platform.platform(), "arch": platform.machine(),
+            "cpus": os.cpu_count(), "python": platform.python_version()}
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                info["cpu"] = line.split(":", 1)[1].strip()
+                break
+    return info
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--before", type=Path,
+                    help="src directory of the version to compare against")
+    ap.add_argument("--case", choices=sorted(CASES),
+                    help="run only this case (default: every case)")
+    ap.add_argument("--out-dir", type=Path, default=ROOT,
+                    help="where BENCH_<case>.json is written")
+    ap.add_argument("--measure", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.measure:
+        print(json.dumps(CASES[args.case](args.measure)))
+        return 0
+
+    import numpy
+    import scipy
+    for case in [args.case] if args.case else sorted(CASES):
+        result = {"machine": machine(), "numpy": numpy.__version__,
+                  "scipy": scipy.__version__, "blas_threads": 2}
+        if args.before is not None:
+            result["before"] = run_side(case, args.before.resolve())
+        result["after"] = run_side(case, ROOT / "src")
+        out = args.out_dir / f"BENCH_{case}.json"
+        out.write_text(json.dumps(result, indent=2) + "\n")
+        print(f"{out}:\n{json.dumps(result, indent=2)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

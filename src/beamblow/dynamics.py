@@ -26,6 +26,7 @@ compliant size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ class StepControls:
     ``dt_min`` defaults to 1e-12 * dt_max; a step request below it (not
     caused by clipping at the final time) aborts the run.  Setting
     ``amp_coeff = 0`` and ``residual_target = inf`` gives fixed steps.
+    A fixed-step run whose solution overflows ends in
+    ``solver_failure``: attempts that overflow the state or its
+    diagnostics are rejected until the step collapses below dt_min,
+    and a step size that turns non-finite (0 * inf, once the amplitude
+    norm overflows) ends the run at once.
     """
 
     dt_max: float = 1e-3
@@ -107,10 +113,9 @@ def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
     fixed point does not pay, the truncated pass already matches the
     splitting error.  ``ops`` is the grid's operator object.  Returns
     None when the step produced a non-finite state, the signal to retry
-    with a smaller dt.
+    with a smaller dt.  u and v are not checked: ``simulate`` checks the
+    initial data and every state it passes on came from this function.
     """
-    grid = ops.grid
-
     def implicit_solve(mbar: float, sbar: np.ndarray, x0: np.ndarray):
         a, c = coefficients(dt, mbar)
         rhs = v + dt * (-0.5 * Bu + 0.5 * mbar * Lu + 0.5 * Lv + sbar)
@@ -123,20 +128,20 @@ def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
         # the predictor and the corrector share these products
         Bu, Lu, Lv = ops.B @ u_sum, ops.L @ u_sum, ops.L @ v
 
-        m0 = functionals.kirchhoff(params, mesh.grad_norm_sq(grid, u))
+        m0 = functionals.kirchhoff(params, mesh.grad_form(ops, u))
         s0 = functionals.source_term(params, u)
 
         v_star = implicit_solve(m0, s0, x0=v)
-        if not np.all(np.isfinite(v_star)):
+        if not np.isfinite(v_star).all():
             return None
         u_star = u_hat + 0.5 * dt * v_star
         m1 = 0.5 * (m0 + functionals.kirchhoff(
-            params, mesh.grad_norm_sq(grid, u_star)))
+            params, mesh.grad_form(ops, u_star)))
         s1 = 0.5 * (s0 + functionals.source_term(params, u_star))
         v_new = implicit_solve(m1, s1, x0=v_star)
         u_new = u_hat + 0.5 * dt * v_new
         v_new = damping_flow(params, v_new, 0.5 * dt)
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
             return None
     return u_new, v_new
 
@@ -194,15 +199,20 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
     initial and final instants.
 
     Termination is one of ``time_limit``, ``blowup_threshold`` or
-    ``solver_failure`` (step collapse, stalled linear solve, non-finite
-    state, or step budget exhaustion; details in ``note``).
+    ``solver_failure`` (step collapse, a non-finite step size, or step
+    budget exhaustion; details in ``note``).  A step attempt that
+    leaves a non-finite state, stalls its linear solve or overflows the
+    diagnostics is rejected and retried at half the step.
+
+    u0 and v0 are checked here, once (ValueError if either is
+    mis-shaped or non-finite); the loop runs unchecked kernels.
     """
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     if output_every < 1:
         raise ValueError(f"output_every must be >= 1, got {output_every}")
-    u = np.array(u0, dtype=float)
-    v = np.array(v0, dtype=float)
+    u = mesh.check_field(grid, np.array(u0, dtype=float))
+    v = mesh.check_field(grid, np.array(v0, dtype=float))
     ops = operators(grid)
 
     t = 0.0
@@ -232,6 +242,11 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
             break
 
         dt = adapt_dt(grid, params, controls, u, v, scale)
+        if not math.isfinite(dt):
+            termination = "solver_failure"
+            note = (f"step size is not finite at t = {t:g}: the amplitude "
+                    "norms overflowed")
+            break
         clipped = False
         if t + dt > t_max:
             dt = t_max - t
@@ -246,18 +261,19 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
             break
 
         try:
-            result = step(ops, params, u, v, dt,
-                          cg_rtol=controls.cg_rtol)
-        except ConvergenceFailure:
-            result = None
-        if result is None or not (np.all(np.isfinite(result[0]))
-                                  and np.all(np.isfinite(result[1]))):
-            # step could not be completed at this dt; retry smaller
+            result = step(ops, params, u, v, dt, cg_rtol=controls.cg_rtol)
+            snap_new = (None if result is None else
+                        functionals.snapshot(grid, *result, params))
+        except (ConvergenceFailure, OverflowError):
+            snap_new = None
+        if snap_new is None or not (math.isfinite(snap_new.E) and
+                                    math.isfinite(snap_new.dissipation_rate)):
+            # a non-finite state, a stalled solve or overflowing
+            # diagnostics: the step could not be completed at this dt
             scale *= 0.5
             continue
         u_new, v_new = result
 
-        snap_new = functionals.snapshot(grid, u_new, v_new, params)
         step_diss = 0.5 * dt * (snap.dissipation_rate
                                 + snap_new.dissipation_rate)
         rel = (abs(snap_new.E - snap.E + step_diss)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import mesh
 from .mesh import Grid
+from .operators import GridOperators, operators
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,13 @@ def energy_E(grid: Grid, u: np.ndarray, v: np.ndarray,
 
 def dissipation_rate(grid: Grid, v: np.ndarray, params: ModelParams) -> float:
     """Instantaneous energy loss -E'(t), always nonnegative."""
-    return (mesh.norm_lq(grid, v, params.r + 1)**(params.r + 1)
-            + mesh.grad_norm_sq(grid, v))
+    return _dissipation(operators(grid), mesh.check_field(grid, v), params)
+
+
+def _dissipation(ops: GridOperators, v: np.ndarray,
+                 params: ModelParams) -> float:
+    return (mesh.norm_lq(ops.grid, v, params.r + 1)**(params.r + 1)
+            + mesh.grad_form(ops, v))
 
 
 @dataclass(frozen=True)
@@ -135,8 +141,13 @@ class FunctionalSnapshot:
 
 def snapshot(grid: Grid, u: np.ndarray, v: np.ndarray,
              params: ModelParams) -> FunctionalSnapshot:
-    G = mesh.grad_norm_sq(grid, u)
-    Bq = mesh.lap_norm_sq(grid, u)
+    """Every diagnostic of (u, v).  Both fields are checked once, on
+    entry; the quadratic forms after that run unchecked."""
+    u = mesh.check_field(grid, u)
+    v = mesh.check_field(grid, v)
+    ops = operators(grid)
+    G = mesh.grad_form(ops, u)
+    Bq = mesh.lap_form(ops, u)
     lp1 = mesh.norm_lq(grid, u, params.p + 1)
     F = lp1**(params.p + 1)
     J = potential_from_parts(G, Bq, F, params)
@@ -151,7 +162,7 @@ def snapshot(grid: Grid, u: np.ndarray, v: np.ndarray,
         l2_v=l2_v,
         grad_u_sq=G,
         lap_u_sq=Bq,
-        dissipation_rate=dissipation_rate(grid, v, params),
+        dissipation_rate=_dissipation(ops, v, params),
     )
 
 

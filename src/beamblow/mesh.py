@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .operators import operators
+from .operators import GridOperators, operators
 
 
 @dataclass(frozen=True)
@@ -77,22 +77,30 @@ def biharmonic_matrix(grid: Grid) -> sp.csr_matrix:
     return operators(grid).B
 
 
-def _check_field(grid: Grid, u: np.ndarray) -> np.ndarray:
+def check_field(grid: Grid, u) -> np.ndarray:
+    """u as a float array, after checking that it has the grid's size
+    and only finite entries; the ValueError names which check failed.
+
+    The public functions below check their argument here and then run
+    an unchecked kernel.  Code that already knows its fields are sound,
+    such as the time stepper (which rejects every non-finite state),
+    calls the kernels ``grad_form`` and ``lap_form`` directly.
+    """
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.size,):
         raise ValueError(f"field shape {u.shape} does not match grid "
                          f"size ({grid.size},)")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("field contains non-finite values")
     return u
 
 
 def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
-    return laplacian_matrix(grid) @ _check_field(grid, u)
+    return laplacian_matrix(grid) @ check_field(grid, u)
 
 
 def apply_biharmonic(grid: Grid, u: np.ndarray) -> np.ndarray:
-    return biharmonic_matrix(grid) @ _check_field(grid, u)
+    return biharmonic_matrix(grid) @ check_field(grid, u)
 
 
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
@@ -108,22 +116,30 @@ def norm_lq(grid: Grid, u: np.ndarray, q: float) -> float:
     """Weighted L^q norm, 1 <= q < inf."""
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    return float((grid.weight * np.sum(np.abs(u)**q))**(1.0 / q))
+    return float((grid.weight * (np.abs(u)**q).sum())**(1.0 / q))
 
 
 def max_norm(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u))) if len(u) else 0.0
+    return float(np.abs(u).max()) if len(u) else 0.0
+
+
+def grad_form(ops: GridOperators, u: np.ndarray) -> float:
+    """``grad_norm_sq`` on the grid of ``ops`` without checking u."""
+    return ops.grid.weight * float(u @ (-(ops.L @ u)))
+
+
+def lap_form(ops: GridOperators, u: np.ndarray) -> float:
+    """``lap_norm_sq`` on the grid of ``ops`` without checking u."""
+    return ops.grid.weight * float(u @ (ops.B @ u))
 
 
 def grad_norm_sq(grid: Grid, u: np.ndarray) -> float:
     """Squared H^1_0 seminorm, computed through the Laplacian so the
     discrete Green identity (grad u, grad u) = -(lap u, u) is exact."""
-    u = _check_field(grid, u)
-    return grid.weight * float(u @ (-(laplacian_matrix(grid) @ u)))
+    return grad_form(operators(grid), check_field(grid, u))
 
 
 def lap_norm_sq(grid: Grid, u: np.ndarray) -> float:
     """Squared L2 norm of the Laplacian, computed through the clamped
     biharmonic matrix so that (lap u, lap u) = (bih u, u) exactly."""
-    u = _check_field(grid, u)
-    return grid.weight * float(u @ (biharmonic_matrix(grid) @ u))
+    return lap_form(operators(grid), check_field(grid, u))

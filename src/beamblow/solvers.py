@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbsv
 
 from .errors import ConvergenceFailure
 
@@ -34,8 +34,8 @@ def operator_norm_estimate(A) -> float:
 
 def upper_bands(A: sp.spmatrix, width: int) -> np.ndarray:
     """Upper banded storage of a symmetric banded matrix, in the layout
-    scipy.linalg.solveh_banded expects: row ``width - k`` holds the k-th
-    superdiagonal, left-padded with zeros."""
+    of LAPACK's ``pbsv`` (and scipy.linalg.solveh_banded): row
+    ``width - k`` holds the k-th superdiagonal, left-padded with zeros."""
     n = A.shape[0]
     ab = np.zeros((width + 1, n))
     d = A.todia()
@@ -48,12 +48,26 @@ def upper_bands(A: sp.spmatrix, width: int) -> np.ndarray:
 
 
 def solve_spd_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Banded Cholesky solve; breakdown surfaces as ConvergenceFailure
-    so callers can retry at a smaller step."""
-    try:
-        return sla.solveh_banded(ab, b)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"banded Cholesky breakdown: {exc}")
+    """Banded Cholesky solve of ``ab`` (upper storage, see
+    ``upper_bands``) against b; breakdown surfaces as ConvergenceFailure
+    so callers can retry at a smaller step.
+
+    One call of LAPACK ``dpbsv``, the routine scipy.linalg.solveh_banded
+    reaches, on copies of both arguments; of that wrapper's validation
+    only the shape check is kept.  Its two scans for non-finite entries
+    cost more than the solve itself on a 1d step system; a non-finite
+    entry gives a breakdown or a non-finite solution, both of which the
+    time stepper rejects.
+    """
+    if len(b) != ab.shape[-1]:
+        raise ValueError("shapes of ab and b are not compatible.")
+    _, x, info = dpbsv(ab, b)
+    if info > 0:
+        raise ConvergenceFailure(f"banded Cholesky breakdown: {info}th "
+                                 "leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbsv")
+    return x
 
 
 def lu_preconditioner(A: sp.spmatrix) -> spla.LinearOperator:

@@ -157,6 +157,59 @@ def test_simulate_argument_validation(grid64, params):
                  output_every=0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("field,bad", [
+    ("u0", "nan"), ("u0", "inf"), ("u0", "short"), ("u0", "square"),
+    ("v0", "nan"), ("v0", "inf"), ("v0", "short"), ("v0", "square")])
+def test_simulate_rejects_bad_initial_data(dim, field, bad):
+    g = make_grid(dim, 8)
+    prm = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0, dim=dim)
+    fields = {"u0": np.full(g.size, 0.1), "v0": np.zeros(g.size)}
+    if bad in ("nan", "inf"):
+        fields[field][3] = float(bad)
+    elif bad == "short":
+        fields[field] = fields[field][:-1]
+    else:
+        fields[field] = np.zeros((g.size, g.size))
+    with pytest.raises(ValueError):
+        simulate(g, prm, fields["u0"], fields["v0"], StepControls(),
+                 t_max=1e-3)
+
+
+@pytest.mark.parametrize("dim,dt_max,amplitude", [
+    (1, 1e-3, 1.0), (1, 1e-2, 1.0), (2, 1e-3, 1.0), (1, 1e-3, 1e80)])
+def test_fixed_step_overflow_ends_in_solver_failure(monkeypatch, dim,
+                                                    dt_max, amplitude):
+    """A fixed-step run past the blow-up overflows.  It must end as a
+    solver failure: no exception escapes, and rejected attempts, which
+    do not count against max_steps, cannot repeat forever (a bound on
+    the attempts turns such a loop into a failure here)."""
+    from beamblow import dynamics
+
+    g = make_grid(dim, 32)
+    prm = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0, dim=dim)
+    data = preset("negative_energy", g, prm)
+    attempts = []
+    step = dynamics.step
+
+    def bounded_step(*args, **kwargs):
+        attempts.append(1)
+        assert len(attempts) < 20_000, "rejected attempts repeat forever"
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", bounded_step)
+    controls = StepControls(dt_max=dt_max, amp_coeff=0.0,
+                            residual_target=math.inf, max_steps=20_000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = simulate(g, prm, amplitude * data.u0, data.u1, controls,
+                        t_max=5.0, blow_threshold=1e300)
+    assert traj.termination == "solver_failure"
+    assert traj.final_state.t < 5.0
+    if amplitude > 1.0:
+        assert traj.n_steps == 0
+        assert "not finite" in traj.note
+
+
 def test_detect_blowup_synthetic_pole():
     # value = 3 (1 - t)^{-2} has an exact pole at T = 1
     t = np.linspace(0.0, 0.999, 4000)

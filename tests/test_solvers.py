@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from beamblow import make_grid
 from beamblow.dynamics import coefficients
+from beamblow.errors import ConvergenceFailure
 from beamblow.operators import FORMS, operators
-from beamblow.solvers import conjugate_gradient
+from beamblow.solvers import conjugate_gradient, solve_spd_banded
 
 
 @pytest.mark.parametrize("n", [1, 7, 32, 64])
@@ -115,3 +117,28 @@ def test_step_solve_matches_a_direct_solve(dim, n):
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
     assert np.linalg.norm(ops.matvec(a, c)(x) - A @ x) <= (
         1e-14 * np.linalg.norm(A @ x))
+
+
+@pytest.mark.parametrize("dt,mbar", [(1e-3, 1.0), (1e-4, 30.0),
+                                     (1e-6, 1e4), (2.5e-2, 0.0)])
+def test_banded_solve_equals_solveh_banded_bit_for_bit(dt, mbar):
+    ops = operators(make_grid(1, 128))
+    eye_band, B_band, L_band = ops.bands
+    a, c = coefficients(dt, mbar)
+    ab = eye_band + a * B_band - c * L_band
+    kept = ab.copy()
+    b = np.random.default_rng(5).standard_normal(128)
+    x = solve_spd_banded(ab, b)
+    assert np.array_equal(x, sla.solveh_banded(ab, b))
+    assert np.array_equal(ab, kept)
+
+
+def test_banded_solve_breakdown_is_a_convergence_failure():
+    ab = operators(make_grid(1, 16)).bands[1].copy()
+    ab[2, 6] = -1.0  # the 7th leading minor is negative
+    kept = ab.copy()
+    with pytest.raises(ConvergenceFailure, match="7th leading minor"):
+        solve_spd_banded(ab, np.ones(16))
+    assert np.array_equal(ab, kept)
+    with pytest.raises(ValueError):
+        solve_spd_banded(ab, np.ones(17))
