@@ -14,14 +14,13 @@ pass.  Both stages solve one SPD system
 directly (banded Cholesky) in one dimension, and by conjugate
 gradients preconditioned with a sine-basis solve in two.
 
-Step-size control combines an amplitude brake (the step shrinks as the
-solution norms grow, which resolves the blow-up tail) with an energy
-compliance governor: every accepted step must reproduce the dissipation
-identity E' = -||v||_{r+1}^{r+1} - ||grad v||^2 to a target relative to
-the larger of the stored energy and the step's own dissipation
-turnover.  A violating step is rejected and retried; a proportional
-rule on the accepted residual keeps the working step near the largest
-compliant size.
+The step size is set by an energy compliance governor alone: every
+accepted step must reproduce the dissipation identity
+E' = -||v||_{r+1}^{r+1} - ||grad v||^2 to a target relative to the
+larger of the stored energy and the step's own dissipation turnover.  A
+violating step is rejected and retried; a proportional rule on the
+accepted residual keeps the working step near the largest compliant
+size.
 """
 
 from __future__ import annotations
@@ -37,6 +36,9 @@ from .functionals import FunctionalSnapshot, ModelParams
 from .mesh import Grid
 from .operators import GridOperators, operators
 
+# backward-error target of the 2d step's conjugate-gradient solve
+CG_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class StepControls:
@@ -44,19 +46,15 @@ class StepControls:
 
     ``dt_min`` defaults to 1e-12 * dt_max; a step request below it (not
     caused by clipping at the final time) aborts the run.  Setting
-    ``amp_coeff = 0`` and ``residual_target = inf`` gives fixed steps.
-    A fixed-step run whose solution overflows ends in
-    ``solver_failure``: attempts that overflow the state or its
-    diagnostics are rejected until the step collapses below dt_min,
-    and a step size that turns non-finite (0 * inf, once the amplitude
-    norm overflows) ends the run at once.
+    ``residual_target = inf`` gives fixed steps.  A fixed-step run whose
+    solution overflows ends in ``solver_failure``: attempts that
+    overflow the state or its diagnostics are rejected until the step
+    collapses below dt_min.
     """
 
     dt_max: float = 1e-3
     dt_min: float | None = None
-    amp_coeff: float = 1e-9
     residual_target: float = 1e-3
-    cg_rtol: float = 1e-10
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -66,8 +64,6 @@ class StepControls:
             object.__setattr__(self, "dt_min", 1e-12 * self.dt_max)
         if not 0 < self.dt_min <= self.dt_max:
             raise ValueError(f"need 0 < dt_min <= dt_max, got {self.dt_min}")
-        if self.amp_coeff < 0:
-            raise ValueError("amp_coeff must be nonnegative")
         if not self.residual_target > 0:
             raise ValueError("residual_target must be positive")
 
@@ -102,8 +98,7 @@ def damping_flow(params: ModelParams, v: np.ndarray,
 
 
 def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
-         v: np.ndarray, dt: float,
-         cg_rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray] | None:
+         v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
     """One Strang-split step of size dt.
 
     Half-step of the exact damping flow, a trapezoidal
@@ -119,7 +114,7 @@ def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
     def implicit_solve(mbar: float, sbar: np.ndarray, x0: np.ndarray):
         a, c = coefficients(dt, mbar)
         rhs = v + dt * (-0.5 * Bu + 0.5 * mbar * Lu + 0.5 * Lv + sbar)
-        return ops.solve(a, c, rhs, x0, cg_rtol)
+        return ops.solve(a, c, rhs, x0, CG_RTOL)
 
     with np.errstate(over="ignore", invalid="ignore"):
         v = damping_flow(params, v, 0.5 * dt)
@@ -146,19 +141,11 @@ def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
     return u_new, v_new
 
 
-def adapt_dt(grid: Grid, params: ModelParams, controls: StepControls,
-             u: np.ndarray, v: np.ndarray, scale: float) -> float:
-    """Amplitude-braked step size, clamped to [dt_min, dt_max].
-
-    The brake grows with the norms that drive the blow-up mechanism,
-    so the step shrinks at the same rate the solution accelerates; the
-    compliance ``scale`` from the energy governor multiplies on top.
-    """
-    amp = mesh.norm_lq(grid, u, params.p + 1)**(params.p - 1.0)
-    if params.r > 1:
-        amp += mesh.norm_lq(grid, v, params.r + 1)**(params.r - 1.0)
-    dt = controls.dt_max / (1.0 + controls.amp_coeff * amp) * scale
-    return min(max(dt, controls.dt_min), controls.dt_max)
+def adapt_dt(controls: StepControls, scale: float) -> float:
+    """dt_max times the energy governor's compliance ``scale``, clamped
+    to [dt_min, dt_max]."""
+    return min(max(controls.dt_max * scale, controls.dt_min),
+               controls.dt_max)
 
 
 @dataclass(frozen=True)
@@ -199,10 +186,10 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
     initial and final instants.
 
     Termination is one of ``time_limit``, ``blowup_threshold`` or
-    ``solver_failure`` (step collapse, a non-finite step size, or step
-    budget exhaustion; details in ``note``).  A step attempt that
-    leaves a non-finite state, stalls its linear solve or overflows the
-    diagnostics is rejected and retried at half the step.
+    ``solver_failure`` (step collapse or step budget exhaustion; details
+    in ``note``).  A step attempt that leaves a non-finite state, stalls
+    its linear solve or overflows the diagnostics is rejected and
+    retried at half the step.
 
     u0 and v0 are checked here, once (ValueError if either is
     mis-shaped or non-finite); the loop runs unchecked kernels.
@@ -219,7 +206,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
     scale = 1.0
     n_steps = 0
     snap = functionals.snapshot(grid, u, v, params)
-    dt = adapt_dt(grid, params, controls, u, v, scale)
+    dt = adapt_dt(controls, scale)
 
     records = [Record(t=0.0, dt=dt, snap=snap, energy_residual=0.0,
                       inner_uv=mesh.inner(grid, u, v))]
@@ -228,6 +215,11 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
     steps_since_record = 0
     termination = None
     note = ""
+
+    def record() -> Record:
+        return Record(t=t, dt=dt, snap=snap,
+                      energy_residual=snap.E - last_record_E + diss_accum,
+                      inner_uv=mesh.inner(grid, u, v))
 
     while True:
         if snap.linf_u >= blow_threshold:
@@ -241,12 +233,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
             note = f"step budget of {controls.max_steps} exhausted"
             break
 
-        dt = adapt_dt(grid, params, controls, u, v, scale)
-        if not math.isfinite(dt):
-            termination = "solver_failure"
-            note = (f"step size is not finite at t = {t:g}: the amplitude "
-                    "norms overflowed")
-            break
+        dt = adapt_dt(controls, scale)
         clipped = False
         if t + dt > t_max:
             dt = t_max - t
@@ -256,12 +243,9 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
             note = (f"adapted step collapsed to dt_min = "
                     f"{controls.dt_min:g} at t = {t:g}")
             break
-        if dt <= 0.0:
-            termination = "time_limit"
-            break
 
         try:
-            result = step(ops, params, u, v, dt, cg_rtol=controls.cg_rtol)
+            result = step(ops, params, u, v, dt)
             snap_new = (None if result is None else
                         functionals.snapshot(grid, *result, params))
         except (ConvergenceFailure, OverflowError):
@@ -294,19 +278,13 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
         n_steps += 1
         steps_since_record += 1
         if steps_since_record >= output_every:
-            records.append(Record(
-                t=t, dt=dt, snap=snap,
-                energy_residual=snap.E - last_record_E + diss_accum,
-                inner_uv=mesh.inner(grid, u, v)))
+            records.append(record())
             last_record_E = snap.E
             diss_accum = 0.0
             steps_since_record = 0
 
     if steps_since_record > 0:
-        records.append(Record(
-            t=t, dt=dt, snap=snap,
-            energy_residual=snap.E - last_record_E + diss_accum,
-            inner_uv=mesh.inner(grid, u, v)))
+        records.append(record())
 
     return Trajectory(grid=grid, params=params, records=records,
                       termination=termination, note=note, n_steps=n_steps,

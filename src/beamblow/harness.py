@@ -284,8 +284,7 @@ def _suite_eigen_benchmark() -> tuple[bool, str]:
 
 def _energy_defect(grid: Grid, params: ModelParams, data: InitialData,
                    dt: float, t_max: float) -> float:
-    controls = StepControls(dt_max=dt, amp_coeff=0.0,
-                            residual_target=math.inf)
+    controls = StepControls(dt_max=dt, residual_target=math.inf)
     traj = simulate(grid, params, data.u0, data.u1, controls,
                     t_max=t_max, blow_threshold=1e12, output_every=10)
     return abs(sum(rec.energy_residual for rec in traj.records))

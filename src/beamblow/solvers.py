@@ -98,7 +98,8 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
     rule.
 
     Raises ConvergenceFailure (with the final relative backward error in
-    ``residual``) if the budget runs out.  The recurrence residual is
+    ``residual``) if the budget runs out, or at once on a curvature
+    ``p^T A p`` that is not positive, NaN included.  The recurrence residual is
     replaced by the true residual every 50 iterations to stop rounding
     drift from masking stagnation.
     """
@@ -121,11 +122,11 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
     for k in range(1, max_iter + 1):
         Ap = A(p)
         pAp = float(np.dot(p, Ap))
-        if pAp <= 0.0:
+        if not pAp > 0.0:
             raise ConvergenceFailure(
-                "conjugate gradient hit a non-positive curvature "
-                f"direction (p^T A p = {pAp:g}); matrix is not SPD",
-                residual=err)
+                "conjugate gradient hit a curvature that is non-positive "
+                f"or not finite (p^T A p = {pAp:g}); the operator is not "
+                "SPD or not finite", residual=err)
         alpha = rz / pAp
         x += alpha * p
         if k % 50 == 0:

@@ -154,8 +154,7 @@ def test_criterion_2_energy_identity(params):
     data = preset("sine_bump", grid, params, amplitude=1.0)
 
     def defects(dt: float):
-        controls = StepControls(dt_max=dt, amp_coeff=0.0,
-                                residual_target=math.inf)
+        controls = StepControls(dt_max=dt, residual_target=math.inf)
         traj = simulate(grid, params, data.u0, data.u1, controls, t_max=0.5)
         assert traj.termination == "time_limit"
         per_row = max(

@@ -1,5 +1,7 @@
 """The sine-basis structure of the operators and the solves built on it."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -103,6 +105,29 @@ def test_sine_preconditioned_cg_solves_the_2d_step_system(n, dt):
     A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()
     ref = spla.spsolve(A, rhs)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_cg_fails_fast_on_a_non_finite_operator():
+    # a Kirchhoff coefficient that overflowed makes the 2d step operator
+    # non-finite; CG must give up at the first curvature, not after
+    # max_iter iterations on NaN vectors
+    g = make_grid(2, 32)
+    ops = operators(g)
+    a, c = 1e-6, math.inf
+    apply = ops.matvec(a, c)
+    products = []
+
+    def counted(x):
+        products.append(1)
+        return apply(x)
+
+    rhs = np.random.default_rng(17).standard_normal(g.size)
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            ConvergenceFailure, match="not finite"):
+        conjugate_gradient(counted, rhs, np.zeros(g.size), rtol=1e-10,
+                           max_iter=500, M=lambda r: ops.sine_solve(a, c, r),
+                           a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
+    assert len(products) <= 2
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 24)])
