@@ -28,11 +28,20 @@ The cases:
     ``dynamics.adapt_dt`` and ``solvers.solve_spd_banded``, and per
     accepted step of ``dynamics.simulate``; each value is the median
     over the repetitions, which are also listed.
+  * ``2d_forms``: the exact solves of the fixed forms ``lap`` (B) and
+    ``H`` (B - L) of the 2D embedding sweeps at N = 64, 96 and 128,
+    reporting the set-up time of each form (``GridOperators.form``,
+    after the stencil matrices are built; the first form's set-up also
+    builds the sine matrix when it uses one), microseconds per solve
+    (median, 10th and 90th percentiles over repeated solves of one
+    right-hand side) and the bytes of the arrays the solve function
+    holds, which is its factor.
 
-All counts and times come from the benchmark's tracer
-(``perfbench/tracing.py``), which wraps the program's functions from
-outside, so the same script measures any version that has these names.
-The tracer's own cost per wrapped call is included on both sides.
+The counts and times of the first two cases come from the benchmark's
+tracer (``perfbench/tracing.py``), which wraps the program's functions
+from outside, so the same script measures any version that has these
+names.  The tracer's own cost per wrapped call is included on both
+sides.  ``2d_forms`` times the solve functions directly.
 """
 
 import argparse
@@ -50,6 +59,8 @@ EIGEN_N = (64, 96)
 STEPS = 100
 STEP_1D_STEPS = 2000
 STEP_1D_REPEATS = 5
+FORMS_N = (64, 96, 128)
+FORM_SOLVES = 40
 THREADS = {name: "2" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
 FACTORIZATIONS = ("solvers.lu_preconditioner", "solvers.ilu_preconditioner")
@@ -153,7 +164,59 @@ def measure_step_1d(src: str) -> dict:
     }
 
 
-CASES = {"2d_solve": measure_2d_solve, "step_1d": measure_step_1d}
+def closure_bytes(fn) -> int:
+    """Bytes of the numpy arrays held in the closure of ``fn``, directly
+    or inside tuples."""
+    import numpy as np
+
+    def size(obj) -> int:
+        if isinstance(obj, np.ndarray):
+            return obj.nbytes
+        if isinstance(obj, tuple):
+            return sum(size(item) for item in obj)
+        return 0
+
+    return sum(size(cell.cell_contents) for cell in fn.__closure__ or ())
+
+
+def measure_2d_forms(src: str) -> dict:
+    import time
+
+    import numpy as np
+
+    sys.path.insert(0, src)
+    import beamblow as bb
+    from beamblow.operators import operators
+
+    result = {}
+    for n in FORMS_N:
+        grid = bb.make_grid(2, n)
+        ops = operators(grid)
+        ops.B, ops.L  # assembled outside the forms' set-up time
+        rhs = np.random.default_rng(n).standard_normal(grid.size)
+        result[str(n)] = {}
+        for name in ("lap", "H"):
+            start = time.perf_counter()
+            _, solve = ops.form(name)
+            setup_s = time.perf_counter() - start
+            solve(rhs)
+            us = []
+            for _ in range(FORM_SOLVES):
+                start = time.perf_counter()
+                solve(rhs)
+                us.append(1e6 * (time.perf_counter() - start))
+            result[str(n)][name] = {
+                "setup_ms": 1e3 * setup_s,
+                "us_per_solve": float(np.median(us)),
+                "us_p10": float(np.percentile(us, 10)),
+                "us_p90": float(np.percentile(us, 90)),
+                "factor_bytes": closure_bytes(solve),
+            }
+    return {"solves_per_form": FORM_SOLVES, "forms": result}
+
+
+CASES = {"2d_solve": measure_2d_solve, "step_1d": measure_step_1d,
+         "2d_forms": measure_2d_forms}
 
 
 def run_side(case: str, src: Path) -> dict:

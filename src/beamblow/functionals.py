@@ -17,6 +17,7 @@ norms are built from the operator matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,35 +82,47 @@ def damping_term(params: ModelParams, v: np.ndarray) -> np.ndarray:
     return np.abs(v)**(params.r - 1.0) * v
 
 
+def _power(x: float, y: float) -> float:
+    """x**y for x >= 0, inf where it overflows: a Python float power
+    raises OverflowError there, and the diagnostics of a large finite
+    field must come out non-finite instead of raising."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def potential_J(grid: Grid, u: np.ndarray, params: ModelParams) -> float:
     G = mesh.grad_norm_sq(grid, u)
     Bq = mesh.lap_norm_sq(grid, u)
-    F = mesh.norm_lq(grid, u, params.p + 1)**(params.p + 1)
+    F = _power(mesh.norm_lq(grid, u, params.p + 1), params.p + 1)
     return potential_from_parts(G, Bq, F, params)
 
 
 def potential_from_parts(G: float, Bq: float, F: float,
                          params: ModelParams) -> float:
     return (0.5 * (G + Bq)
-            + params.beta / (2.0 * (params.gamma + 1.0)) * G**(params.gamma + 1.0)
+            + params.beta / (2.0 * (params.gamma + 1.0))
+            * _power(G, params.gamma + 1.0)
             - F / (params.p + 1.0))
 
 
 def nehari_I(grid: Grid, u: np.ndarray, params: ModelParams) -> float:
     G = mesh.grad_norm_sq(grid, u)
     Bq = mesh.lap_norm_sq(grid, u)
-    F = mesh.norm_lq(grid, u, params.p + 1)**(params.p + 1)
+    F = _power(mesh.norm_lq(grid, u, params.p + 1), params.p + 1)
     return nehari_from_parts(G, Bq, F, params)
 
 
 def nehari_from_parts(G: float, Bq: float, F: float,
                       params: ModelParams) -> float:
-    return G + Bq + params.beta * G**(params.gamma + 1.0) - F
+    return G + Bq + params.beta * _power(G, params.gamma + 1.0) - F
 
 
 def energy_E(grid: Grid, u: np.ndarray, v: np.ndarray,
              params: ModelParams) -> float:
-    return 0.5 * mesh.norm_l2(grid, v)**2 + potential_J(grid, u, params)
+    return (0.5 * _power(mesh.norm_l2(grid, v), 2)
+            + potential_J(grid, u, params))
 
 
 def dissipation_rate(grid: Grid, v: np.ndarray, params: ModelParams) -> float:
@@ -119,7 +132,7 @@ def dissipation_rate(grid: Grid, v: np.ndarray, params: ModelParams) -> float:
 
 def _dissipation(ops: GridOperators, v: np.ndarray,
                  params: ModelParams) -> float:
-    return (mesh.norm_lq(ops.grid, v, params.r + 1)**(params.r + 1)
+    return (_power(mesh.norm_lq(ops.grid, v, params.r + 1), params.r + 1)
             + mesh.grad_form(ops, v))
 
 
@@ -149,11 +162,11 @@ def snapshot(grid: Grid, u: np.ndarray, v: np.ndarray,
     G = mesh.grad_form(ops, u)
     Bq = mesh.lap_form(ops, u)
     lp1 = mesh.norm_lq(grid, u, params.p + 1)
-    F = lp1**(params.p + 1)
+    F = _power(lp1, params.p + 1)
     J = potential_from_parts(G, Bq, F, params)
     l2_v = mesh.norm_l2(grid, v)
     return FunctionalSnapshot(
-        E=0.5 * l2_v**2 + J,
+        E=0.5 * _power(l2_v, 2) + J,
         J=J,
         I=nehari_from_parts(G, Bq, F, params),
         l2_u=mesh.norm_l2(grid, u),
@@ -173,15 +186,16 @@ def classify(grid: Grid, u: np.ndarray, params: ModelParams,
     Returns one of ``stable_W`` (J < d and I > 0), ``unstable_V``
     (J < d and I < 0), ``near_nehari`` (I within a relative band of
     zero while J < d) or ``indeterminate`` (J >= d, where the sign of
-    I carries no stability information).
+    I carries no stability information, or J not a number, as for a
+    field whose norms overflow).
     """
     G = mesh.grad_norm_sq(grid, u)
     Bq = mesh.lap_norm_sq(grid, u)
-    F = mesh.norm_lq(grid, u, params.p + 1)**(params.p + 1)
+    F = _power(mesh.norm_lq(grid, u, params.p + 1), params.p + 1)
     J = potential_from_parts(G, Bq, F, params)
     I = nehari_from_parts(G, Bq, F, params)
     scale = G + Bq + F
-    if J >= depth:
+    if not J < depth:
         return "indeterminate"
     if abs(I) <= rtol * max(scale, 1.0):
         return "near_nehari"

@@ -22,10 +22,15 @@ or inverted with four dense matrix products, and with s = 1 it lies
 below I + a B - c L, which makes it a preconditioner whose error is
 confined to the boundary (Bjorstad, SIAM J. Numer. Anal. 20, 1983).
 
-The fixed forms B and B - L are banded, with half-bandwidth 2 in 1d and
-2n in 2d (lexicographic order, 13-point stencil), so one banded
-Cholesky factorization per form and grid gives their exact solve; it is
-the only factorization in the package.
+The fixed forms B and B - L (and -L in 1d) have exact solves, each
+factored once per grid.  In 1d they are banded with half-bandwidth 2,
+and a banded Cholesky factorization solves them at O(n) cost without
+the sine matrix.  In 2d each is the sine-diagonal Lap_h^2 - c Lap_h
+plus the boundary term, and the Woodbury identity reduces its solve to
+two sine solves and a dense Cholesky solve of the 4n-by-4n capacitance
+matrix (Buzbee & Dorr, SIAM J. Numer. Anal. 11, 1974).  No other factor
+is kept: the 1d time step factors and solves its banded system in one
+LAPACK call, and the 2d one uses conjugate gradients.
 """
 
 from __future__ import annotations
@@ -226,17 +231,71 @@ class GridOperators:
         else:
             raise ValueError(f"unknown form {name!r}, "
                              f"expected one of {FORMS}")
-        g = self.grid
-        width = 2 if g.dim == 1 else 2 * g.n_interior
+        if self.grid.dim == 2:  # B - c L with c = 0 (lap) or 1 (H)
+            return A.dot, self._capacitance_solve(float(name == "H"))
         # neither call scans for non-finite entries: that scan would read
-        # the whole factor (14 MB on the 2d N = 96 grid) on every solve
-        factor = sla.cholesky_banded(upper_bands(A, width), overwrite_ab=True,
+        # the whole factor on every solve
+        factor = sla.cholesky_banded(upper_bands(A, 2), overwrite_ab=True,
                                      check_finite=False)
         return A.dot, lambda r: sla.cho_solve_banded((factor, False), r,
                                                      check_finite=False)
 
+    def _capacitance_solve(self, c: float) -> Callable:
+        """Exact solve of B - c L in 2d by the Woodbury identity.
 
-@lru_cache(maxsize=None)
+        B - c L = K + U (2/h^4) U^T, where K = Lap_h^2 - c Lap_h is
+        diagonal in the sine basis and U holds the 4n unit columns of
+        the nodes on the first and last grid rows and grid columns (in
+        that order; the corners appear twice).  With y = K^{-1} r,
+
+            x = y - K^{-1} U Cap^{-1} U^T y,  Cap = (h^4/2) I + U^T K^{-1} U,
+
+        so a solve is two ``sine_solve`` calls and one dense Cholesky
+        solve of size 4n, and the factor of Cap is the only one made.
+        Each n-by-n block of U^T K^{-1} U is S diag(w) S between two
+        lines of the same direction, and S M S between a row and a
+        column, with w and M built from the first and last rows of S
+        over the symbols of K.
+        """
+        g = self.grid
+        n = g.n_interior
+        S = self.sine
+        inv = 1.0 / (self.mu * self.mu - c * self.mu)
+        ends = S[[0, -1]]
+        # same[a][b]: rows a, b (or columns a, b); cross[a][b]: row a,
+        # column b; a, b = 0 for the first line and 1 for the last
+        same = [[(S * ((ends[a] * ends[b]) @ inv)) @ S for b in (0, 1)]
+                for a in (0, 1)]
+        cross = [[S @ (np.outer(ends[b], ends[a]) * inv) @ S
+                  for b in (0, 1)] for a in (0, 1)]
+        cap = np.block([same[a] + cross[a] for a in (0, 1)]
+                       + [[cross[b][a].T for b in (0, 1)] + same[a]
+                          for a in (0, 1)])
+        cap[np.diag_indices_from(cap)] += 0.5 * g.h**4
+        factor = sla.cho_factor(cap, overwrite_a=True, check_finite=False)
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            y = self.sine_solve(1.0, c, r, shift=0.0)
+            Y = y.reshape(n, n)
+            z = sla.cho_solve(factor, np.concatenate(
+                (Y[0], Y[-1], Y[:, 0], Y[:, -1])), check_finite=False)
+            Z = np.zeros((n, n))
+            Z[0] += z[:n]
+            Z[-1] += z[n:2 * n]
+            Z[:, 0] += z[2 * n:3 * n]
+            Z[:, -1] += z[3 * n:]
+            return y - self.sine_solve(1.0, c, Z.ravel(), shift=0.0)
+
+        return solve
+
+
+# grids whose operator objects are kept; the least recently used one
+# beyond these is dropped with its factors and spectral results
+GRIDS_KEPT = 4
+
+
+@lru_cache(maxsize=GRIDS_KEPT)
 def operators(grid: Grid) -> GridOperators:
-    """The one operator object of ``grid``; equal grids share it."""
+    """The one operator object of ``grid``; equal grids share it while
+    the grid is among the ``GRIDS_KEPT`` most recently used."""
     return GridOperators(grid)

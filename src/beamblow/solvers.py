@@ -1,7 +1,8 @@
 """Sparse linear algebra helpers.
 
-Fixed symmetric positive definite forms are solved exactly by banded
-Cholesky (see ``operators``).  The one iterative solve is the implicit
+Fixed symmetric positive definite forms are solved exactly, by banded
+Cholesky in 1d and by a capacitance (Woodbury) solve on the sine basis
+in 2d (see ``operators``).  The one iterative solve is the implicit
 step of the 2d time integrator: conjugate gradients preconditioned by
 a sine-basis solve, with a normwise backward-error stopping rule
 

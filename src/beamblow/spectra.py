@@ -7,7 +7,7 @@ holds exactly for the semi-discrete flow:
 
   * smallest eigenpairs of the Dirichlet Laplacian (the first sine
     mode, in closed form) and of the clamped plate operator (inverse
-    iteration with the exact banded solve of the plate, stopped on its
+    iteration with the exact solve of the plate form, stopped on its
     residual);
   * best constants of the discrete embeddings ||u||_q <= C * Q(u)^{1/2}
     for the quadratic forms Q built from the gradient, the Laplacian,

@@ -168,7 +168,8 @@ def test_simulate_rejects_bad_initial_data(dim, field, bad):
 
 
 @pytest.mark.parametrize("dim,dt_max,amplitude", [
-    (1, 1e-3, 1.0), (1, 1e-2, 1.0), (2, 1e-3, 1.0), (1, 1e-3, 1e80)])
+    (1, 1e-3, 1.0), (1, 1e-2, 1.0), (2, 1e-3, 1.0), (1, 1e-3, 1e80),
+    (1, 1e-3, 1e110)])
 def test_fixed_step_overflow_ends_in_solver_failure(monkeypatch, dim,
                                                     dt_max, amplitude):
     """A fixed-step run past the blow-up overflows.  It must end as a

@@ -130,6 +130,20 @@ def test_classify_labels(grid64, params, consts64):
     assert classify(grid64, big, params, consts64.depth) == "unstable_V"
 
 
+def test_functionals_of_an_overflowing_field_are_not_finite(grid64, params,
+                                                           consts64):
+    # the powers of these norms overflow: the functionals come out not
+    # finite instead of raising OverflowError
+    mode = np.sin(np.pi * (1 + np.arange(grid64.size)) * grid64.h)
+    u, v = 1e110 * mode, 1e200 * mode
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(energy_E(grid64, u, v, params))
+        assert not math.isfinite(nehari_I(grid64, u, params))
+        snap = snapshot(grid64, u, v, params)
+        assert not math.isfinite(snap.E) and not math.isfinite(snap.I)
+        assert classify(grid64, u, params, consts64.depth) == "indeterminate"
+
+
 def test_lemma21_verdict_branches():
     lam_star, depth = 2.0, 1.0
     # J > d: outside the well regardless of the rest

@@ -1,6 +1,8 @@
 """The sine-basis structure of the operators and the solves built on it."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import scipy.sparse.linalg as spla
 from beamblow import make_grid
 from beamblow.dynamics import coefficients
 from beamblow.errors import ConvergenceFailure
-from beamblow.operators import FORMS, operators
+from beamblow.operators import FORMS, GRIDS_KEPT, operators
 from beamblow.solvers import conjugate_gradient, solve_spd_banded
 
 
@@ -70,7 +72,7 @@ def test_sine_solve_inverts_the_shifted_laplacian(dim, n, c):
     assert np.linalg.norm(got - x) <= 1e-13 * np.linalg.norm(x)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 256), (2, 16), (2, 32)])
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 16), (2, 32), (2, 47)])
 @pytest.mark.parametrize("name", FORMS)
 def test_form_solve_is_the_exact_inverse_of_its_product(name, dim, n):
     g = make_grid(dim, n)
@@ -87,6 +89,24 @@ def test_form_solve_is_the_exact_inverse_of_its_product(name, dim, n):
     assert np.linalg.norm(solve(x) - ref) <= 1e-6 * np.linalg.norm(ref)
     if dim == 1:
         assert "sine" not in vars(ops)
+    elif name in ("lap", "H"):
+        # the capacitance solve is backward stable in the infinity norm
+        b = rng.standard_normal(g.size)
+        got = solve(b)
+        a_norm = float(np.abs(A).sum(axis=1).max())
+        assert np.linalg.norm(A @ got - b) <= (
+            1e-14 * a_norm * np.linalg.norm(got))
+
+
+def test_an_evicted_grid_releases_its_operators():
+    operators.cache_clear()
+    ops = weakref.ref(operators(make_grid(2, 8)))
+    assert ops() is operators(make_grid(2, 8))
+    for n in range(1, GRIDS_KEPT + 1):
+        operators(make_grid(1, n))
+    gc.collect()
+    assert ops() is None
+    assert operators.cache_info().currsize == GRIDS_KEPT
 
 
 @pytest.mark.parametrize("n", [32, 64])

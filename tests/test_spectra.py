@@ -175,27 +175,26 @@ def test_shared_embedding_constant_is_swept_once(monkeypatch):
         g, ModelParams(p=2.5, r=2.0, gamma=0.5, beta=1.0)).B_star
 
 
-def test_constants_make_one_banded_factorization_per_form(monkeypatch):
-    # no sparse LU or ILU is made; in 2d B and B - L are factored once
-    # each, however many parameter sets share the grid
+def test_constants_make_one_capacitance_factorization_per_form(monkeypatch):
+    # no sparse LU or ILU and no banded factor is made in 2d; B and B - L
+    # each get one capacitance factorization, however many parameter
+    # sets share the grid
     def refuse(*args, **kwargs):
-        raise AssertionError("sparse LU factorization")
+        raise AssertionError("sparse LU or banded factorization in 2d")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
     monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
-    cholesky = scipy.linalg.cholesky_banded
-    diagonals = []
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
+    cho_factor = scipy.linalg.cho_factor
+    sizes = []
 
-    def counted(ab, *args, **kwargs):
-        diagonals.append(ab[-1].copy())
-        return cholesky(ab, *args, **kwargs)
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape)
+        return cho_factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
     operators.cache_clear()
     g = make_grid(2, 24)
     for p in (2.5, 3.0, 4.0):
         compute_constants(g, ModelParams(p=p, r=2.0, gamma=0.5, beta=1.0))
-    ops = operators(g)
-    assert len(diagonals) == 2
-    for form in (ops.B, ops.B - ops.L):
-        assert any(np.array_equal(d, form.diagonal()) for d in diagonals)
+    assert sizes == [(4 * 24, 4 * 24)] * 2
