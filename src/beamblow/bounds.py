@@ -20,11 +20,10 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .dynamics import DEFAULT_THRESHOLDS, BlowupEstimate, Trajectory, detect_blowup
 from .errors import ConfigError, ConvergenceFailure
-from .functionals import ModelParams, energy_E
+from .functionals import ModelParams, _power, energy_E
 from .mesh import Grid, grad_norm_sq, inner, lap_norm_sq, norm_l2, norm_lq
 from .spectra import VariationalConstants
 
@@ -215,26 +214,44 @@ class Thm32Chain:
 def _grad_interpolation_constant(alpha: float, gamma: float) -> float:
     """Best constant C2 with x^{2/(1-a)} <= C2 (x^2 + x^{2(g+1)}) for x >= 0.
 
-    Scalar maximization of f(x) = x^m / (x^2 + x^{2(g+1)}), m = 2/(1-a).
-    The ratio vanishes at both ends of (0, inf) whenever 2 < m < 2(g+1),
-    with a single interior critical point; at either degenerate limit the
-    supremum is 1 (approached at 0 or infinity).
+    C2 is the supremum of f(x) = x^m / (x^2 + x^{2(g+1)}), m = 2/(1-a).
+    Whenever 2 < m < 2(g+1) the ratio vanishes at both ends of (0, inf)
+    and its one critical point, x^{2g} = (m-2)/(2(g+1)-m), is the
+    maximum, so C2 = f there in closed form, evaluated in logarithms
+    (y = log x).  At either degenerate limit the supremum is 1
+    (approached at 0 or at infinity).
     """
     m = 2.0 / (1.0 - alpha)
     hi = 2.0 * (gamma + 1.0)
     if m <= 2.0 + 1e-12 or m >= hi - 1e-12:
         return 1.0
-    lx = math.log((m - 2.0) / (hi - m)) / (2.0 * gamma)
+    y = math.log((m - 2.0) / (hi - m)) / (2.0 * gamma)
+    return math.exp((m - hi) * y - math.log1p(math.exp(-(hi - 2.0) * y)))
 
-    def logf(y: float) -> float:
-        return (m - hi) * y - math.log1p(math.exp(-(hi - 2.0) * y))
 
-    best = logf(lx)
-    res = minimize_scalar(lambda y: -logf(y), bounds=(lx - 2.0, lx + 2.0),
-                          method="bounded", options={"xatol": 1e-14})
-    if res.success:
-        best = max(best, -float(res.fun))
-    return math.exp(best)
+def _override(name: str, value: float | None, default: float,
+              cap: float) -> float:
+    """``value`` (``default`` when None) after checking it lies in (0, cap]."""
+    x = default if value is None else float(value)
+    if not 0.0 < x <= cap:
+        raise ConfigError(f"{name} override must lie in (0, {cap}]")
+    return x
+
+
+def _chain_tail(chain, L0: float, alpha: float, grow: float, split: float):
+    """Close an upper-bound chain on L' >= (grow/split) L^{1/(1-alpha)}.
+
+    Both chains end in that inequality: it needs L(0) > 0 and grow > 0,
+    and then bounds the blow-up time by (split/grow) L0^{-alpha/(1-alpha)}
+    (1-alpha)/alpha; the variant with the prefactor inverted, as the
+    source prints it, is reported alongside."""
+    if L0 <= 0.0:
+        return replace(chain, note="L(0) <= 0")
+    if grow <= 0.0:
+        return replace(chain, note="vanishing growth coefficient")
+    decay = L0 ** (-alpha / (1.0 - alpha)) * (1.0 - alpha) / alpha
+    return replace(chain, T_upper=split / grow * decay,
+                   T_upper_as_printed=grow / split * decay, applicable=True)
 
 
 def _c1_constant(alpha: float, p: float, volume: float) -> float:
@@ -265,12 +282,10 @@ def thm32_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
         return Thm32Chain(mu=mu, note="needs gamma > 0 and beta > 0")
     E0 = energy_E(grid, u0, u1, params)
     alpha_cap = min((p - 1.0) / (2.0 * (p + 1.0)), gam / (gam + 1.0))
-    if E0 <= 0.0:
+    if not E0 > 0.0:
         return Thm32Chain(mu=mu, alpha=alpha_cap,
                           note="needs E(0) > 0 (coefficient mu/2 E(0) degenerates)")
-    alpha = alpha_cap if alpha_override is None else float(alpha_override)
-    if not 0.0 < alpha <= alpha_cap:
-        raise ConfigError(f"alpha override must lie in (0, {alpha_cap}]")
+    alpha = _override("alpha", alpha_override, alpha_cap, alpha_cap)
 
     s = (p - r) / (p - 1.0)
     lam1 = consts.lam1_bih
@@ -285,9 +300,7 @@ def thm32_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     zeta = kappa - base * (1.0 - s) / M**r
 
     eps_cap = (1.0 - alpha) / M
-    eps = 0.5 * eps_cap if eps_override is None else float(eps_override)
-    if not 0.0 < eps <= eps_cap:
-        raise ConfigError(f"eps override must lie in (0, {eps_cap}]")
+    eps = _override("eps", eps_override, 0.5 * eps_cap, eps_cap)
 
     mu1 = eps * min(0.25 * (p + 2.0 * gam - 1.0),
                     (p - (2.0 * gam + 1.0)) / (2.0 * (gam + 1.0)) * beta,
@@ -315,14 +328,7 @@ def thm32_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
                        C1=C1, s0=s0, C2=C2, mu1=mu1, mu2=mu2, L0=L0)
     if not norm_condition:
         return replace(chain, note="initial mass condition fails")
-    if L0 <= 0.0:
-        return replace(chain, note="L(0) <= 0")
-    if mu1 <= 0.0:
-        return replace(chain, note="vanishing growth coefficient")
-
-    decay = L0 ** (-alpha / (1.0 - alpha)) * (1.0 - alpha) / alpha
-    return replace(chain, T_upper=mu2 / mu1 * decay,
-                   T_upper_as_printed=mu1 / mu2 * decay, applicable=True)
+    return _chain_tail(chain, L0, alpha, mu1, mu2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +372,10 @@ def thm33_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     alpha_cap = min((p - r) / ((p + 1.0) * r),
                     (p - 1.0) / (2.0 * (p + 1.0)),
                     gam / (gam + 1.0))
-    if E0 >= 0.0:
+    if not E0 < 0.0:
         return Thm33Chain(alpha=alpha_cap, note="needs E(0) < 0")
     H0 = -E0
-    alpha = alpha_cap if alpha_override is None else float(alpha_override)
-    if not 0.0 < alpha <= alpha_cap:
-        raise ConfigError(f"alpha override must lie in (0, {alpha_cap}]")
+    alpha = _override("alpha", alpha_override, alpha_cap, alpha_cap)
 
     v1 = (p - (2.0 * gam + 1.0)) / (2.0 * (p + 1.0))
     # conservative measure factor: the printed exponent and the one the
@@ -390,9 +394,7 @@ def thm33_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     eps_cap = (1.0 - alpha) * (r + 1.0) * delta / r
     if correlation < 0.0:
         eps_cap = min(eps_cap, H0 ** (1.0 - alpha) / (-correlation))
-    eps = 0.5 * eps_cap if eps_override is None else float(eps_override)
-    if not 0.0 < eps <= eps_cap:
-        raise ConfigError(f"eps override must lie in (0, {eps_cap}]")
+    eps = _override("eps", eps_override, 0.5 * eps_cap, eps_cap)
 
     mu3 = eps * min(0.25 * (p + 2.0 * gam - 1.0),
                     (p - (2.0 * gam + 1.0)) / (2.0 * (gam + 1.0)) * beta,
@@ -410,14 +412,7 @@ def thm33_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     L0 = H0 ** (1.0 - alpha) + eps * correlation
     chain = Thm33Chain(alpha=alpha, H0=H0, delta=delta, C3=C3, eps=eps,
                        mu3=mu3, mu4=mu4, L0=L0)
-    if L0 <= 0.0:
-        return replace(chain, note="L(0) <= 0")
-    if mu3 <= 0.0:
-        return replace(chain, note="vanishing growth coefficient")
-
-    decay = L0 ** (-alpha / (1.0 - alpha)) * (1.0 - alpha) / alpha
-    return replace(chain, T_upper=mu4 / mu3 * decay,
-                   T_upper_as_printed=mu3 / mu4 * decay, applicable=True)
+    return _chain_tail(chain, L0, alpha, mu3, mu4)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +467,13 @@ def _lower_34_integral(F0: float, K1: float, K2: float, p: float) -> tuple[float
     Piecewise adaptive quadrature on doubling segments until the
     analytic overestimate of the remaining tail, Y^{1-p}/((p-1) K2),
     drops below 1e-8 of the accumulated value.  Returns (truncated,
-    truncated + tail); the truncated value is the certified bound.
+    truncated + tail); the truncated value is the certified bound.  An
+    infinite F0 or K1 makes the integrand vanish, and the integral is 0.
     """
     if F0 <= 0.0 and K1 <= 0.0:
         return math.inf, math.inf
+    if math.isinf(F0) or math.isinf(K1):
+        return 0.0, 0.0
 
     def integrand(y: float) -> float:
         return 1.0 / (K1 + y + K2 * y**p)
@@ -532,7 +530,7 @@ def thm35_lower(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     p, gam, beta = params.p, params.gamma, params.beta
     G = grad_norm_sq(grid, u0)
     G0 = (0.5 * norm_l2(grid, u1) ** 2 + 0.5 * G + 0.5 * lap_norm_sq(grid, u0)
-          + beta / (2.0 * (gam + 1.0)) * G ** (gam + 1.0))
+          + beta / (2.0 * (gam + 1.0)) * _power(G, gam + 1.0))
     C_eff = (embed_ca * embed_cb**p) ** 2 * 2.0 ** (p - 2.0)
     if G0 == 0.0:
         return Thm35Result(G0=0.0, C_eff=C_eff, T_lower_35=math.inf,

@@ -92,11 +92,15 @@ def _power(x: float, y: float) -> float:
         return math.inf
 
 
+def _parts(grid: Grid, u: np.ndarray,
+           params: ModelParams) -> tuple[float, float, float]:
+    """G = ||grad u||^2, Bq = ||lap u||^2 and F = ||u||_{p+1}^{p+1}."""
+    return (mesh.grad_norm_sq(grid, u), mesh.lap_norm_sq(grid, u),
+            _power(mesh.norm_lq(grid, u, params.p + 1), params.p + 1))
+
+
 def potential_J(grid: Grid, u: np.ndarray, params: ModelParams) -> float:
-    G = mesh.grad_norm_sq(grid, u)
-    Bq = mesh.lap_norm_sq(grid, u)
-    F = _power(mesh.norm_lq(grid, u, params.p + 1), params.p + 1)
-    return potential_from_parts(G, Bq, F, params)
+    return potential_from_parts(*_parts(grid, u, params), params)
 
 
 def potential_from_parts(G: float, Bq: float, F: float,
@@ -108,10 +112,7 @@ def potential_from_parts(G: float, Bq: float, F: float,
 
 
 def nehari_I(grid: Grid, u: np.ndarray, params: ModelParams) -> float:
-    G = mesh.grad_norm_sq(grid, u)
-    Bq = mesh.lap_norm_sq(grid, u)
-    F = _power(mesh.norm_lq(grid, u, params.p + 1), params.p + 1)
-    return nehari_from_parts(G, Bq, F, params)
+    return nehari_from_parts(*_parts(grid, u, params), params)
 
 
 def nehari_from_parts(G: float, Bq: float, F: float,
@@ -189,9 +190,7 @@ def classify(grid: Grid, u: np.ndarray, params: ModelParams,
     I carries no stability information, or J not a number, as for a
     field whose norms overflow).
     """
-    G = mesh.grad_norm_sq(grid, u)
-    Bq = mesh.lap_norm_sq(grid, u)
-    F = _power(mesh.norm_lq(grid, u, params.p + 1), params.p + 1)
+    G, Bq, F = _parts(grid, u, params)
     J = potential_from_parts(G, Bq, F, params)
     I = nehari_from_parts(G, Bq, F, params)
     scale = G + Bq + F

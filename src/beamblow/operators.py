@@ -22,15 +22,20 @@ or inverted with four dense matrix products, and with s = 1 it lies
 below I + a B - c L, which makes it a preconditioner whose error is
 confined to the boundary (Bjorstad, SIAM J. Numer. Anal. 20, 1983).
 
-The fixed forms B and B - L (and -L in 1d) have exact solves, each
-factored once per grid.  In 1d they are banded with half-bandwidth 2,
-and a banded Cholesky factorization solves them at O(n) cost without
-the sine matrix.  In 2d each is the sine-diagonal Lap_h^2 - c Lap_h
-plus the boundary term, and the Woodbury identity reduces its solve to
-two sine solves and a dense Cholesky solve of the 4n-by-4n capacitance
-matrix (Buzbee & Dorr, SIAM J. Numer. Anal. 11, 1974).  No other factor
-is kept: the 1d time step factors and solves its banded system in one
-LAPACK call, and the 2d one uses conjugate gradients.
+Both 1d stencils are written down once, as constant diagonals in DIA
+storage (``_stencil_1d``); the CSR matrices and the banded storage of
+the 1d solves are both read off them.
+
+The fixed forms -L, B and B - L have exact solves.  In 1d they are
+banded with half-bandwidth 2, and every solve, like the time step's,
+is one LAPACK ``pbsv`` call (banded Cholesky factor and solve) at O(n)
+cost without the sine matrix; no 1d factor is kept.  In 2d -L is
+diagonal in the sine basis, and B and B - L are the sine-diagonal
+Lap_h^2 - c Lap_h plus the boundary term: the Woodbury identity reduces
+their solve to two sine solves and a dense Cholesky solve of the
+4n-by-4n capacitance matrix (Buzbee & Dorr, SIAM J. Numer. Anal. 11,
+1974), factored once per form and grid.  The 2d time step uses
+conjugate gradients.
 """
 
 from __future__ import annotations
@@ -44,44 +49,35 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .solvers import (conjugate_gradient, operator_norm_estimate,
-                      solve_spd_banded, upper_bands)
+                      solve_spd_banded)
 
 if TYPE_CHECKING:
     from .mesh import Grid
     from .spectra import VariationalConstants
 
-# the fixed quadratic forms of the embedding sweeps: -L, B, B - L and I
-FORMS = ("grad", "lap", "H", "l2")
+# the fixed quadratic forms of the embedding sweeps: -L, B and B - L
+FORMS = ("grad", "lap", "H")
 
 
-def _lap_1d(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
+def _stencil_1d(n: int, h: float, order: int) -> sp.dia_matrix:
+    """The 1d Dirichlet Laplacian L1 (order 2: diagonals 1, -2, 1 over
+    h^2) or clamped fourth difference B1 (order 4) on n interior nodes.
 
-
-def _bih_1d(n: int, h: float) -> sp.csr_matrix:
-    """Pentadiagonal fourth-difference with clamped (mirror ghost) closure.
-
-    Interior indices 0..n-1 sit at x = h..nh; the physical boundary nodes
-    carry zero and drop out, while second neighbours that land one node
-    outside the boundary fold back onto the first interior node.
+    The physical boundary nodes carry zero and drop out, and a second
+    neighbour one node outside the boundary folds back onto the first
+    interior node (mirror ghost), so B1 = L1^2 + (2/h^4)(e_1 e_1^T +
+    e_n e_n^T): diagonals 1, -4, 6, -4, 1 over h^4 with 7 at both ends
+    (8 when n = 1).
     """
-    A = sp.lil_matrix((n, n))
-    for i in range(n):
-        A[i, i] += 6.0
-        for j in (i - 1, i + 1):
-            if 0 <= j < n:
-                A[i, j] += -4.0
-        for j in (i - 2, i + 2):
-            jj = j
-            if jj == -2:
-                jj = 0
-            elif jj == n + 1:
-                jj = n - 1
-            if 0 <= jj < n:
-                A[i, jj] += 1.0
-    return (A / h**4).tocsr()
+    c = {2: (0.0, 1.0, -2.0), 4: (1.0, -4.0, 6.0)}[order]
+    rows = np.repeat(np.array(c + c[1::-1])[:, None], n, axis=1)
+    if order == 4:
+        rows[2, 0] += 1.0
+        rows[2, -1] += 1.0
+    # the rows of the offsets 2, 1, 0 are the upper banded storage that
+    # LAPACK's pbsv reads; dividing the rows, not the matrix (which
+    # multiplies by 1/h^order), keeps each entry its value over h^order
+    return sp.dia_matrix((rows / h**order, (2, 1, 0, -1, -2)), shape=(n, n))
 
 
 class GridOperators:
@@ -101,7 +97,7 @@ class GridOperators:
     def L(self) -> sp.csr_matrix:
         """Dirichlet Laplacian on the interior nodes (negative definite)."""
         g = self.grid
-        L1 = _lap_1d(g.n_interior, g.h)
+        L1 = _stencil_1d(g.n_interior, g.h, 2).tocsr()
         if g.dim == 1:
             return L1
         eye = sp.identity(g.n_interior, format="csr")
@@ -116,10 +112,10 @@ class GridOperators:
         the 13-point clamped plate stencil.
         """
         g = self.grid
-        B1 = _bih_1d(g.n_interior, g.h)
+        B1 = _stencil_1d(g.n_interior, g.h, 4).tocsr()
         if g.dim == 1:
             return B1
-        L1 = _lap_1d(g.n_interior, g.h)
+        L1 = _stencil_1d(g.n_interior, g.h, 2).tocsr()
         eye = sp.identity(g.n_interior, format="csr")
         return (sp.kron(B1, eye) + 2.0 * sp.kron(L1, L1)
                 + sp.kron(eye, B1)).tocsr()
@@ -134,11 +130,15 @@ class GridOperators:
 
     @cached_property
     def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Upper banded storage (bandwidth 2) of I, B and L in 1d."""
-        B_band = upper_bands(self.B, 2)
+        """Upper banded storage (bandwidth 2) of I, B and L in 1d, in the
+        layout of LAPACK's pbsv: row 2 - k holds the k-th superdiagonal.
+        The first k entries of that row lie outside the matrix and are
+        never read."""
+        g = self.grid
+        B_band = _stencil_1d(g.n_interior, g.h, 4).data[:3]
         eye_band = np.zeros_like(B_band)
         eye_band[2] = 1.0
-        return eye_band, B_band, upper_bands(self.L, 2)
+        return eye_band, B_band, _stencil_1d(g.n_interior, g.h, 2).data[:3]
 
     @cached_property
     def sine(self) -> np.ndarray:
@@ -209,21 +209,16 @@ class GridOperators:
 
     def form(self, name: str) -> tuple[Callable, Callable]:
         """Matrix product and exact solve of the fixed quadratic form
-        ``name``: ``grad`` (-L), ``lap`` (B), ``H`` (B - L) or ``l2``
-        (I).  Each form is built, and factored, once, on first use."""
+        ``name``: ``grad`` (-L), ``lap`` (B) or ``H`` (B - L).  Each form
+        is built once, on first use, with the 2d capacitance factor of
+        ``lap`` and ``H``."""
         if name not in self.forms:
             self.forms[name] = self._make_form(name)
         return self.forms[name]
 
     def _make_form(self, name: str) -> tuple[Callable, Callable]:
-        if name == "l2":
-            return np.copy, np.copy
         if name == "grad":
             A = -self.L
-            if self.grid.dim == 2:
-                # exact: the sine basis diagonalizes the Laplacian
-                return A.dot, lambda r: self.sine_solve(0.0, 1.0, r,
-                                                        shift=0.0)
         elif name == "lap":
             A = self.B
         elif name == "H":
@@ -231,14 +226,16 @@ class GridOperators:
         else:
             raise ValueError(f"unknown form {name!r}, "
                              f"expected one of {FORMS}")
-        if self.grid.dim == 2:  # B - c L with c = 0 (lap) or 1 (H)
-            return A.dot, self._capacitance_solve(float(name == "H"))
-        # neither call scans for non-finite entries: that scan would read
-        # the whole factor on every solve
-        factor = sla.cholesky_banded(upper_bands(A, 2), overwrite_ab=True,
-                                     check_finite=False)
-        return A.dot, lambda r: sla.cho_solve_banded((factor, False), r,
-                                                     check_finite=False)
+        if self.grid.dim == 1:
+            # one LAPACK pbsv, factor and solve, on the form's bands
+            _, B_band, L_band = self.bands
+            ab = {"grad": -L_band, "lap": B_band, "H": B_band - L_band}[name]
+            return A.dot, lambda r: solve_spd_banded(ab, r)
+        if name == "grad":
+            # exact: the sine basis diagonalizes the Laplacian
+            return A.dot, lambda r: self.sine_solve(0.0, 1.0, r, shift=0.0)
+        # B - c L with c = 0 (lap) or 1 (H)
+        return A.dot, self._capacitance_solve(float(name == "H"))
 
     def _capacitance_solve(self, c: float) -> Callable:
         """Exact solve of B - c L in 2d by the Woodbury identity.

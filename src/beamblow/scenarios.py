@@ -98,10 +98,11 @@ def construct_energy_level(grid: Grid, params: ModelParams, R: float,
     r1 = hi
 
     u0 = r1 * v1
-    chi_val = 0.5 * r1**2 * l2_v1_sq + potential_J(grid, u0, params)
+    J0 = potential_J(grid, u0, params)
+    chi_val = 0.5 * r1**2 * l2_v1_sq + J0
     # E(0) = ||r1 v1 + r2 v2||^2 / 2 + J(u0) = R, solved for r2 > 0
     b_lin = 2.0 * r1 * cross
-    c_const = r1**2 * l2_v1_sq - 2.0 * (R - potential_J(grid, u0, params))
+    c_const = r1**2 * l2_v1_sq - 2.0 * (R - J0)
     disc = b_lin**2 - 4.0 * l2_v2_sq * c_const
     if disc <= 0.0:
         raise ConstructionFailure("second-mode amplitude has no real solution")

@@ -1,10 +1,12 @@
 """Sparse linear algebra helpers.
 
-Fixed symmetric positive definite forms are solved exactly, by banded
-Cholesky in 1d and by a capacitance (Woodbury) solve on the sine basis
-in 2d (see ``operators``).  The one iterative solve is the implicit
-step of the 2d time integrator: conjugate gradients preconditioned by
-a sine-basis solve, with a normwise backward-error stopping rule
+Fixed symmetric positive definite forms are solved exactly, by one
+banded Cholesky call (``solve_spd_banded``) per solve in 1d and by a
+capacitance (Woodbury) solve on the sine basis in 2d (see
+``operators``).  The 1d time step makes the same banded call.  The one
+iterative solve is the implicit step of the 2d time integrator:
+conjugate gradients preconditioned by a sine-basis solve, with a
+normwise backward-error stopping rule
 
     ||r|| <= rtol * (||b|| + ||A|| * ||x||)
 
@@ -26,32 +28,18 @@ from scipy.linalg.lapack import dpbsv
 from .errors import ConvergenceFailure
 
 
-def operator_norm_estimate(A) -> float:
-    """Infinity norm for sparse matrices, 0.0 for abstract operators."""
-    if sp.issparse(A):
-        return float(np.abs(A).sum(axis=1).max())
-    return 0.0
-
-
-def upper_bands(A: sp.spmatrix, width: int) -> np.ndarray:
-    """Upper banded storage of a symmetric banded matrix, in the layout
-    of LAPACK's ``pbsv`` (and scipy.linalg.solveh_banded): row
-    ``width - k`` holds the k-th superdiagonal, left-padded with zeros."""
-    n = A.shape[0]
-    ab = np.zeros((width + 1, n))
-    d = A.todia()
-    for off, row in zip(d.offsets, d.data):
-        if off > width:
-            raise ValueError(f"bandwidth {off} exceeds declared {width}")
-        if off >= 0:
-            ab[width - off] = row
-    return ab
+def operator_norm_estimate(A: sp.spmatrix) -> float:
+    """Infinity norm of a sparse matrix."""
+    return float(np.abs(A).sum(axis=1).max())
 
 
 def solve_spd_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Banded Cholesky solve of ``ab`` (upper storage, see
-    ``upper_bands``) against b; breakdown surfaces as ConvergenceFailure
-    so callers can retry at a smaller step.
+    """Banded Cholesky solve of ``ab`` against b; breakdown surfaces as
+    ConvergenceFailure so callers can retry at a smaller step.
+
+    ``ab`` is in upper banded storage: row ``w - k`` of its w + 1 rows
+    holds the k-th superdiagonal, whose first k entries are never read.
+    Every 1d solve, the time step's and the fixed forms', is this call.
 
     One call of LAPACK ``dpbsv``, the routine scipy.linalg.solveh_banded
     reaches, on copies of both arguments; of that wrapper's validation

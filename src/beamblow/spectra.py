@@ -99,6 +99,9 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
     current q-gradient and renormalizes on the ellipsoid, so one
     exact solve replaces the many small steps a gradient method
     would need against a stiff quadratic form.
+
+    A sweep that loses counts as a stall: the converged value jitters by
+    rounding that grows like cond(A), above _SWEEP_FTOL on fine grids.
     """
     w = grid.weight
 
@@ -122,7 +125,7 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
         gain = new_val - val
         u = u_new
         val = max(val, new_val)
-        if abs(gain) < _SWEEP_FTOL * max(1.0, val):
+        if gain < _SWEEP_FTOL * max(1.0, val):
             stall += 1
             if stall >= _SWEEP_PATIENCE:
                 return val, u, True
@@ -151,12 +154,8 @@ def embedding_constant(grid: Grid, q: float, denominator: str, *,
     rng = np.random.default_rng(seed)
 
     starts = [rng.standard_normal(grid.size) for _ in range(_SWEEP_RESTARTS)]
-    if denominator == "grad":
-        starts.append(smallest_eigen(grid, "laplacian")[1])
-    elif denominator in ("lap", "H"):
-        starts.append(smallest_eigen(grid, "biharmonic")[1])
-    else:
-        starts.append(np.ones(grid.size))
+    starts.append(smallest_eigen(
+        grid, "laplacian" if denominator == "grad" else "biharmonic")[1])
 
     best_val, best_u, any_ok = -np.inf, None, False
     for u0 in starts:

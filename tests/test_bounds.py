@@ -28,7 +28,8 @@ from beamblow import (
     thm34_lower,
     thm35_lower,
 )
-from beamblow.bounds import _lower_34_integral, fmt
+from beamblow.bounds import (_grad_interpolation_constant,
+                             _lower_34_integral, fmt)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,30 @@ def test_lower_34_integral_closed_form():
     assert truncated <= with_tail
     assert with_tail == pytest.approx(0.5 * math.log(5.0), abs=1e-8)
     assert truncated == pytest.approx(0.5 * math.log(5.0), abs=1e-7)
+    # an overflowed F0 (with the K1 of a nan energy) makes the integrand
+    # vanish: the bound is 0 at once, with no quadrature
+    assert _lower_34_integral(math.inf, math.nan, 0.25, 3.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha,gamma", [(0.25, 0.5), (0.125, 0.5),
+                                         (0.05, 0.1), (0.4, 1.0),
+                                         (0.3, 3.0)])
+def test_grad_interpolation_constant_is_the_supremum(alpha, gamma):
+    # C2 = sup x^m / (x^2 + x^{2(g+1)}), m = 2/(1-a), against the
+    # maximum over a dense logarithmic grid of x
+    m, hi = 2.0 / (1.0 - alpha), 2.0 * (gamma + 1.0)
+    x = np.exp(np.linspace(-12.0, 12.0, 240001))
+    dense = float(np.max(x**m / (x**2 + x**hi)))
+    C2 = _grad_interpolation_constant(alpha, gamma)
+    assert dense <= C2 * (1.0 + 1e-14)
+    assert C2 == pytest.approx(dense, rel=1e-7)
+
+
+def test_grad_interpolation_constant_degenerate_limits():
+    # m = 2: the ratio 1/(1 + x^{2g}) tends to 1 at 0; m = 2(g+1): the
+    # ratio x^{2g}/(1 + x^{2g}) tends to 1 at infinity
+    assert _grad_interpolation_constant(0.0, 0.5) == 1.0
+    assert _grad_interpolation_constant(1.0 / 3.0, 0.5) == 1.0
 
 
 def test_thm34_lower_formulas(grid48, params, consts48):

@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 import beamblow.cli as cli
@@ -278,6 +279,30 @@ def test_cli_bounds_fails_when_the_run_failed(tmp_path, capsys,
     assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == simulate_err
     assert (out / "bounds.csv").exists()
+
+
+@pytest.mark.parametrize("threshold,code,termination", [
+    (1e9, 0, "blowup_threshold"), (1e300, 3, "solver_failure")])
+def test_cli_simulate_with_non_finite_initial_energy(tmp_path, capsys,
+                                                     threshold, code,
+                                                     termination):
+    # the norms of this field overflow, so E(0) is nan: both upper
+    # chains report themselves not applicable instead of raising, the
+    # lower bounds are 0, and the run
+    # ends on its own terms (the field already exceeds the default blow
+    # threshold 1e9; short of 1e300 the step collapses)
+    cfg = tmp_path / "run.txt"
+    cfg.write_text("N = 32\npreset = sine_bump\namplitude = 1e110\n"
+                   f"blow_threshold = {threshold!r}\n")
+    out = tmp_path / "sim"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(out)]) == code
+    report = (out / "report.txt").read_text().splitlines()
+    assert "E0 = nan" in report
+    assert f"run.termination = {termination}" in report
+    assert "thm32.T_upper = none" in report
+    assert "lower.T_lower_34_truncated = 0" in report
 
 
 def test_cli_spectra(tmp_path, capsys):

@@ -37,15 +37,22 @@ def test_sine_basis_diagonalizes_the_1d_laplacian(n):
     assert np.max(np.abs(ops.mu - mu)) < 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [3, 16, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 48, 64])
 def test_clamped_fourth_difference_is_squared_laplacian_plus_corners(n):
     g = make_grid(1, n)
     ops = operators(g)
     L1 = ops.L.toarray()
     corner = np.zeros((n, n))
-    corner[0, 0] = corner[-1, -1] = 2.0 / g.h**4
-    gap = ops.B.toarray() - L1 @ L1 - corner
+    corner[0, 0] += 2.0
+    corner[-1, -1] += 2.0  # the same node when n = 1
+    gap = ops.B.toarray() - L1 @ L1 - corner / g.h**4
     assert np.max(np.abs(gap)) < 1e-14 / g.h**4
+    # every entry is its integer stencil value divided by h^4, to the
+    # last bit: a product with 1/h^4 rounds 6/h^4 differently on some
+    # grids (n = 48 among them)
+    T = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+         + np.diag(np.ones(n - 1), -1))
+    assert np.array_equal(ops.B.toarray(), (T @ T + corner) / g.h**4)
 
 
 @pytest.mark.parametrize("n", [4, 12])
@@ -78,8 +85,7 @@ def test_form_solve_is_the_exact_inverse_of_its_product(name, dim, n):
     g = make_grid(dim, n)
     ops = operators(g)
     apply, solve = ops.form(name)
-    A = {"grad": -ops.L, "lap": ops.B, "H": ops.B - ops.L,
-         "l2": sp.identity(g.size)}[name].tocsc()
+    A = {"grad": -ops.L, "lap": ops.B, "H": ops.B - ops.L}[name].tocsc()
     rng = np.random.default_rng(5)
     x = rng.standard_normal(g.size)
     assert np.linalg.norm(apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
@@ -176,6 +182,18 @@ def test_banded_solve_equals_solveh_banded_bit_for_bit(dt, mbar):
     x = solve_spd_banded(ab, b)
     assert np.array_equal(x, sla.solveh_banded(ab, b))
     assert np.array_equal(ab, kept)
+    # the fixed forms' solves are the same call; on bands read off each
+    # form's own matrix they equal solveh_banded and a kept banded
+    # Cholesky factor bit for bit
+    for name in FORMS:
+        A = {"grad": -ops.L, "lap": ops.B, "H": ops.B - ops.L}[name]
+        ab = np.zeros((3, 128))
+        for k in range(3):
+            ab[2 - k, k:] = A.diagonal(k)
+        x = ops.form(name)[1](b)
+        assert np.array_equal(x, sla.solveh_banded(ab, b))
+        assert np.array_equal(x, sla.cho_solve_banded(
+            (sla.cholesky_banded(ab), False), b))
 
 
 def test_banded_solve_breakdown_is_a_convergence_failure():

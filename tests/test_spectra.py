@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+import beamblow.operators
 import beamblow.spectra as spectra
 from beamblow import (
     ModelParams,
@@ -85,6 +86,18 @@ def test_plate_eigenpair_on_fine_1d_grids(n):
     backward = residual / ((operators(g).norm_B + lam) * np.linalg.norm(v))
     assert backward <= 1e-15
     assert lam == pytest.approx(CLAMPED_K**4, rel=1e-4)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_constants_on_fine_1d_grids(p):
+    # the embedding sweeps settle although the rounding jitter of their
+    # converged value grows like N^4 (it exceeds the stall tolerance
+    # from about N = 192)
+    prm = ModelParams(p=p, r=2.0, gamma=0.5, beta=1.0)
+    coarse = compute_constants(make_grid(1, 128), prm).C
+    for n in (192, 256):
+        assert compute_constants(make_grid(1, n), prm).C == pytest.approx(
+            coarse, rel=1e-3)
 
 
 def test_laplacian_eigenvalue_2d():
@@ -184,7 +197,7 @@ def test_constants_make_one_capacitance_factorization_per_form(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
     monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
+    monkeypatch.setattr(beamblow.operators, "solve_spd_banded", refuse)
     cho_factor = scipy.linalg.cho_factor
     sizes = []
 
