@@ -21,13 +21,21 @@ The cases:
     ``solvers.ilu_preconditioner`` calls) per accepted step; and the
     wall time of the first ``spectra.smallest_eigen`` call for the
     clamped plate at N = 64 and 96, set-up of its solver included.
-  * ``step_1d``: the default 1D run (``RunConfig()``, N = 128) for a
-    fixed number of accepted steps, repeated in one process after a
-    warm-up run, reporting microseconds per call of
-    ``dynamics.step`` (whole and self time), ``functionals.snapshot``,
-    ``dynamics.adapt_dt`` and ``solvers.solve_spd_banded``, and per
-    accepted step of ``dynamics.simulate``; each value is the median
-    over the repetitions, which are also listed.
+  * ``step_1d``: the default 1D run (``RunConfig()``, N = 128) for at
+    most 2000 accepted steps (the whole run when it reaches its blow
+    threshold sooner), repeated in one process after a warm-up run,
+    reporting microseconds per call of ``dynamics.step`` (whole and
+    self time), ``functionals.snapshot``, ``dynamics.adapt_dt`` and
+    ``solvers.solve_spd_banded``, and per accepted step of
+    ``dynamics.simulate``; each value is the median over the
+    repetitions, which are also listed.
+  * ``run_1d``: the default run (``RunConfig()``, 1D N = 128) from its
+    data to ``blow_threshold`` = 1e9, repeated in one process after a
+    warm-up run, reporting the wall time of ``dynamics.simulate`` (the
+    median over the repetitions, which are also listed), the accepted
+    steps, the step attempts (calls of ``dynamics.step``), and
+    ``T_num`` with its reported uncertainty and its relative gap to the
+    singular time T* = 0.2493837 of a Radau IIA run of the same model.
   * ``2d_forms``: the exact solves of the fixed forms ``lap`` (B) and
     ``H`` (B - L) of the 2D embedding sweeps at N = 64, 96 and 128,
     reporting the set-up time of each form (``GridOperators.form``,
@@ -37,11 +45,13 @@ The cases:
     right-hand side) and the bytes of the arrays the solve function
     holds, which is its factor.
 
-The counts and times of the first two cases come from the benchmark's
-tracer (``perfbench/tracing.py``), which wraps the program's functions
-from outside, so the same script measures any version that has these
-names.  The tracer's own cost per wrapped call is included on both
-sides.  ``2d_forms`` times the solve functions directly.
+The counts and times of ``2d_solve`` and ``step_1d`` come from the
+benchmark's tracer (``perfbench/tracing.py``), which wraps the
+program's functions from outside, so the same script measures any
+version that has these names.  The tracer's own cost per wrapped call
+is included on both sides.  ``2d_forms`` and ``run_1d`` time the
+program directly; ``run_1d`` counts the attempts with a wrapper around
+``dynamics.step`` that only counts.
 """
 
 import argparse
@@ -59,6 +69,10 @@ EIGEN_N = (64, 96)
 STEPS = 100
 STEP_1D_STEPS = 2000
 STEP_1D_REPEATS = 5
+RUN_1D_REPEATS = 3
+# singular time of the default 1D run: the Radau IIA run of the same
+# model (perfbench/reference.py) follows max|u|^(-1/k) = c (T* - t)
+T_STAR_1D = 0.2493837
 FORMS_N = (64, 96, 128)
 FORM_SOLVES = 40
 THREADS = {name: "2" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -164,6 +178,55 @@ def measure_step_1d(src: str) -> dict:
     }
 
 
+def measure_run_1d(src: str) -> dict:
+    import time
+
+    sys.path.insert(0, src)
+    import beamblow as bb
+    from beamblow import dynamics
+
+    attempts = [0]
+    step = dynamics.step
+
+    def counted_step(*args, **kwargs):
+        attempts[0] += 1
+        return step(*args, **kwargs)
+
+    dynamics.step = counted_step
+    cfg = bb.RunConfig()
+    grid, params = cfg.grid(), cfg.model_params()
+    data = bb.preset(cfg.preset, grid, params, cfg.amplitude)
+
+    def run():
+        attempts[0] = 0
+        start = time.perf_counter()
+        traj = bb.simulate(grid, params, data.u0, data.u1,
+                           cfg.step_controls(), t_max=cfg.t_max,
+                           blow_threshold=cfg.blow_threshold,
+                           output_every=cfg.output_every)
+        return traj, time.perf_counter() - start
+
+    run()  # warm-up: operators, bands and caches built outside the timing
+    seconds = []
+    for _ in range(RUN_1D_REPEATS):
+        traj, elapsed = run()
+        seconds.append(elapsed)
+    est = bb.detect_blowup(traj.times(), traj.series("lp1_u"), cfg.thresholds)
+    return {
+        "grid": {"dim": cfg.dim, "N": cfg.N},
+        "blow_threshold": cfg.blow_threshold,
+        "termination": traj.termination,
+        "simulate_s": statistics.median(seconds),
+        "repetitions_s": seconds,
+        "accepted_steps": traj.n_steps,
+        "attempts": attempts[0],
+        "T_num": est.T_num,
+        "T_num_uncertainty": est.uncertainty,
+        "T_star": T_STAR_1D,
+        "T_num_rel_gap": (est.T_num - T_STAR_1D) / T_STAR_1D,
+    }
+
+
 def closure_bytes(fn) -> int:
     """Bytes of the numpy arrays held in the closure of ``fn``, directly
     or inside tuples."""
@@ -216,7 +279,7 @@ def measure_2d_forms(src: str) -> dict:
 
 
 CASES = {"2d_solve": measure_2d_solve, "step_1d": measure_step_1d,
-         "2d_forms": measure_2d_forms}
+         "run_1d": measure_run_1d, "2d_forms": measure_2d_forms}
 
 
 def run_side(case: str, src: Path) -> dict:

@@ -17,10 +17,10 @@ from .bounds import (BoundReport, LowerBounds, Thm31Chain, Thm32Chain,
 from .config import (RunConfig, SweepConfig, parse_config,
                      parse_sweep_config, serialize_config)
 from .dynamics import (DEFAULT_THRESHOLDS, BlowupEstimate, StepControls,
-                       Trajectory, adapt_dt, damping_flow, detect_blowup,
+                       StepCounts, Trajectory, adapt_dt, detect_blowup,
                        simulate)
 from .errors import (BeamblowError, ConfigError, ConstructionFailure,
-                     ConvergenceFailure, SolverFailure)
+                     ConvergenceFailure, NewtonFailure, SolverFailure)
 from .functionals import (FunctionalSnapshot, ModelParams, classify,
                           damping_term, dissipation_rate, energy_E,
                           kirchhoff, lemma21_verdict, nehari_I,

@@ -54,7 +54,7 @@ class RunConfig:
     dt_min: float | None = None  # StepControls resolves it to 1e-12 * dt_max
     t_max: float = 10.0
     blow_threshold: float = 1e9
-    output_every: int = 10
+    output_every: int = 1
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     mu: float = 1.0
     alpha_override: float | None = None

@@ -1,18 +1,22 @@
 """Time integration and blow-up detection.
 
-The second-order system u_t = v, v_t = -B u + M(G(u)) L u + L v
-- |v|^{r-1} v + |u|^{p-1} u is advanced by Strang splitting: a
-half-step of the exact nodewise damping flow, a trapezoidal
-predictor-corrector for everything else, and a second damping
-half-step.  In the core the stiff linear operators are treated
-implicitly (Crank-Nicolson) while the scalar stiffness M and the
-source are frozen at predictor values and then averaged in a corrector
-pass.  Both stages solve one SPD system
+The second-order system u_t = v, v_t = F(u, v) with
 
-    [I + dt^2/4 B - (dt/2 + m dt^2/4) L] v_new = rhs
+    F(u, v) = -B u + M(G(u)) L u + L v - |v|^{r-1} v + |u|^{p-1} u
 
-directly (banded Cholesky) in one dimension, and by conjugate
-gradients preconditioned with a sine-basis solve in two.
+is advanced by the trapezoidal rule on the whole system: plate,
+Kirchhoff, strong damping, velocity damping and source are all
+implicit, and the step is of order 2 through the blow-up tail, where
+damping and source nearly cancel (Hairer & Wanner, Solving ODEs II,
+1996, IV.8).  Eliminating u_new = u + dt/2 (v + v_new) leaves one
+nonlinear system for v_new, solved by Newton.  Its matrix is
+
+    I + a B - c L + D + rho (L u)(L u)^T,   a = dt^2/4,
+    c = dt/2 + M dt^2/4,   D = dt/2 r|v|^{r-1} - dt^2/4 p|u|^{p-1},
+    rho = dt^2/2 h^dim M'(G) >= 0,
+
+solved by one banded Cholesky call and a Sherman-Morrison update in
+one dimension and by preconditioned conjugate gradients in two.
 
 The step size is set by an energy compliance governor alone: every
 accepted step must reproduce the dissipation identity
@@ -20,7 +24,9 @@ E' = -||v||_{r+1}^{r+1} - ||grad v||^2 to a target relative to the
 larger of the stored energy and the step's own dissipation turnover.  A
 violating step is rejected and retried; a proportional rule on the
 accepted residual keeps the working step near the largest compliant
-size.
+size.  A step whose linear solve breaks down, whose Newton iteration
+does not converge or whose state is not finite is retried at half the
+step.
 """
 
 from __future__ import annotations
@@ -31,13 +37,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functionals, mesh
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, NewtonFailure
 from .functionals import FunctionalSnapshot, ModelParams
 from .mesh import Grid
 from .operators import GridOperators, operators
 
-# backward-error target of the 2d step's conjugate-gradient solve
+# row-wise backward-error target of the 2d step's conjugate gradients
 CG_RTOL = 1e-10
+# Newton on the step's velocity: iteration cap, and the error estimate
+# at which it stops, relative to the iterate in the max norm
+NEWTON_MAX_ITER = 8
+NEWTON_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,10 +56,11 @@ class StepControls:
 
     ``dt_min`` defaults to 1e-12 * dt_max; a step request below it (not
     caused by clipping at the final time) aborts the run.  Setting
-    ``residual_target = inf`` gives fixed steps.  A fixed-step run whose
-    solution overflows ends in ``solver_failure``: attempts that
-    overflow the state or its diagnostics are rejected until the step
-    collapses below dt_min.
+    ``residual_target = inf`` gives fixed steps.  A fixed-step run past
+    the blow-up ends in ``solver_failure``: its attempts fail (the
+    Newton matrix turns indefinite, Newton does not converge, or the
+    state overflows) and are retried at ever smaller steps until the
+    step collapses below dt_min.
     """
 
     dt_max: float = 1e-3
@@ -69,6 +80,25 @@ class StepControls:
 
 
 @dataclass
+class StepCounts:
+    """What the step attempts of a run cost and what became of them.
+
+    Every attempt is accepted or rejected for one cause: a non-finite
+    state or diagnostics, a linear solve that broke down, Newton not
+    converging, or the energy test.  ``newton_iters`` counts Newton
+    corrections and ``linear_solves`` the solves begun for them, over
+    all attempts."""
+
+    attempts: int = 0
+    rejected_nonfinite: int = 0
+    rejected_solver: int = 0
+    rejected_newton: int = 0
+    rejected_energy: int = 0
+    newton_iters: int = 0
+    linear_solves: int = 0
+
+
+@dataclass
 class State:
     grid: Grid
     t: float
@@ -82,63 +112,84 @@ def coefficients(dt: float, mbar: float) -> tuple[float, float]:
     return 0.25 * dt * dt, 0.5 * dt + 0.25 * mbar * dt * dt
 
 
-def damping_flow(params: ModelParams, v: np.ndarray,
-                 tau: float) -> np.ndarray:
-    """Exact flow of v\' = -|v|^{r-1} v over a time tau.
-
-    Closed form for every r >= 1, monotone and unconditionally stable,
-    which is what lets the integrator keep its step size when the
-    velocity is many orders of magnitude above unity (the explicit
-    Lipschitz bound dt * r |v|^{r-1} < 1 would collapse dt there).
-    """
-    if params.r == 1:
-        return v * np.exp(-tau)
-    q = params.r - 1.0
-    return v * (1.0 + q * tau * np.abs(v)**q)**(-1.0 / q)
-
-
 def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
-         v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """One Strang-split step of size dt.
+         v: np.ndarray, dt: float,
+         counts: StepCounts) -> tuple[np.ndarray, np.ndarray] | None:
+    """One trapezoidal step of size dt on the whole system.
 
-    Half-step of the exact damping flow, a trapezoidal
-    predictor-corrector for the remaining system, half-step of damping
-    again.  The corrector averages the frozen nonlinear terms between
-    the old state and the predictor; iterating that average to its
-    fixed point does not pay, the truncated pass already matches the
-    splitting error.  ``ops`` is the grid's operator object.  Returns
-    None when the step produced a non-finite state, the signal to retry
-    with a smaller dt.  u and v are not checked: ``simulate`` checks the
-    initial data and every state it passes on came from this function.
+    With F(u, v) = -B u + M(G(u)) L u + L v - |v|^{r-1} v + |u|^{p-1} u
+    the step solves
+
+        u_new = u + dt/2 (v + v_new),
+        v_new = v + dt/2 (F(u, v) + F(u_new, v_new)),
+
+    every term implicit.  After u_new is eliminated the velocity solves
+    R(x) = 0 by Newton from x = v, each correction a solve with the
+    velocity block I + a B - c L + D + rho (L u)(L u)^T of
+    ``GridOperators.solve``.  Newton stops when its estimate of the
+    error left falls below NEWTON_RTOL of the iterate in the max norm.
+
+    ``ops`` is the grid's operator object; Newton iterations and
+    linear solves are added to ``counts``.  Returns None when an
+    iterate or the new state is not finite, raises NewtonFailure when
+    Newton has not converged in NEWTON_MAX_ITER iterations and
+    ConvergenceFailure when a linear solve breaks down: each is the
+    signal to retry with a smaller dt.  u and v are not checked:
+    ``simulate`` checks the initial data and every state it passes on
+    came from this function.
     """
-    def implicit_solve(mbar: float, sbar: np.ndarray, x0: np.ndarray):
-        a, c = coefficients(dt, mbar)
-        rhs = v + dt * (-0.5 * Bu + 0.5 * mbar * Lu + 0.5 * Lv + sbar)
-        return ops.solve(a, c, rhs, x0, CG_RTOL)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = damping_flow(params, v, 0.5 * dt)
-        u_hat = u + 0.5 * dt * v
-        u_sum = u + u_hat
-        # the predictor and the corrector share these products
-        Bu, Lu, Lv = ops.B @ u_sum, ops.L @ u_sum, ops.L @ v
-
-        m0 = functionals.kirchhoff(params, mesh.grad_form(ops, u))
-        s0 = functionals.source_term(params, u)
-
-        v_star = implicit_solve(m0, s0, x0=v)
-        if not np.isfinite(v_star).all():
+    p, r, w = params.p, params.r, ops.grid.weight
+    h = 0.5 * dt
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Lu = ops.L @ u
+        m0 = functionals.kirchhoff(params, max(w * float(u @ -Lu), 0.0))
+        # the explicit half of the trapezoid, and the part of u_new
+        # that does not depend on v_new
+        rest = v + h * (-(ops.B @ u) + m0 * Lu + ops.L @ v
+                        - functionals.damping_term(params, v)
+                        + functionals.source_term(params, u))
+        u_half = u + h * v
+        x, last = v, None
+        for _ in range(NEWTON_MAX_ITER):
+            # the displacement that the trial velocity x gives
+            y = u_half + h * x
+            Ly = ops.L @ y
+            G = max(w * float(y @ -Ly), 0.0)
+            m = functionals.kirchhoff(params, G)
+            damp = np.abs(x)**(r - 1.0)
+            grow = np.abs(y)**(p - 1.0)
+            residual = x - rest - h * (-(ops.B @ y) + m * Ly + ops.L @ x
+                                       - damp * x + grow * y)
+            a, c = coefficients(dt, m)
+            d = h * r * damp - h * h * p * grow
+            # G = 0 only at y = 0, where the rank-1 term L y vanishes
+            rho = (2.0 * h * h * w * params.beta * params.gamma
+                   * G**(params.gamma - 1.0) if G > 0 else 0.0)
+            counts.linear_solves += 1
+            delta = ops.solve(a, c, d, rho, Ly, -residual, CG_RTOL)
+            counts.newton_iters += 1
+            x = x + delta
+            if not np.isfinite(x).all():
+                return None
+            size = np.abs(delta).max()
+            # the error left after this correction: the correction itself
+            # at first, then theta/(1 - theta) times it, theta = size/last
+            # the observed contraction (Hairer & Wanner, Solving ODEs II,
+            # IV.8), which stops before the corrections sink into rounding
+            if last is None:
+                left = size
+            else:
+                left = size * size / (last - size) if size < last else math.inf
+            if left <= NEWTON_RTOL * np.abs(x).max():
+                break
+            last = size
+        else:
+            raise NewtonFailure(f"Newton did not converge in "
+                                f"{NEWTON_MAX_ITER} iterations")
+        u_new = u_half + h * x
+        if not np.isfinite(u_new).all():
             return None
-        u_star = u_hat + 0.5 * dt * v_star
-        m1 = 0.5 * (m0 + functionals.kirchhoff(
-            params, mesh.grad_form(ops, u_star)))
-        s1 = 0.5 * (s0 + functionals.source_term(params, u_star))
-        v_new = implicit_solve(m1, s1, x0=v_star)
-        u_new = u_hat + 0.5 * dt * v_new
-        v_new = damping_flow(params, v_new, 0.5 * dt)
-        if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-            return None
-    return u_new, v_new
+    return u_new, x
 
 
 def adapt_dt(controls: StepControls, scale: float) -> float:
@@ -169,6 +220,7 @@ class Trajectory:
     note: str
     n_steps: int
     final_state: State
+    counts: StepCounts
 
     def times(self) -> np.ndarray:
         return np.array([r.t for r in self.records])
@@ -180,16 +232,18 @@ class Trajectory:
 def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
              v0: np.ndarray, controls: StepControls, *, t_max: float,
              blow_threshold: float = 1e9,
-             output_every: int = 10) -> Trajectory:
+             output_every: int = 1) -> Trajectory:
     """Advance from (u0, v0) until t_max, the sup-norm threshold, or
     failure.  Records are kept every ``output_every`` steps plus the
     initial and final instants.
 
     Termination is one of ``time_limit``, ``blowup_threshold`` or
     ``solver_failure`` (step collapse or step budget exhaustion; details
-    in ``note``).  A step attempt that leaves a non-finite state, stalls
-    its linear solve or overflows the diagnostics is rejected and
-    retried at half the step.
+    in ``note``).  A step attempt that leaves a non-finite state, breaks
+    down in its linear solve, does not converge in Newton or overflows
+    the diagnostics is rejected and retried at half the step; the
+    attempts and the cause of each rejection are counted in the
+    trajectory's ``counts``.
 
     u0 and v0 are checked here, once (ValueError if either is
     mis-shaped or non-finite); the loop runs unchecked kernels.
@@ -205,6 +259,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
     t = 0.0
     scale = 1.0
     n_steps = 0
+    counts = StepCounts()
     snap = functionals.snapshot(grid, u, v, params)
     dt = adapt_dt(controls, scale)
 
@@ -244,16 +299,26 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
                     f"{controls.dt_min:g} at t = {t:g}")
             break
 
+        counts.attempts += 1
+        snap_new = None
         try:
-            result = step(ops, params, u, v, dt)
-            snap_new = (None if result is None else
-                        functionals.snapshot(grid, *result, params))
-        except (ConvergenceFailure, OverflowError):
-            snap_new = None
-        if snap_new is None or not (math.isfinite(snap_new.E) and
-                                    math.isfinite(snap_new.dissipation_rate)):
-            # a non-finite state, a stalled solve or overflowing
-            # diagnostics: the step could not be completed at this dt
+            result = step(ops, params, u, v, dt, counts)
+            if result is not None:
+                snap_new = functionals.snapshot(grid, *result, params)
+        except NewtonFailure:
+            counts.rejected_newton += 1
+        except ConvergenceFailure:
+            counts.rejected_solver += 1
+        except OverflowError:
+            counts.rejected_nonfinite += 1
+        else:
+            if snap_new is None or not (
+                    math.isfinite(snap_new.E)
+                    and math.isfinite(snap_new.dissipation_rate)):
+                counts.rejected_nonfinite += 1
+                snap_new = None
+        if snap_new is None:
+            # the step could not be completed at this dt
             scale *= 0.5
             continue
         u_new, v_new = result
@@ -268,6 +333,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
         gain = (0.3 * controls.residual_target / max(rel, 1e-300))**(1.0 / 3.0)
         if rel > controls.residual_target:
             # reject and retry; the dt_min guard bounds the cascade
+            counts.rejected_energy += 1
             scale *= min(0.5, max(0.1, gain))
             continue
         scale = min(1.0, scale * min(1.25, max(0.9, gain)))
@@ -288,7 +354,8 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
 
     return Trajectory(grid=grid, params=params, records=records,
                       termination=termination, note=note, n_steps=n_steps,
-                      final_state=State(grid=grid, t=t, u=u, v=v, dt=dt))
+                      final_state=State(grid=grid, t=t, u=u, v=v, dt=dt),
+                      counts=counts)
 
 
 # default crossing ladder on ||u||_{p+1} for blow-up time fitting

@@ -25,5 +25,9 @@ class ConvergenceFailure(BeamblowError):
         self.residual = residual
 
 
+class NewtonFailure(ConvergenceFailure):
+    """The Newton iteration of an implicit time step did not converge."""
+
+
 class ConstructionFailure(BeamblowError):
     """Initial data construction could not satisfy its target conditions."""

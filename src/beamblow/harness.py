@@ -5,8 +5,9 @@ and leaves its artifacts in an output directory: config.txt (the exact
 configuration, round-trippable), u0.csv / u1.csv (initial data, one
 value per line), timeseries.csv (one diagnostics row every
 ``output_every`` accepted steps) and report.txt (variational constants,
-every bound chain, verdicts).  A failure leaves a FAILED marker naming
-the exception next to whatever partial outputs were already written.
+every bound chain, verdicts, and the step counts of the run).  A
+failure leaves a FAILED marker naming the exception next to whatever
+partial outputs were already written.
 
 Sweeps evaluate a cartesian grid of configurations, optionally across
 processes, and produce one CSV row per cell in a deterministic order
@@ -125,6 +126,7 @@ def _write_report(path: Path, artifacts: RunArtifacts) -> None:
               ("run.note", artifacts.traj.note or "none"),
               ("run.n_steps", str(artifacts.traj.n_steps)),
               ("run.t_final", fmt(artifacts.traj.records[-1].t))]
+    items += scalar_items(artifacts.traj.counts, "run.")
     path.write_text("".join(f"{k} = {v}\n" for k, v in items))
 
 
@@ -387,7 +389,7 @@ def _suite_sandwich() -> tuple[bool, str]:
     data = preset("negative_energy", grid, params)
     thresholds = (1e2, 1e3, 1e4, 1e5)
     traj = simulate(grid, params, data.u0, data.u1, StepControls(),
-                    t_max=10.0, blow_threshold=1e6, output_every=10)
+                    t_max=10.0, blow_threshold=1e6)
     report = full_report(grid, data.u0, data.u1, params, consts, traj,
                          thresholds=thresholds)
     ok = (report.blowup_detected and report.sandwich_ok

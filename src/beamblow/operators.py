@@ -4,7 +4,7 @@ One ``GridOperators`` object per grid owns everything derived from the
 grid alone: the Dirichlet Laplacian ``L`` and the clamped biharmonic
 ``B`` with their infinity norms, the banded storage of the 1d stencils,
 the orthonormal sine basis that diagonalizes ``L`` and its closed-form
-eigenpairs, the implicit solve of the time step, the fixed quadratic
+eigenpairs, the Newton solve of the time step, the fixed quadratic
 forms of the embedding sweeps with their exact solves, and the results
 of ``spectra`` once they are computed.  Every member is built on first
 use, so asking for ``L`` does not pay for the sine basis.
@@ -34,8 +34,9 @@ diagonal in the sine basis, and B and B - L are the sine-diagonal
 Lap_h^2 - c Lap_h plus the boundary term: the Woodbury identity reduces
 their solve to two sine solves and a dense Cholesky solve of the
 4n-by-4n capacitance matrix (Buzbee & Dorr, SIAM J. Numer. Anal. 11,
-1974), factored once per form and grid.  The 2d time step uses
-conjugate gradients.
+1974), factored once per form and grid.  The Newton matrix of the time
+step adds a diagonal and a rank-1 term to I + a B - c L: in 1d both
+enter the banded solve, and in 2d it is solved by conjugate gradients.
 """
 
 from __future__ import annotations
@@ -189,23 +190,43 @@ class GridOperators:
         return (S @ ((S @ R @ S) / diag) @ S).ravel()
 
     def matvec(self, a: float, c: float):
-        """A function applying I + a B - c L, the time-step matrix."""
+        """A function applying I + a B - c L, the linear part of the
+        time step's Newton matrix."""
         B, L = self.B, self.L
         return lambda x: x + a * (B @ x) - c * (L @ x)
 
-    def solve(self, a: float, c: float, rhs: np.ndarray, x0: np.ndarray,
-              rtol: float) -> np.ndarray:
-        """Solve (I + a B - c L) x = rhs: banded Cholesky in 1d; in 2d
-        conjugate gradients from x0 preconditioned by ``sine_solve``,
-        which misses only the clamped boundary term, so no factorization
-        is ever made."""
+    def solve(self, a: float, c: float, d: np.ndarray, rho: float,
+              w: np.ndarray, rhs: np.ndarray, rtol: float) -> np.ndarray:
+        """Solve (I + a B - c L + diag(d) + rho w w^T) x = rhs, the
+        Newton matrix of the time step (rho >= 0).
+
+        In 1d one banded Cholesky call takes the band with d on its
+        diagonal against the two right-hand sides rhs and w, and the
+        Sherman-Morrison formula adds the rank-1 term.  In 2d conjugate
+        gradients from zero apply the rank-1 term as a product.  They
+        are preconditioned by ``sine_solve`` between two diagonal
+        scalings by (1 + d+/k)^{-1/2}, where k is the interior diagonal
+        of the sine operator and d+ the positive part of d: while d is
+        small against k that is ``sine_solve`` itself, and where d
+        dominates, as the damping does near blow-up, it restores the
+        diagonal that ``sine_solve`` misses.  No factorization is ever
+        made."""
         if self.grid.dim == 1:
             eye_band, B_band, L_band = self.bands
-            return solve_spd_banded(eye_band + a * B_band - c * L_band, rhs)
+            ab = eye_band + a * B_band - c * L_band
+            ab[2] += d
+            x, y = solve_spd_banded(ab, np.column_stack((rhs, w))).T
+            return x - (rho * (w @ x) / (1.0 + rho * (w @ y))) * y
+        apply = self.matvec(a, c)
+        h = self.grid.h
+        k = 1.0 + 20.0 * a / h**4 + 4.0 * c / h**2
+        s = 1.0 / np.sqrt(1.0 + np.maximum(d, 0.0) / k)
         return conjugate_gradient(
-            self.matvec(a, c), rhs, x0=x0, rtol=rtol, max_iter=500,
-            M=lambda r: self.sine_solve(a, c, r),
-            a_norm=1.0 + a * self.norm_B + c * self.norm_L)
+            lambda x: apply(x) + d * x + (rho * (w @ x)) * w, rhs,
+            x0=np.zeros_like(rhs), rtol=rtol, max_iter=500,
+            M=lambda r: s * self.sine_solve(a, c, s * r),
+            a_norm=(1.0 + a * self.norm_B + c * self.norm_L + np.abs(d)
+                    + rho * np.abs(w) * np.abs(w).sum()))
 
     def form(self, name: str) -> tuple[Callable, Callable]:
         """Matrix product and exact solve of the fixed quadratic form

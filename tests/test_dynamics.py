@@ -1,4 +1,4 @@
-"""Time integration: damping flow, energy identity, blow-up detection."""
+"""Time integration: the implicit step, energy identity, blow-up detection."""
 
 import math
 
@@ -8,14 +8,25 @@ from scipy.integrate import solve_ivp
 
 from beamblow import (
     ModelParams,
+    RunConfig,
     StepControls,
     adapt_dt,
-    damping_flow,
     detect_blowup,
     make_grid,
     preset,
     simulate,
 )
+
+
+# Dense-Jacobian Radau IIA (scipy's solve_ivp, rtol 1e-11) on a model of
+# the same discretization assembled independently of the package, at
+# 1D N = 32 with p = 3, r = 2, gamma = 1/2, beta = 1 and the
+# negative_energy data: the times at which max|u| first reaches 1e3 and
+# 1e6.
+RADAU_CROSSINGS_1D_N32 = {1e3: 0.1854969, 1e6: 0.2480639}
+# The singular time T* of the default run (RunConfig(), 1D N = 128):
+# the Radau run's max|u|^(-1/k) is linear in T* - t near blow-up.
+T_STAR_DEFAULT_1D = 0.2493837
 
 
 def total_defect(traj):
@@ -32,35 +43,6 @@ def test_step_controls_validation():
         StepControls(dt_max=1e-3, dt_min=1.0)
     with pytest.raises(ValueError):
         StepControls(residual_target=0.0)
-
-
-def test_damping_flow_linear():
-    prm = ModelParams(p=3.0, r=1.0, gamma=0.5, beta=1.0)
-    v = np.array([2.0, -1.0, 0.0])
-    out = damping_flow(prm, v, 0.3)
-    assert out == pytest.approx(v * math.exp(-0.3), rel=1e-14)
-
-
-def test_damping_flow_cubic_closed_form():
-    # dv/dt = -v^3 integrates to v0 / sqrt(1 + 2 t v0^2)
-    prm = ModelParams(p=5.0, r=3.0, gamma=0.5, beta=1.0)
-    v0 = np.array([4.0, -0.5])
-    tau = 0.7
-    out = damping_flow(prm, v0, tau)
-    assert out == pytest.approx(v0 / np.sqrt(1 + 2 * tau * v0**2), rel=1e-13)
-
-
-def test_damping_flow_matches_ode():
-    prm = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
-    v0 = 3.0
-    tau = 0.5
-    sol = solve_ivp(lambda t, v: -np.abs(v) * v, (0, tau), [v0],
-                    rtol=1e-12, atol=1e-14)
-    out = damping_flow(prm, np.array([v0]), tau)
-    assert out[0] == pytest.approx(sol.y[0, -1], rel=1e-9)
-    # flow property: two half steps equal one full step
-    half = damping_flow(prm, damping_flow(prm, np.array([v0]), tau / 2), tau / 2)
-    assert half[0] == pytest.approx(out[0], rel=1e-13)
 
 
 def test_scheme_matches_reference_ode():
@@ -80,6 +62,64 @@ def test_scheme_matches_reference_ode():
     assert traj.termination == "time_limit"
     assert traj.final_state.u[0] == pytest.approx(ref.y[0, -1], abs=5e-7)
     assert traj.final_state.v[0] == pytest.approx(ref.y[1, -1], abs=5e-6)
+
+
+def test_crossings_match_dense_jacobian_radau():
+    g = make_grid(1, 32)
+    prm = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
+    data = preset("negative_energy", g, prm)
+    traj = simulate(g, prm, data.u0, data.u1, StepControls(), t_max=10.0,
+                    blow_threshold=1e6)
+    assert traj.termination == "blowup_threshold"
+    est = detect_blowup(traj.times(), traj.series("linf_u"),
+                        tuple(RADAU_CROSSINGS_1D_N32))
+    assert len(est.crossings) == 2
+    for crossing in est.crossings:
+        assert crossing.t_cross == pytest.approx(
+            RADAU_CROSSINGS_1D_N32[crossing.threshold], rel=5e-4)
+
+
+def default_run():
+    cfg = RunConfig()
+    grid, prm = cfg.grid(), cfg.model_params()
+    data = preset(cfg.preset, grid, prm, cfg.amplitude)
+    traj = simulate(grid, prm, data.u0, data.u1, cfg.step_controls(),
+                    t_max=cfg.t_max, blow_threshold=cfg.blow_threshold)
+    return cfg, traj
+
+
+def test_default_run_T_num_covers_the_singular_time():
+    cfg, traj = default_run()
+    assert traj.termination == "blowup_threshold"
+    assert traj.n_steps <= 5000
+    est = detect_blowup(traj.times(), traj.series("lp1_u"), cfg.thresholds)
+    assert est.detected and not est.coarse
+    assert abs(est.T_num - T_STAR_DEFAULT_1D) <= est.uncertainty
+
+
+def test_dissipation_accounts_for_the_energy_drop():
+    # the default run stopped at max|u| = 1e4: the energy-identity
+    # residuals the run reports are at most 1% of E(0) - E(T)
+    cfg = RunConfig(blow_threshold=1e4)
+    grid, prm = cfg.grid(), cfg.model_params()
+    data = preset(cfg.preset, grid, prm, cfg.amplitude)
+    traj = simulate(grid, prm, data.u0, data.u1, cfg.step_controls(),
+                    t_max=cfg.t_max, blow_threshold=cfg.blow_threshold)
+    assert traj.termination == "blowup_threshold"
+    E = traj.series("E")
+    drop = E[0] - E[-1]
+    assert drop > 0.0
+    assert total_defect(traj) <= 1e-2 * drop
+
+
+def test_step_counts_add_up():
+    cfg, traj = default_run()
+    n = traj.counts
+    rejected = (n.rejected_nonfinite + n.rejected_solver + n.rejected_newton
+                + n.rejected_energy)
+    assert n.attempts == traj.n_steps + rejected
+    assert n.attempts <= n.linear_solves
+    assert n.newton_iters <= n.linear_solves
 
 
 def test_zero_field_stays_zero(grid64, params):

@@ -158,13 +158,20 @@ def test_cg_fails_fast_on_a_non_finite_operator():
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 24)])
 def test_step_solve_matches_a_direct_solve(dim, n):
+    # the Newton matrix I + a B - c L + diag(d) + rho w w^T, with d
+    # spread over six decades and a rank-1 term as large as the rest
     g = make_grid(dim, n)
     ops = operators(g)
     a, c = coefficients(1e-3, mbar=5.0)
-    rhs = np.random.default_rng(13).standard_normal(g.size)
-    x = ops.solve(a, c, rhs, np.zeros(g.size), 1e-12)
+    rng = np.random.default_rng(13)
+    rhs = rng.standard_normal(g.size)
+    d = 10.0**rng.uniform(-3.0, 3.0, g.size)
+    w = rng.standard_normal(g.size)
+    rho = 1.0 / (w @ w)
+    x = ops.solve(a, c, d, rho, w, rhs, 1e-12)
     A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()
-    ref = spla.spsolve(A, rhs)
+    ref = np.linalg.solve(A.toarray() + np.diag(d) + rho * np.outer(w, w),
+                          rhs)
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
     assert np.linalg.norm(ops.matvec(a, c)(x) - A @ x) <= (
         1e-14 * np.linalg.norm(A @ x))
