@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer costs of the time stepper and the solves, before and after
-a change.
+"""Per-layer costs of the time stepper and the solves, and the start-up
+cost of the package, before and after a change.
 
     python scripts/bench.py --before OTHER_CHECKOUT/src [--case NAME]
 
@@ -44,6 +44,12 @@ The cases:
     (median, 10th and 90th percentiles over repeated solves of one
     right-hand side) and the bytes of the arrays the solve function
     holds, which is its factor.
+  * ``startup``: the wall time of fresh processes, measured from
+    outside them: ``python -c "import beamblow"`` and the whole default
+    ``beamblow simulate`` run (an empty configuration file, so
+    ``RunConfig()``), each repeated, reporting the median and quartiles
+    per side and the runs.  With ``--before`` the two sides alternate
+    run by run, so drift of the host falls on both alike.
 
 The counts and times of ``2d_solve`` and ``step_1d`` come from the
 benchmark's tracer (``perfbench/tracing.py``), which wraps the
@@ -75,6 +81,7 @@ RUN_1D_REPEATS = 3
 T_STAR_1D = 0.2493837
 FORMS_N = (64, 96, 128)
 FORM_SOLVES = 40
+STARTUP_REPEATS = 11
 THREADS = {name: "2" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
 FACTORIZATIONS = ("solvers.lu_preconditioner", "solvers.ilu_preconditioner")
@@ -278,8 +285,38 @@ def measure_2d_forms(src: str) -> dict:
     return {"solves_per_form": FORM_SOLVES, "forms": result}
 
 
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def measure_startup(sides: dict[str, Path]) -> dict:
+    """Fresh-process wall times of each side, the sides interleaved."""
+    import tempfile
+    import time
+
+    commands = {"import_s": ["-c", "import beamblow"],
+                "simulate_s": ["-m", "beamblow.cli", "simulate",
+                               "--config", "run.txt", "--out", "out"]}
+    times = {side: {key: [] for key in commands} for side in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "run.txt").write_text("")
+        for _ in range(STARTUP_REPEATS):
+            for side, src in sides.items():
+                env = {**os.environ, **THREADS, "PYTHONPATH": str(src)}
+                for key, args in commands.items():
+                    start = time.perf_counter()
+                    subprocess.run([sys.executable, *args], cwd=tmp, env=env,
+                                   capture_output=True, check=True)
+                    times[side][key].append(time.perf_counter() - start)
+    return {side: {key: spread(values) for key, values in by_key.items()}
+            for side, by_key in times.items()}
+
+
 CASES = {"2d_solve": measure_2d_solve, "step_1d": measure_step_1d,
          "run_1d": measure_run_1d, "2d_forms": measure_2d_forms}
+# cases that time whole processes and so run every side themselves
+PROCESS_CASES = {"startup": measure_startup}
 
 
 def run_side(case: str, src: Path) -> dict:
@@ -307,7 +344,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--before", type=Path,
                     help="src directory of the version to compare against")
-    ap.add_argument("--case", choices=sorted(CASES),
+    ap.add_argument("--case", choices=sorted(CASES | PROCESS_CASES),
                     help="run only this case (default: every case)")
     ap.add_argument("--out-dir", type=Path, default=ROOT,
                     help="where BENCH_<case>.json is written")
@@ -319,12 +356,17 @@ def main() -> int:
 
     import numpy
     import scipy
-    for case in [args.case] if args.case else sorted(CASES):
+    sides = {"after": ROOT / "src"}
+    if args.before is not None:
+        sides = {"before": args.before.resolve(), **sides}
+    for case in [args.case] if args.case else sorted(CASES | PROCESS_CASES):
         result = {"machine": machine(), "numpy": numpy.__version__,
                   "scipy": scipy.__version__, "blas_threads": 2}
-        if args.before is not None:
-            result["before"] = run_side(case, args.before.resolve())
-        result["after"] = run_side(case, ROOT / "src")
+        if case in PROCESS_CASES:
+            result.update(PROCESS_CASES[case](sides))
+        else:
+            for side, src in sides.items():
+                result[side] = run_side(case, src)
         out = args.out_dir / f"BENCH_{case}.json"
         out.write_text(json.dumps(result, indent=2) + "\n")
         print(f"{out}:\n{json.dumps(result, indent=2)}")

@@ -368,7 +368,7 @@ def _suite_chain_consistency() -> tuple[bool, str]:
             if not (0.0 < c.eps0 < c.delta3 <= c.delta2
                     <= c.delta1 <= c.delta0):
                 problems.append(f"ordering broken at p={p}, r={r}")
-    # doubling-segment quadrature against its closed form: with K1 = 0,
+    # the Theorem 3.4 quadrature against its closed form: with K1 = 0,
     # K2 = 1/4 and p = 3 the integral from 1 is exactly log(5) / 2
     truncated, with_tail = _lower_34_integral(1.0, 0.0, 0.25, 3.0)
     want = 0.5 * math.log(5.0)

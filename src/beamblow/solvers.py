@@ -23,13 +23,16 @@ rows of small norm carry errors of order one.
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbsv
 
 from .errors import ConvergenceFailure
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 
 def operator_norm_estimate(A: sp.spmatrix) -> float:
@@ -63,19 +66,25 @@ def solve_spd_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def lu_preconditioner(A: sp.spmatrix) -> spla.LinearOperator:
+def lu_preconditioner(A: sp.spmatrix) -> LinearOperator:
     """Exact sparse LU wrapped as a linear operator applying A^{-1}.
     No caller in the package; kept for code that looks it up by name,
-    such as the benchmark's tracer (perfbench/tracing.py)."""
+    such as the benchmark's tracer (perfbench/tracing.py).  It imports
+    scipy.sparse.linalg itself, so importing the package does not."""
+    import scipy.sparse.linalg as spla
+
     lu = spla.splu(A.tocsc())
     return spla.LinearOperator(A.shape, matvec=lu.solve)
 
 
 def ilu_preconditioner(A: sp.spmatrix, drop_tol: float = 1e-5,
-                       fill_factor: float = 20.0) -> spla.LinearOperator:
+                       fill_factor: float = 20.0) -> LinearOperator:
     """Incomplete LU wrapped as a preconditioner.  Nothing in the
     package calls it; it is kept for code that looks it up by name,
-    such as the benchmark's tracer (perfbench/tracing.py)."""
+    such as the benchmark's tracer (perfbench/tracing.py), and it
+    imports scipy.sparse.linalg itself, like ``lu_preconditioner``."""
+    import scipy.sparse.linalg as spla
+
     ilu = spla.spilu(A.tocsc(), drop_tol=drop_tol, fill_factor=fill_factor)
     return spla.LinearOperator(A.shape, matvec=ilu.solve)
 

@@ -156,6 +156,33 @@ def test_lower_34_integral_closed_form():
     assert _lower_34_integral(math.inf, math.nan, 0.25, 3.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("K2", [1e-4, 0.25, 1e3])
+@pytest.mark.parametrize("p,F0", [
+    *((p, F0) for p in (1.5, 2.5, 3.0, 5.0)
+      for F0 in (1e-6, 0.3, 1.0, 7.0, 1e30)),
+    # p > 5 narrows the panels; F0 = 1e30 would put the value below
+    # the smallest normal float
+    *((p, F0) for p in (12.0, 20.0) for F0 in (1e-6, 0.3, 1.0, 7.0))])
+def test_lower_34_integral_brackets_the_closed_form(p, F0, K2):
+    # K1 = 0: int_F0^inf dy/(y + K2 y^p) = ln(1 + 1/(K2 F0^(p-1)))/(p-1)
+    exact = math.log1p(1.0 / (K2 * F0 ** (p - 1.0))) / (p - 1.0)
+    truncated, with_tail = _lower_34_integral(F0, 0.0, K2, p)
+    assert truncated <= exact
+    # the tail overestimate exceeds the true tail by about
+    # (p-1)/2 tail^2, far below rounding, so the upper side holds to
+    # rounding only
+    assert exact <= with_tail * (1.0 + 1e-14)
+    assert with_tail - truncated <= 1e-8 * exact
+
+
+def test_lower_34_integral_of_overflowing_data_is_zero():
+    # y^3 overflows a float from y ~ 6e102 on; in ln y the overflowed
+    # terms are 0.  The exact value, about F0^(1-p)/((p-1) K2), is
+    # below 1e-470 in both cases, under the smallest float.
+    assert _lower_34_integral(1e240, 0.0, 1e3, 3.0) == (0.0, 0.0)
+    assert _lower_34_integral(1e240, 1e200, 8e-9, 3.0) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("alpha,gamma", [(0.25, 0.5), (0.125, 0.5),
                                          (0.05, 0.1), (0.4, 1.0),
                                          (0.3, 3.0)])

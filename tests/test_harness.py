@@ -305,6 +305,20 @@ def test_cli_simulate_with_non_finite_initial_energy(tmp_path, capsys,
     assert "lower.T_lower_34_truncated = 0" in report
 
 
+
+def test_cli_simulate_with_overflowing_lower_bound_integrand(tmp_path,
+                                                            capsys):
+    # F0 = ||u0||_4^4 is about 1.8e240, so F0^3 overflows a float; the
+    # Theorem 3.4 integral is 0 instead of raising OverflowError
+    cfg = tmp_path / "run.txt"
+    cfg.write_text("N = 32\npreset = sine_bump\namplitude = 1e60\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    report = dict(line.split(" = ", 1) for line in
+                  (out / "report.txt").read_text().splitlines())
+    assert float(report["lower.F0"]) > 1e240
+    assert math.isfinite(float(report["lower.T_lower_34_truncated"]))
+
 def test_cli_spectra(tmp_path, capsys):
     cfg = tmp_path / "run.txt"
     cfg.write_text(serialize_config(QUIET))
