@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Drive one configuration through blow-up and print the full portrait:
 variational constants, certificate chains, threshold crossings, and the
-fitted blow-up time against its certified sandwich.
+estimated blow-up time against its certified sandwich.
 
 Defaults reproduce the negative-energy benchmark at a coarse grid so a
 run takes a few seconds; pass --config for anything else.

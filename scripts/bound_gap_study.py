@@ -24,9 +24,8 @@ def run_cell(p: float, n: int, r: float) -> dict:
     traj = simulate(grid, params, data.u0, data.u1, config.step_controls(),
                     t_max=config.t_max, blow_threshold=config.blow_threshold)
     estimate = detect_blowup(traj.times(), traj.series("lp1_u"),
-                             config.thresholds)
-    report = full_report(grid, data.u0, data.u1, params, consts, traj,
-                         estimate=estimate)
+                             config.thresholds, params.blowup_exponent)
+    report = full_report(grid, data.u0, data.u1, params, consts, estimate)
     return {"p": p, "report": report, "steps": traj.n_steps}
 
 

@@ -52,7 +52,8 @@ def main() -> int:
             traj = simulate(grid, params, data.u0, data.u1, StepControls(),
                             t_max=5.0, blow_threshold=1e6)
             est = detect_blowup(traj.times(), traj.series("lp1_u"),
-                                (1e1, 1e2, 1e3, 1e4, 1e5))
+                                (1e1, 1e2, 1e3, 1e4, 1e5),
+                                params.blowup_exponent)
             row += (f" {est.T_num:12.6f}" if est.detected
                     else f" {'-':>12}")
         print(row)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .dynamics import DEFAULT_THRESHOLDS, BlowupEstimate, Trajectory, detect_blowup
+from .dynamics import BlowupEstimate, Trajectory
 from .errors import ConfigError, ConvergenceFailure
 from .functionals import ModelParams, _power, energy_E
 from .mesh import Grid, grad_norm_sq, inner, lap_norm_sq, norm_l2, norm_lq
@@ -582,16 +582,14 @@ class BoundReport:
 
 def full_report(grid: Grid, u0: np.ndarray, u1: np.ndarray,
                 params: ModelParams, consts: VariationalConstants,
-                traj: Trajectory | None, *,
-                estimate: BlowupEstimate | None = None,
-                thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-                mu: float = 1.0, m_safety: float = 2.0,
-                alpha_override: float | None = None,
+                estimate: BlowupEstimate | None, *, mu: float = 1.0,
+                m_safety: float = 2.0, alpha_override: float | None = None,
                 eps_override: float | None = None) -> BoundReport:
     """Evaluate every chain against one run and check the bound sandwich.
 
-    Chain failures become not-applicable verdicts rather than errors.
-    sandwich_ok is vacuously true when no blow-up was detected;
+    ``estimate`` is the run's ``detect_blowup`` result, or None without
+    a run.  Chain failures become not-applicable verdicts rather than
+    errors.  sandwich_ok is vacuously true when no blow-up was detected;
     otherwise it requires every certified lower bound at or below
     T_num and, when an upper chain applies, T_num at or below T_upper.
     """
@@ -621,11 +619,6 @@ def full_report(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     if verdicts["thm33_applicable"] and chain33.T_upper is not None:
         uppers.append(chain33.T_upper)
     T_upper = min(uppers) if uppers else None
-
-    if estimate is None and traj is not None:
-        times = traj.times()
-        values = traj.series("lp1_u")
-        estimate = detect_blowup(times, values, thresholds)
 
     detected = bool(estimate is not None and estimate.detected)
     T_num = estimate.T_num if estimate is not None else None

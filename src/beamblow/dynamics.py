@@ -358,7 +358,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
                       counts=counts)
 
 
-# default crossing ladder on ||u||_{p+1} for blow-up time fitting
+# default crossing ladder on ||u||_{p+1} for blow-up detection
 DEFAULT_THRESHOLDS: tuple[float, ...] = tuple(10.0**k for k in range(2, 9))
 
 
@@ -370,11 +370,12 @@ class ThresholdCrossing:
 
 @dataclass(frozen=True)
 class BlowupEstimate:
-    """Fitted numerical blow-up time.
+    """Numerical blow-up time from the blow-up law.
 
     ``detected`` means the top threshold was crossed.  ``coarse`` marks
     estimates that fall back to the last crossing time because the tail
-    held fewer than five samples; those carry infinite uncertainty.
+    held fewer than five samples or did not grow at its end; those
+    carry infinite uncertainty.
     """
 
     detected: bool
@@ -384,37 +385,20 @@ class BlowupEstimate:
     coarse: bool
 
 
-def _golden_minimize(f, lo: float, hi: float, iters: int = 120) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def detect_blowup(times: np.ndarray, values: np.ndarray,
-                  thresholds: tuple[float, ...]) -> BlowupEstimate:
+                  thresholds: tuple[float, ...], k: float) -> BlowupEstimate:
     """Estimate the blow-up time from a growing norm series.
 
     Threshold crossings are located by log-linear interpolation between
-    samples.  When the tail (every sample from the first crossing of
-    the lowest threshold onward) holds at least five samples, it is
-    fitted to the power ansatz
-    value = K (T - t)^{-k} by minimizing the log-log least-squares
-    residual over T (golden section in log(T - t_last)); the reported
-    uncertainty is the gap between the fitted T and the top observed
-    crossing.  Blow-up counts as detected only if the highest threshold
-    was crossed.
+    samples.  Near blow-up the series follows the law
+    value ~ (T - t)^(-k) (``ModelParams.blowup_exponent``), so
+    value^(-1/k) falls linearly to zero at T.  T_num is where the line
+    through the last two samples of the tail (every sample from the
+    first crossing of the lowest threshold onward) meets zero; the
+    reported uncertainty is the gap between T_num and the top observed
+    crossing.  A tail of fewer than five samples, or one whose last
+    sample does not grow, gives the coarse estimate.  Blow-up counts as
+    detected only if the highest threshold was crossed.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -425,6 +409,8 @@ def detect_blowup(times: np.ndarray, values: np.ndarray,
     thresholds = tuple(sorted(float(th) for th in thresholds))
     if not thresholds or thresholds[0] <= 0:
         raise ValueError("thresholds must be positive")
+    if not k > 0:
+        raise ValueError(f"blow-up exponent must be positive, got {k}")
 
     crossings = []
     for th in thresholds:
@@ -451,30 +437,18 @@ def detect_blowup(times: np.ndarray, values: np.ndarray,
     keep = values[i0:] > 0
     t_tail = times[i0:][keep]
     a_tail = values[i0:][keep]
-    t_last = float(t_tail[-1])
-    if len(t_tail) < 5:
+    # the law's line value^(-1/k) at the last two samples falls, unless
+    # the tail stopped growing
+    y = a_tail[-2:] ** (-1.0 / k)
+    if len(t_tail) < 5 or not y[0] > y[1]:
         return BlowupEstimate(detected=detected,
                               T_num=crossings[-1].t_cross,
                               uncertainty=np.inf, crossings=crossings,
                               coarse=True)
 
-    span = t_last - float(times[0])
-    if span <= 0:
-        span = 1.0
-    log_lo = np.log(1e-12 * max(1.0, t_last))
-    log_hi = np.log(span)
-    log_a = np.log(a_tail)
-
-    def fit_residual(log_gap: float) -> float:
-        T = t_last + np.exp(log_gap)
-        x = np.log(T - t_tail)
-        coef = np.polyfit(x, log_a, 1)
-        res = log_a - np.polyval(coef, x)
-        return float(res @ res)
-
-    best = _golden_minimize(fit_residual, log_lo, log_hi)
-    T_fit = t_last + float(np.exp(best))
-    uncertainty = abs(T_fit - crossings[-1].t_cross)
-    return BlowupEstimate(detected=detected, T_num=T_fit,
+    (t0, t1), (y0, y1) = t_tail[-2:], y
+    T_num = float(t1 + y1 * (t1 - t0) / (y0 - y1))
+    uncertainty = abs(T_num - crossings[-1].t_cross)
+    return BlowupEstimate(detected=detected, T_num=T_num,
                           uncertainty=uncertainty, crossings=crossings,
                           coarse=False)

@@ -59,6 +59,13 @@ class ModelParams:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
 
+    @property
+    def blowup_exponent(self) -> float:
+        """Exponent k of the blow-up law |u| ~ (T* - t)^(-k): the
+        inertial rate 2/(p-1) or the damping rate r/(p-r), whichever
+        is larger."""
+        return max(2.0 / (self.p - 1.0), self.r / (self.p - self.r))
+
 
 def kirchhoff(params: ModelParams, s: float) -> float:
     """Stiffness coefficient M(s) = 1 + beta * s^gamma for s >= 0."""

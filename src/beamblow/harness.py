@@ -92,9 +92,8 @@ def _evaluate(config: RunConfig) -> RunArtifacts:
                     t_max=config.t_max, blow_threshold=config.blow_threshold,
                     output_every=config.output_every)
     estimate = detect_blowup(traj.times(), traj.series("lp1_u"),
-                             config.thresholds)
-    report = full_report(grid, data.u0, data.u1, params, consts, traj,
-                         estimate=estimate, thresholds=config.thresholds,
+                             config.thresholds, params.blowup_exponent)
+    report = full_report(grid, data.u0, data.u1, params, consts, estimate,
                          mu=config.mu, m_safety=config.M_safety,
                          alpha_override=config.alpha_override,
                          eps_override=config.eps_override)
@@ -390,8 +389,9 @@ def _suite_sandwich() -> tuple[bool, str]:
     thresholds = (1e2, 1e3, 1e4, 1e5)
     traj = simulate(grid, params, data.u0, data.u1, StepControls(),
                     t_max=10.0, blow_threshold=1e6)
-    report = full_report(grid, data.u0, data.u1, params, consts, traj,
-                         thresholds=thresholds)
+    estimate = detect_blowup(traj.times(), traj.series("lp1_u"), thresholds,
+                             params.blowup_exponent)
+    report = full_report(grid, data.u0, data.u1, params, consts, estimate)
     ok = (report.blowup_detected and report.sandwich_ok
           and report.thm31_verdict == "case_i"
           and report.T_upper is not None and report.T_num is not None)

@@ -143,31 +143,28 @@ def _negative_energy_amplitude(grid: Grid, params: ModelParams,
 
 
 def preset(name: str, grid: Grid, params: ModelParams,
-           amplitude: float = 1.0, *, energy_R: float = 1.0,
-           B: float | None = None) -> InitialData:
+           amplitude: float = 1.0, *, energy_R: float = 1.0) -> InitialData:
     """Named initial-data families.
 
     ``sine_bump``: amplitude times the first clamped-plate eigenfield,
     zero velocity.  ``negative_energy``: the same eigenfield scaled
     1.25x past its zero-potential amplitude (times ``amplitude``), so
     E(0) < 0 strictly.  ``high_energy``: two-mode construction at
-    energy level ``energy_R`` with the growth weight ``B`` (computed
-    from the concavity chain when not supplied).
+    energy level ``energy_R`` with the growth weight B of the
+    concavity chain.
     """
     if name not in PRESET_NAMES:
         raise ConstructionFailure(f"unknown preset {name!r}; "
                                   f"expected one of {PRESET_NAMES}")
     if name == "high_energy":
-        if B is None:
-            from .bounds import thm31_constants
+        from .bounds import thm31_constants
 
-            lam1_lap, _ = smallest_eigen(grid, "laplacian")
-            chain = thm31_constants(params, lam1_lap**-0.5)
-            if not chain.feasible:
-                raise ConstructionFailure("growth chain infeasible; "
-                                          "cannot pick the energy weight B")
-            B = chain.B
-        data = construct_energy_level(grid, params, energy_R, B)
+        lam1_lap, _ = smallest_eigen(grid, "laplacian")
+        chain = thm31_constants(params, lam1_lap**-0.5)
+        if not chain.feasible:
+            raise ConstructionFailure("growth chain infeasible; "
+                                      "cannot pick the energy weight B")
+        data = construct_energy_level(grid, params, energy_R, chain.B)
         data.meta["preset"] = name
         return data
 

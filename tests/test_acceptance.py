@@ -82,9 +82,8 @@ def constructed_runs(grid64, params, consts64):
     traj = simulate(grid64, params, data.u0, data.u1, StepControls(),
                     t_max=10.0, blow_threshold=1e9)
     estimate = detect_blowup(traj.times(), traj.series("lp1_u"),
-                             DEFAULT_THRESHOLDS)
-    report = full_report(grid64, data.u0, data.u1, params, consts64, traj,
-                         estimate=estimate)
+                             DEFAULT_THRESHOLDS, params.blowup_exponent)
+    report = full_report(grid64, data.u0, data.u1, params, consts64, estimate)
     run_seconds = time.perf_counter() - t0
     return {"levels": levels, "chain": chain, "traj": traj,
             "estimate": estimate, "report": report,

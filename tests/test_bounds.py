@@ -9,6 +9,7 @@ from beamblow import (
     ModelParams,
     Thm31Chain,
     construct_energy_level,
+    detect_blowup,
     energy_E,
     full_report,
     growth_functional,
@@ -250,8 +251,9 @@ def test_full_report_without_blowup(grid48, params, consts48):
     data = preset("negative_energy", grid48, params)
     traj = simulate(grid48, params, data.u0, data.u1, StepControls(),
                     t_max=0.01)
-    report = full_report(grid48, data.u0, data.u1, params, consts48, traj,
-                         thresholds=(1e20, 1e21))
+    estimate = detect_blowup(traj.times(), traj.series("lp1_u"),
+                             (1e20, 1e21), params.blowup_exponent)
+    report = full_report(grid48, data.u0, data.u1, params, consts48, estimate)
     assert report.thm31_verdict == "case_i"
     assert report.verdicts["thm31_case_i"]
     assert not report.blowup_detected

@@ -24,6 +24,8 @@ from beamblow import (
 # negative_energy data: the times at which max|u| first reaches 1e3 and
 # 1e6.
 RADAU_CROSSINGS_1D_N32 = {1e3: 0.1854969, 1e6: 0.2480639}
+# Its singular time T*: max|u|^(-1/k) is linear in T* - t near blow-up.
+T_STAR_1D_N32 = 0.2500652
 # The singular time T* of the default run (RunConfig(), 1D N = 128):
 # the Radau run's max|u|^(-1/k) is linear in T* - t near blow-up.
 T_STAR_DEFAULT_1D = 0.2493837
@@ -64,19 +66,35 @@ def test_scheme_matches_reference_ode():
     assert traj.final_state.v[0] == pytest.approx(ref.y[1, -1], abs=5e-6)
 
 
-def test_crossings_match_dense_jacobian_radau():
+@pytest.fixture(scope="module")
+def radau_run_1d_n32():
+    """The Radau reference's run: 1D N = 32, negative_energy, to 1e6."""
     g = make_grid(1, 32)
     prm = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
     data = preset("negative_energy", g, prm)
     traj = simulate(g, prm, data.u0, data.u1, StepControls(), t_max=10.0,
                     blow_threshold=1e6)
     assert traj.termination == "blowup_threshold"
+    return traj
+
+
+def test_crossings_match_dense_jacobian_radau(radau_run_1d_n32):
+    traj = radau_run_1d_n32
     est = detect_blowup(traj.times(), traj.series("linf_u"),
-                        tuple(RADAU_CROSSINGS_1D_N32))
+                        tuple(RADAU_CROSSINGS_1D_N32),
+                        traj.params.blowup_exponent)
     assert len(est.crossings) == 2
     for crossing in est.crossings:
         assert crossing.t_cross == pytest.approx(
             RADAU_CROSSINGS_1D_N32[crossing.threshold], rel=5e-4)
+
+
+def test_T_num_matches_radau_singular_time(radau_run_1d_n32):
+    traj = radau_run_1d_n32
+    est = detect_blowup(traj.times(), traj.series("lp1_u"),
+                        (1e2, 1e3, 1e4, 1e5), traj.params.blowup_exponent)
+    assert est.detected and not est.coarse
+    assert abs(est.T_num - T_STAR_1D_N32) <= 5e-5
 
 
 def default_run():
@@ -92,7 +110,8 @@ def test_default_run_T_num_covers_the_singular_time():
     cfg, traj = default_run()
     assert traj.termination == "blowup_threshold"
     assert traj.n_steps <= 5000
-    est = detect_blowup(traj.times(), traj.series("lp1_u"), cfg.thresholds)
+    est = detect_blowup(traj.times(), traj.series("lp1_u"), cfg.thresholds,
+                        traj.params.blowup_exponent)
     assert est.detected and not est.coarse
     assert abs(est.T_num - T_STAR_DEFAULT_1D) <= est.uncertainty
 
@@ -243,14 +262,15 @@ def test_fixed_step_overflow_ends_in_solver_failure(monkeypatch, dim,
 
 
 def test_detect_blowup_synthetic_pole():
-    # value = 3 (1 - t)^{-2} has an exact pole at T = 1
+    # value = 3 (1 - t)^{-2} has an exact pole at T = 1, and the law with
+    # k = 2 recovers it
     t = np.linspace(0.0, 0.999, 4000)
     v = 3.0 * (1.0 - t) ** (-2.0)
     thresholds = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
-    est = detect_blowup(t, v, thresholds)
+    est = detect_blowup(t, v, thresholds, 2.0)
     assert est.detected
     assert not est.coarse
-    assert est.T_num == pytest.approx(1.0, abs=1e-3)
+    assert abs(est.T_num - 1.0) <= 1e-9
     assert est.uncertainty < 1e-2
     assert len(est.crossings) == len(thresholds)
     # crossing times are increasing in the threshold
@@ -258,16 +278,37 @@ def test_detect_blowup_synthetic_pole():
     assert all(a < b for a, b in zip(cts, cts[1:]))
 
 
+def test_detect_blowup_decaying_tail_is_coarse():
+    # the series crosses both thresholds and then decays: no pole ahead
+    t = np.linspace(0.0, 0.9, 200)
+    v = 1.0 + 1e3 * np.sin(np.pi * t)
+    est = detect_blowup(t, v, (10.0, 100.0), 2.0)
+    assert est.detected
+    assert est.coarse
+    assert est.T_num == est.crossings[-1].t_cross
+    assert math.isinf(est.uncertainty)
+
+
 def test_detect_blowup_negative_cases():
     t = np.linspace(0.0, 1.0, 200)
     flat = np.ones_like(t)
-    est = detect_blowup(t, flat, (10.0, 100.0))
+    est = detect_blowup(t, flat, (10.0, 100.0), 2.0)
     assert not est.detected
     assert est.T_num is None
     # growing but never reaching the top threshold
-    est2 = detect_blowup(t, 1.0 + 20.0 * t, (10.0, 1e6))
+    est2 = detect_blowup(t, 1.0 + 20.0 * t, (10.0, 1e6), 2.0)
     assert not est2.detected
     assert len(est2.crossings) == 1
+    with pytest.raises(ValueError):
+        detect_blowup(t, flat, (10.0,), 0.0)
+
+
+def test_blowup_exponent_is_the_larger_of_the_two_laws():
+    # inertial 2/(p-1) against damping r/(p-r)
+    for p, r, k in ((3.0, 1.0, 1.0), (3.0, 2.0, 2.0), (3.0, 2.5, 5.0),
+                    (4.0, 2.0, 1.0), (5.0, 1.0, 0.5)):
+        prm = ModelParams(p=p, r=r, gamma=0.5, beta=1.0)
+        assert prm.blowup_exponent == pytest.approx(k, rel=1e-15)
 
 
 def test_blowup_termination(grid48, params):
