@@ -15,12 +15,13 @@ The cases:
   * ``2d_solve``: the 2D time stepper at N = 32, 64 and 128, a fixed
     number of steps of ``dynamics.simulate`` from a clamped bump of
     amplitude 200 (p = 3, r = 2), reporting microseconds per implicit
-    solve (the time in ``solvers.conjugate_gradient`` plus the time in
-    sparse factorizations, per CG solve), CG iterations per solve, and
-    factorizations (``solvers.lu_preconditioner`` and
-    ``solvers.ilu_preconditioner`` calls) per accepted step; and the
-    wall time of the first ``spectra.smallest_eigen`` call for the
-    clamped plate at N = 64 and 96, set-up of its solver included.
+    solve (the time in ``solvers.conjugate_gradient`` per CG solve) and
+    CG iterations per solve; the wall time of the first
+    ``spectra.smallest_eigen`` call for the clamped plate at N = 64 and
+    96, set-up of its solver included; and then, on the same grids, the
+    wall time of ``spectra.compute_constants`` for the same parameters
+    (the set-up of the fixed forms and the embedding sweeps, the plate
+    eigenpair already at hand).
   * ``step_1d``: the default 1D run (``RunConfig()``, N = 128) for at
     most 2000 accepted steps (the whole run when it reaches its blow
     threshold sooner), repeated in one process after a warm-up run,
@@ -85,7 +86,6 @@ FORM_SOLVES = 40
 STARTUP_REPEATS = 11
 THREADS = {name: "2" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
-FACTORIZATIONS = ("solvers.lu_preconditioner", "solvers.ilu_preconditioner")
 # per-call layers of the 1D step loop, by tracer name
 STEP_1D_LAYERS = {"step": "dynamics.step", "snapshot": "functionals.snapshot",
                   "adapt_dt": "dynamics.adapt_dt",
@@ -128,26 +128,26 @@ def measure_2d_solve(src: str) -> dict:
                            bb.StepControls(max_steps=STEPS), t_max=10.0,
                            blow_threshold=1e9)
         solves = tracer.calls["solvers.conjugate_gradient"]
-        factorizations = sum(tracer.calls[f] for f in FACTORIZATIONS)
-        solve_s = (tracer.total["solvers.conjugate_gradient"]
-                   + sum(tracer.total[f] for f in FACTORIZATIONS))
         stepper[str(n)] = {
             "accepted_steps": traj.n_steps,
             "solves": solves,
-            "us_per_solve": 1e6 * solve_s / max(solves, 1),
+            "us_per_solve": (1e6 * tracer.total["solvers.conjugate_gradient"]
+                             / max(solves, 1)),
             "cg_iters_per_solve": tracer.cg_iters / max(solves, 1),
-            "factorizations_per_step": factorizations / max(traj.n_steps, 1),
         }
 
-    eigen = {}
+    eigen, constants = {}, {}
     for n in EIGEN_N:
         grid = bb.make_grid(2, n)
         bb.laplacian_matrix(grid), bb.biharmonic_matrix(grid)
         reset()
         bb.smallest_eigen(grid, "biharmonic")
         eigen[str(n)] = tracer.total["spectra.smallest_eigen"]
+        reset()
+        bb.compute_constants(grid, params)
+        constants[str(n)] = tracer.total["spectra.compute_constants"]
     return {"stepper_steps": STEPS, "stepper": stepper,
-            "plate_smallest_eigen_s": eigen}
+            "plate_smallest_eigen_s": eigen, "compute_constants_s": constants}
 
 
 def measure_step_1d(src: str) -> dict:

@@ -14,16 +14,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bounds import (SUMMARY_COLUMNS, fmt, report_lines, summary_row,
-                     thm31_constants)
+from .bounds import SUMMARY_COLUMNS, fmt, report_lines, summary_row
 from .config import parse_config, parse_sweep_config
 from .errors import BeamblowError
 from .functionals import snapshot
-from .harness import (FAILURE_MARKER, _evaluate,
-                      constants_items, exit_code_for, integrator_failure,
-                      _write_vector, run, sweep, verify, write_artifacts)
+from .harness import (FAILURE_MARKER, constants_items, exit_code_for,
+                      _write_vector, run, run_with_artifacts, sweep, verify)
 from .mesh import inner
-from .scenarios import construct_energy_level
+from .scenarios import preset
 from .spectra import compute_constants
 
 
@@ -79,41 +77,41 @@ def _cmd_spectra(args) -> int:
     return 0
 
 
+def _report_failure(out: Path) -> bool:
+    """Print the FAILED marker of a run to stderr; False if it has none."""
+    marker = out / FAILURE_MARKER
+    if not marker.exists():
+        return False
+    print(f"run failed: {marker.read_text().strip()}", file=sys.stderr)
+    return True
+
+
 def _cmd_simulate(args) -> int:
     config, out = _load(args)
     code = run(config, out)
-    marker = out / FAILURE_MARKER
-    if marker.exists():
-        print(f"run failed: {marker.read_text().strip()}", file=sys.stderr)
-    else:
+    if not _report_failure(out):
         print(f"artifacts written to {out}")
     return code
 
 
 def _cmd_bounds(args) -> int:
     config, out = _load(args)
-    artifacts = _evaluate(config)
-    print("\n".join(report_lines(artifacts.report)))
-    out.mkdir(parents=True, exist_ok=True)
-    write_artifacts(out, artifacts)
-    table = (",".join(SUMMARY_COLUMNS) + "\n"
-             + ",".join(summary_row(artifacts.report).values()) + "\n")
-    (out / "bounds.csv").write_text(table)
-    failure = integrator_failure(artifacts.traj)
-    if failure is not None:
-        print(f"run failed: {type(failure).__name__}: {failure}",
-              file=sys.stderr)
-        return exit_code_for(failure)
-    return 0
+    code, artifacts = run_with_artifacts(config, out)
+    if artifacts is not None:
+        print("\n".join(report_lines(artifacts.report)))
+        table = (",".join(SUMMARY_COLUMNS) + "\n"
+                 + ",".join(summary_row(artifacts.report).values()) + "\n")
+        (out / "bounds.csv").write_text(table)
+    _report_failure(out)
+    return code
 
 
 def _cmd_construct(args) -> int:
     config, out = _load(args)
     grid = config.grid()
     params = config.model_params()
-    consts = compute_constants(grid, params, config.seed)
-    chain = thm31_constants(params, consts.B1)
-    data = construct_energy_level(grid, params, config.energy_R, chain.B)
+    data = preset("high_energy", grid, params, energy_R=config.energy_R)
+    B = data.meta["B"]
     snap = snapshot(grid, data.u0, data.u1, params)
     corr = inner(grid, data.u0, data.u1)
     lines = [
@@ -121,8 +119,8 @@ def _cmd_construct(args) -> int:
         f"E0 = {fmt(snap.E)}",
         f"energy_gap = {fmt(snap.E - config.energy_R)}",
         f"inner_u0_u1 = {fmt(corr)}",
-        f"B = {fmt(chain.B)}",
-        f"correlation_margin = {fmt(corr - chain.B * snap.E)}",
+        f"B = {fmt(B)}",
+        f"correlation_margin = {fmt(corr - B * snap.E)}",
     ]
     print("\n".join(lines))
     out.mkdir(parents=True, exist_ok=True)

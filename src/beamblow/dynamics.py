@@ -390,7 +390,8 @@ def detect_blowup(times: np.ndarray, values: np.ndarray,
     """Estimate the blow-up time from a growing norm series.
 
     Threshold crossings are located by log-linear interpolation between
-    samples.  Near blow-up the series follows the law
+    samples, or by linear interpolation when the sample before the
+    crossing is not positive.  Near blow-up the series follows the law
     value ~ (T - t)^(-k) (``ModelParams.blowup_exponent``), so
     value^(-1/k) falls linearly to zero at T.  T_num is where the line
     through the last two samples of the tail (every sample from the
@@ -423,7 +424,10 @@ def detect_blowup(times: np.ndarray, values: np.ndarray,
             continue
         t0, t1 = times[i - 1], times[i]
         a0, a1 = values[i - 1], values[i]
-        frac = (np.log(th) - np.log(a0)) / (np.log(a1) - np.log(a0))
+        if a0 > 0:
+            frac = (np.log(th) - np.log(a0)) / (np.log(a1) - np.log(a0))
+        else:
+            frac = (th - a0) / (a1 - a0)
         crossings.append(ThresholdCrossing(th, float(t0 + frac * (t1 - t0))))
     crossings = tuple(crossings)
 

@@ -11,7 +11,9 @@ holds exactly for the semi-discrete flow:
     residual);
   * best constants of the discrete embeddings ||u||_q <= C * Q(u)^{1/2}
     for the quadratic forms Q built from the gradient, the Laplacian,
-    or their sum (extremal fixed-point sweeps with seeded restarts);
+    or their sum (extremal fixed-point sweeps from the eigenfield and
+    seeded random starts, each stopped, like the inverse iteration, at
+    its first sweep that does not improve on the best one);
   * the mountain-pass level d of the potential well.
 """
 
@@ -32,9 +34,9 @@ _OPERATORS = ("laplacian", "biharmonic")
 # inverse iteration: sweep budget
 _EIGEN_MAX_OUTER = 500
 # extremal sweeps: random starts besides the eigenfield, sweep budget,
-# and the stop after _SWEEP_PATIENCE sweeps gaining less than _SWEEP_FTOL
+# and the stop at the first sweep gaining less than _SWEEP_FTOL*max(1, value)
 _SWEEP_RESTARTS, _SWEEP_MAX_ITER = 4, 2000
-_SWEEP_PATIENCE, _SWEEP_FTOL = 20, 1e-11
+_SWEEP_FTOL = 1e-11
 
 
 def _plate_inverse_iteration(grid: Grid) -> tuple[float, np.ndarray]:
@@ -100,8 +102,12 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
     exact solve replaces the many small steps a gradient method
     would need against a stiff quadratic form.
 
-    A sweep that loses counts as a stall: the converged value jitters by
-    rounding that grows like cond(A), above _SWEEP_FTOL on fine grids.
+    Each sweep raises the value until the ascent has converged; after
+    that the value only jitters by rounding that grows like cond(A).
+    So, like the plate iteration, the sweep stops at the first sweep
+    that gains less than _SWEEP_FTOL * max(1, value), which is an
+    absolute tolerance for values below 1, and returns the best value
+    with the field that reaches it.
     """
     w = grid.weight
 
@@ -115,7 +121,6 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
     if u is None:
         return -np.inf, u0, False
     val = mesh.norm_lq(grid, u, q)
-    stall = 0
     for _ in range(_SWEEP_MAX_ITER):
         grad = np.abs(u)**(q - 1.0) * np.sign(u)
         u_new = q_normalize(solve(grad))
@@ -123,14 +128,10 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
             return val, u, False
         new_val = mesh.norm_lq(grid, u_new, q)
         gain = new_val - val
-        u = u_new
-        val = max(val, new_val)
-        if gain < _SWEEP_FTOL * max(1.0, val):
-            stall += 1
-            if stall >= _SWEEP_PATIENCE:
-                return val, u, True
-        else:
-            stall = 0
+        if gain > 0.0:
+            val, u = new_val, u_new
+        if not gain >= _SWEEP_FTOL * max(1.0, val):
+            return val, u, True
     return val, u, False
 
 

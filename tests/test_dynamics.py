@@ -289,6 +289,20 @@ def test_detect_blowup_decaying_tail_is_coarse():
     assert math.isinf(est.uncertainty)
 
 
+def test_detect_blowup_crossing_after_a_zero_sample():
+    # the sample before the first crossing is 0, where a log-linear
+    # interpolation is undefined; the crossing falls back to the line
+    t = np.linspace(0.0, 0.9, 91)
+    v = 1e3 * np.sin(np.pi * t)
+    assert v[0] == 0.0 and v[1] > 10.0
+    est = detect_blowup(t, v, (10.0, 100.0), 1.0)
+    assert est.detected
+    first, second = (c.t_cross for c in est.crossings)
+    assert first == pytest.approx(t[1] * 10.0 / v[1], rel=1e-12)
+    assert t[3] < second < t[4]
+    assert math.isfinite(est.T_num)
+
+
 def test_detect_blowup_negative_cases():
     t = np.linspace(0.0, 1.0, 200)
     flat = np.ones_like(t)

@@ -237,13 +237,22 @@ def test_verify_line_format(verify_report):
 
 
 def test_verify_negative_control(monkeypatch):
-    # Only the Green-identity suite sees the perturbation; the others
-    # are stubbed to pass so the aggregate verdict hangs on it alone.
+    # One off-diagonal entry of the Laplacian is corrupted; the other
+    # suites are stubbed to pass so the aggregate verdict hangs on the
+    # Green-identity suite alone.
     for name in ("_suite_eigen_benchmark", "_suite_energy_residual_order",
                  "_suite_lemma21", "_suite_chain_consistency",
                  "_suite_sandwich"):
         monkeypatch.setattr(harness, name, lambda: (True, "stubbed"))
-    bad = verify(stencil_perturbation=1e-8)
+    laplacian = harness.mesh.laplacian_matrix
+
+    def corrupted(grid):
+        L = laplacian(grid).tolil()
+        L[0, 1] += 1e-8
+        return L.tocsr()
+
+    monkeypatch.setattr(harness.mesh, "laplacian_matrix", corrupted)
+    bad = verify()
     assert not bad.ok
     by_name = {s.name: s for s in bad.suites}
     assert not by_name["green-identity"].passed
@@ -263,6 +272,11 @@ def test_cli_simulate_and_bounds(tmp_path, capsys):
     text = (outb / "bounds.csv").read_text().splitlines()
     assert text[0].split(",") == list(harness.SUMMARY_COLUMNS)
     assert len(text) == 2
+    # bounds writes every artifact simulate writes, byte for byte
+    for name in ("config.txt", "u0.csv", "u1.csv", "timeseries.csv",
+                 "report.txt"):
+        assert (out / name).read_bytes() == (outb / name).read_bytes(), name
+    assert not (outb / harness.FAILURE_MARKER).exists()
 
 
 def test_cli_bounds_fails_when_the_run_failed(tmp_path, capsys,
@@ -279,6 +293,8 @@ def test_cli_bounds_fails_when_the_run_failed(tmp_path, capsys,
     assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == simulate_err
     assert (out / "bounds.csv").exists()
+    assert "step budget of 3 exhausted" in (
+        out / harness.FAILURE_MARKER).read_text()
 
 
 @pytest.mark.parametrize("threshold,code,termination", [
@@ -329,6 +345,22 @@ def test_cli_spectra(tmp_path, capsys):
     assert (out / "spectra.txt").exists()
 
 
+def test_cli_construct_refuses_an_infeasible_growth_chain(tmp_path, capsys,
+                                                         monkeypatch):
+    import beamblow.bounds as bounds
+
+    real = bounds.thm31_constants
+    monkeypatch.setattr(bounds, "thm31_constants", lambda params, B1: replace(
+        real(params, B1), feasible=False))
+    cfg = tmp_path / "run.txt"
+    cfg.write_text(serialize_config(QUIET))
+    out = tmp_path / "con"
+    assert main(["construct", "--config", str(cfg), "--out", str(out),
+                 "--energy", "-5"]) == 4
+    assert "growth chain infeasible" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_construct(tmp_path, capsys):
     cfg = tmp_path / "run.txt"
     cfg.write_text(serialize_config(QUIET))
@@ -361,7 +393,7 @@ def test_evaluate_passes_the_configured_seed(monkeypatch):
     assert seen == [7]
 
 
-@pytest.mark.parametrize("command", ["spectra", "construct"])
+@pytest.mark.parametrize("command", ["spectra"])
 def test_cli_passes_the_configured_seed(tmp_path, monkeypatch, command):
     seen = []
     monkeypatch.setattr(cli, "compute_constants", _seed_spy(seen))
@@ -372,14 +404,21 @@ def test_cli_passes_the_configured_seed(tmp_path, monkeypatch, command):
     assert seen == [7]
 
 
-@pytest.mark.parametrize("command", ["construct", "simulate"])
+@pytest.mark.parametrize("command", ["construct", "simulate", "bounds"])
 def test_cli_one_node_grid_is_a_construction_failure(tmp_path, capsys,
                                                      command):
     cfg = tmp_path / "run.txt"
     cfg.write_text("N = 1\npreset = high_energy\n")
-    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
     assert code == 4
     assert "2 interior nodes" in capsys.readouterr().err
+    if command != "construct":
+        # a run leaves its configuration and the FAILED marker
+        assert parse_config((out / "config.txt").read_text()) == replace(
+            RunConfig(), N=1, preset="high_energy")
+        assert "ConstructionFailure" in (
+            out / harness.FAILURE_MARKER).read_text()
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_plate_eigenpair_on_fine_1d_grids(n):
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_constants_on_fine_1d_grids(p):
     # the embedding sweeps settle although the rounding jitter of their
-    # converged value grows like N^4 (it exceeds the stall tolerance
+    # converged value grows like N^4 (it exceeds the stopping tolerance
     # from about N = 192)
     prm = ModelParams(p=p, r=2.0, gamma=0.5, beta=1.0)
     coarse = compute_constants(make_grid(1, 128), prm).C
@@ -123,6 +123,23 @@ def test_embedding_constant_is_attained(grid64):
         u = rng.standard_normal(grid64.size)
         quad = grad_norm_sq(grid64, u) + lap_norm_sq(grid64, u)
         assert norm_lq(grid64, u, 4.0) <= C * math.sqrt(quad) * (1 + 1e-9)
+
+
+def test_restarts_find_a_higher_maximum_than_the_eigenfield():
+    # at 2d N=8, q=7 the gradient-form ascent from the eigenfield stops
+    # at a lower local maximum than a seeded random start reaches
+    g = make_grid(2, 8)
+    apply, solve = operators(g).form("grad")
+    _, v = smallest_eigen(g, "laplacian")
+    from_eigen, u, converged = spectra._extremal_sweep(g, 7.0, apply,
+                                                       solve, v)
+    assert converged
+    # the sweep hands back the field that reaches its value
+    assert norm_lq(g, u, 7.0) / math.sqrt(grad_norm_sq(g, u)) == (
+        pytest.approx(from_eigen, rel=1e-14))
+    assert from_eigen == pytest.approx(0.361441, rel=1e-5)
+    C, _ = embedding_constant(g, 7.0, "grad", seed=0)
+    assert C == pytest.approx(0.381518, rel=1e-5)
 
 
 def test_embedding_constant_validates_q(grid64):
