@@ -12,16 +12,17 @@ Without ``--before`` only the "after" side is measured; without
 
 The cases:
 
-  * ``2d_solve``: the 2D time stepper at N = 32, 64 and 128, a fixed
-    number of steps of ``dynamics.simulate`` from a clamped bump of
-    amplitude 200 (p = 3, r = 2), reporting microseconds per implicit
-    solve (the time in ``solvers.conjugate_gradient`` per CG solve) and
-    CG iterations per solve; the wall time of the first
-    ``spectra.smallest_eigen`` call for the clamped plate at N = 64 and
-    96, set-up of its solver included; and then, on the same grids, the
-    wall time of ``spectra.compute_constants`` for the same parameters
-    (the set-up of the fixed forms and the embedding sweeps, the plate
-    eigenpair already at hand).
+  * ``2d_solve``: the wall time of the first ``spectra.smallest_eigen``
+    call for the clamped plate at N = 64 and 96, set-up of its solver
+    included, and then, on the same grids, the wall time of
+    ``spectra.compute_constants`` for p = 3, r = 2 (the set-up of the
+    fixed forms and the embedding sweeps, the plate eigenpair already
+    at hand), both measured first in the process; then the 2D time
+    stepper at N = 32, 64 and 128, a fixed number of steps of
+    ``dynamics.simulate`` from a clamped bump of amplitude 200,
+    reporting microseconds per implicit solve (the time in
+    ``solvers.conjugate_gradient`` per CG solve) and CG iterations per
+    solve.
   * ``step_1d``: the default 1D run (``RunConfig()``, N = 128) for at
     most 2000 accepted steps (the whole run when it reaches its blow
     threshold sooner), repeated in one process after a warm-up run,
@@ -35,8 +36,9 @@ The cases:
     warm-up run, reporting the wall time of ``dynamics.simulate`` (the
     median over the repetitions, which are also listed), the accepted
     steps, the step attempts (calls of ``dynamics.step``), and
-    ``T_num`` with its reported uncertainty (from the run's
-    ``harness._evaluate``, untimed) and its relative gap to the
+    ``T_num`` with its reported uncertainty (from ``harness.evaluate``
+    of the same configuration, which also supplies the data and warms
+    up, untimed) and its relative gap to the
     singular time T* = 0.2493837 of a Radau IIA run of the same model.
   * ``2d_forms``: the exact solves of the fixed forms ``lap`` (B) and
     ``H`` (B - L) of the 2D embedding sweeps at N = 64, 96 and 128,
@@ -116,6 +118,18 @@ def measure_2d_solve(src: str) -> dict:
 
     bb, tracer, reset = traced_package(src)
     params = bb.ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
+    # before the stepper, whose grids and solver state would otherwise
+    # be left behind in the timings
+    eigen, constants = {}, {}
+    for n in EIGEN_N:
+        grid = bb.make_grid(2, n)
+        bb.laplacian_matrix(grid), bb.biharmonic_matrix(grid)
+        reset()
+        bb.smallest_eigen(grid, "biharmonic")
+        eigen[str(n)] = tracer.total["spectra.smallest_eigen"]
+        reset()
+        bb.compute_constants(grid, params)
+        constants[str(n)] = tracer.total["spectra.compute_constants"]
     stepper = {}
     for n in STEPPER_N:
         grid = bb.make_grid(2, n)
@@ -136,16 +150,6 @@ def measure_2d_solve(src: str) -> dict:
             "cg_iters_per_solve": tracer.cg_iters / max(solves, 1),
         }
 
-    eigen, constants = {}, {}
-    for n in EIGEN_N:
-        grid = bb.make_grid(2, n)
-        bb.laplacian_matrix(grid), bb.biharmonic_matrix(grid)
-        reset()
-        bb.smallest_eigen(grid, "biharmonic")
-        eigen[str(n)] = tracer.total["spectra.smallest_eigen"]
-        reset()
-        bb.compute_constants(grid, params)
-        constants[str(n)] = tracer.total["spectra.compute_constants"]
     return {"stepper_steps": STEPS, "stepper": stepper,
             "plate_smallest_eigen_s": eigen, "compute_constants_s": constants}
 
@@ -202,8 +206,10 @@ def measure_run_1d(src: str) -> dict:
 
     dynamics.step = counted_step
     cfg = bb.RunConfig()
-    grid, params = cfg.grid(), cfg.model_params()
-    data = bb.preset(cfg.preset, grid, params, cfg.amplitude)
+    # the whole pipeline, untimed: the data, the estimate the run
+    # reports, and a warm-up of the operators, bands and caches
+    art = bb.evaluate(cfg)
+    grid, params, data, est = art.grid, art.params, art.data, art.estimate
 
     def run():
         attempts[0] = 0
@@ -214,9 +220,6 @@ def measure_run_1d(src: str) -> dict:
                            output_every=cfg.output_every)
         return traj, time.perf_counter() - start
 
-    # the whole pipeline, untimed, for the estimate the run reports
-    est = bb.harness._evaluate(cfg).estimate
-    run()  # warm-up: operators, bands and caches built outside the timing
     seconds = []
     for _ in range(RUN_1D_REPEATS):
         traj, elapsed = run()

@@ -11,8 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from beamblow import RunConfig, parse_config, report_lines
-from beamblow.harness import _evaluate, write_artifacts, constants_items
+from beamblow import RunConfig, evaluate, parse_config, report_lines
+from beamblow.harness import constants_items, write_artifacts
 
 
 def main() -> int:
@@ -30,7 +30,7 @@ def main() -> int:
         config = RunConfig(N=args.n, t_max=5.0, blow_threshold=1e6,
                            thresholds=(1e1, 1e2, 1e3, 1e4, 1e5))
 
-    art = _evaluate(config)
+    art = evaluate(config)
 
     print("# constants")
     for key, value in constants_items(art.consts):

@@ -11,22 +11,12 @@ import argparse
 import math
 import sys
 
-from beamblow import (RunConfig, StepControls, compute_constants,
-                      detect_blowup, full_report, preset, simulate)
+from beamblow import RunArtifacts, RunConfig, evaluate
 
 
-def run_cell(p: float, n: int, r: float) -> dict:
-    config = RunConfig(N=n, p=p, r=r, t_max=5.0, blow_threshold=1e6,
-                       thresholds=(1e1, 1e2, 1e3, 1e4, 1e5))
-    grid, params = config.grid(), config.model_params()
-    consts = compute_constants(grid, params)
-    data = preset(config.preset, grid, params)
-    traj = simulate(grid, params, data.u0, data.u1, config.step_controls(),
-                    t_max=config.t_max, blow_threshold=config.blow_threshold)
-    estimate = detect_blowup(traj.times(), traj.series("lp1_u"),
-                             config.thresholds, params.blowup_exponent)
-    report = full_report(grid, data.u0, data.u1, params, consts, estimate)
-    return {"p": p, "report": report, "steps": traj.n_steps}
+def run_cell(p: float, n: int, r: float) -> RunArtifacts:
+    return evaluate(RunConfig(N=n, p=p, r=r, t_max=5.0, blow_threshold=1e6,
+                              thresholds=(1e1, 1e2, 1e3, 1e4, 1e5)))
 
 
 def decades(a: float, b: float) -> float:
@@ -47,8 +37,8 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for p in args.p:
-        cell = run_cell(p, args.n, args.r)
-        rep = cell["report"]
+        art = run_cell(p, args.n, args.r)
+        rep = art.report
         if not rep.blowup_detected:
             print(f"{p:5.2f}  no blow-up detected")
             continue
@@ -58,7 +48,7 @@ def main() -> int:
               f"{decades(rep.T_num, low34):9.2f} "
               f"{decades(rep.T_num, low35):9.2f} "
               f"{decades(rep.T_upper, rep.T_num):9.2f} "
-              f"{cell['steps']:8d}")
+              f"{art.traj.n_steps:8d}")
     print("\ngaps in decades: lower columns are log10(T_num / T_lower), "
           "upper is log10(T_upper / T_num)")
     return 0

@@ -10,10 +10,10 @@ range where only the correlation condition keeps the certificate alive.
 
 import argparse
 import sys
+from dataclasses import replace
 
-from beamblow import (ModelParams, StepControls, compute_constants,
-                      construct_energy_level, detect_blowup, energy_E,
-                      inner, make_grid, simulate, thm31_check,
+from beamblow import (RunConfig, compute_constants, construct_energy_level,
+                      energy_E, evaluate, inner, thm31_check,
                       thm31_constants)
 
 
@@ -27,8 +27,9 @@ def main() -> int:
                     help="also run each level through blow-up")
     args = ap.parse_args()
 
-    grid = make_grid(1, args.n)
-    params = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
+    base = RunConfig(N=args.n, preset="high_energy", t_max=5.0,
+                     blow_threshold=1e6, thresholds=(1e1, 1e2, 1e3, 1e4, 1e5))
+    grid, params = base.grid(), base.model_params()
     consts = compute_constants(grid, params)
     chain = thm31_constants(params, consts.B1)
     d = consts.depth
@@ -49,11 +50,7 @@ def main() -> int:
         verdict = thm31_check(grid, data.u0, data.u1, params, chain, E0)
         row = f"{level:6.2f} {E0:13.6e} {margin:12.4e} {verdict:>16}"
         if args.simulate:
-            traj = simulate(grid, params, data.u0, data.u1, StepControls(),
-                            t_max=5.0, blow_threshold=1e6)
-            est = detect_blowup(traj.times(), traj.series("lp1_u"),
-                                (1e1, 1e2, 1e3, 1e4, 1e5),
-                                params.blowup_exponent)
+            est = evaluate(replace(base, energy_R=R)).estimate
             row += (f" {est.T_num:12.6f}" if est.detected
                     else f" {'-':>12}")
         print(row)

@@ -26,8 +26,8 @@ from .functionals import (FunctionalSnapshot, ModelParams, classify,
                           kirchhoff, lemma21_verdict, nehari_I,
                           nehari_from_parts, potential_J,
                           potential_from_parts, snapshot, source_term)
-from .harness import (SuiteResult, VerifyReport, run, sweep, verify,
-                      write_artifacts)
+from .harness import (RunArtifacts, SuiteResult, VerifyReport, evaluate,
+                      run, sweep, verify, write_artifacts)
 from .mesh import (Grid, apply_biharmonic, apply_laplacian,
                    biharmonic_matrix, grad_norm_sq, inner, lap_norm_sq,
                    laplacian_matrix, make_grid, max_norm, norm_l2, norm_lq)

@@ -441,7 +441,6 @@ class Thm35Result:
     G0: float
     C_eff: float
     T_lower_35: float
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -550,8 +549,7 @@ def thm35_lower(grid: Grid, u0: np.ndarray, u1: np.ndarray,
           + beta / (2.0 * (gam + 1.0)) * _power(G, gam + 1.0))
     C_eff = (embed_ca * embed_cb**p) ** 2 * 2.0 ** (p - 2.0)
     if G0 == 0.0:
-        return Thm35Result(G0=0.0, C_eff=C_eff, T_lower_35=math.inf,
-                           note="no-blow-up-possible-from-zero")
+        return Thm35Result(G0=0.0, C_eff=C_eff, T_lower_35=math.inf)
     return Thm35Result(G0=G0, C_eff=C_eff,
                        T_lower_35=G0 ** (1.0 - p) / ((p - 1.0) * C_eff))
 

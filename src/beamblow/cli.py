@@ -1,10 +1,10 @@
 """Command line entry point.
 
-Every subcommand reads a flat key = value configuration file and writes
-its outputs under --out (default ./beamblow_out).  Exit codes follow
-the run convention: 0 success, 2 configuration error, 3 integrator
-failure, 4 construction failure, 5 linear-solver breakdown, 1 anything
-else.
+Every subcommand but ``verify`` reads a flat key = value configuration
+file and writes its outputs under --out (default ./beamblow_out).  Exit
+codes follow the run convention: 0 success, 2 configuration error, 3
+integrator failure, 4 construction failure, 5 linear-solver breakdown,
+1 anything else.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="blow-up laboratory for a damped extensible beam")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, config_required: bool = True,
-            energy: bool = False, jobs: bool = False):
+    def add(name: str, help_text: str, *, energy: bool = False,
+            jobs: bool = False):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=config_required,
+        cmd.add_argument("--config", required=True,
                          help="path to a key = value configuration file")
         cmd.add_argument("--out", default="beamblow_out",
                          help="output directory (default: beamblow_out)")
@@ -54,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("construct", "build initial data at a prescribed energy level",
         energy=True)
     add("sweep", "evaluate a cartesian grid of configurations", jobs=True)
-    add("verify", "run the internal consistency suites",
-        config_required=False)
+    sub.add_parser("verify", help="run the internal consistency suites")
     return parser
 
 
@@ -143,8 +142,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.config is not None:
-        parse_config(Path(args.config).read_text())
     report = verify()
     print("\n".join(report.lines()))
     return 0 if report.ok else 1

@@ -81,8 +81,10 @@ class RunArtifacts:
     report: BoundReport
 
 
-def _evaluate(config: RunConfig) -> RunArtifacts:
-    """Run the full pipeline for one configuration, in memory."""
+def evaluate(config: RunConfig) -> RunArtifacts:
+    """Run the full pipeline for one configuration, in memory:
+    constants, initial data, ``simulate``, ``detect_blowup`` on the
+    ``lp1_u`` series, ``full_report``."""
     grid = config.grid()
     params = config.model_params()
     consts = compute_constants(grid, params, config.seed)
@@ -153,7 +155,7 @@ def run_with_artifacts(config: RunConfig, output_dir: str | Path
     artifacts = None
     try:
         (out / "config.txt").write_text(serialize_config(config))
-        artifacts = _evaluate(config)
+        artifacts = evaluate(config)
         write_artifacts(out, artifacts)
         failure = integrator_failure(artifacts.traj)
         if failure is not None:
@@ -179,7 +181,7 @@ def _sweep_cell(task: tuple[int, RunConfig]) -> tuple[int, str, dict | None]:
     """Evaluate one sweep cell; never raises."""
     index, config = task
     try:
-        artifacts = _evaluate(config)
+        artifacts = evaluate(config)
     except Exception as exc:
         return index, _failure(exc)[1], None
     failure = integrator_failure(artifacts.traj)
@@ -380,16 +382,8 @@ def _suite_chain_consistency() -> tuple[bool, str]:
 
 def _suite_sandwich() -> tuple[bool, str]:
     """A cheap blow-up run must land between its certified bounds."""
-    grid = make_grid(1, 64)
-    params = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
-    consts = compute_constants(grid, params)
-    data = preset("negative_energy", grid, params)
-    thresholds = (1e2, 1e3, 1e4, 1e5)
-    traj = simulate(grid, params, data.u0, data.u1, StepControls(),
-                    t_max=10.0, blow_threshold=1e6)
-    estimate = detect_blowup(traj.times(), traj.series("lp1_u"), thresholds,
-                             params.blowup_exponent)
-    report = full_report(grid, data.u0, data.u1, params, consts, estimate)
+    report = evaluate(RunConfig(N=64, blow_threshold=1e6,
+                                thresholds=(1e2, 1e3, 1e4, 1e5))).report
     ok = (report.blowup_detected and report.sandwich_ok
           and report.thm31_verdict == "case_i"
           and report.T_upper is not None and report.T_num is not None)

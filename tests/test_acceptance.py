@@ -24,14 +24,11 @@ import pytest
 
 import beamblow.harness as harness
 from beamblow import (
-    DEFAULT_THRESHOLDS,
     RunConfig,
     StepControls,
     biharmonic_matrix,
     construct_energy_level,
-    detect_blowup,
     energy_E,
-    full_report,
     grad_norm_sq,
     growth_series,
     inner,
@@ -60,7 +57,7 @@ def _line(tag: str, ok: bool, detail: str) -> None:
 def preset_blowup_run():
     """The default configuration run end to end (criterion 5a)."""
     t0 = time.perf_counter()
-    art = harness._evaluate(RunConfig())
+    art = harness.evaluate(RunConfig())
     return art, time.perf_counter() - t0
 
 
@@ -77,16 +74,12 @@ def constructed_runs(grid64, params, consts64):
         data = construct_energy_level(grid64, params, R, chain.B)
         levels[label] = (R, data, time.perf_counter() - t0)
 
-    R, data, _ = levels["ten_depth"]
     t0 = time.perf_counter()
-    traj = simulate(grid64, params, data.u0, data.u1, StepControls(),
-                    t_max=10.0, blow_threshold=1e9)
-    estimate = detect_blowup(traj.times(), traj.series("lp1_u"),
-                             DEFAULT_THRESHOLDS, params.blowup_exponent)
-    report = full_report(grid64, data.u0, data.u1, params, consts64, estimate)
+    art = harness.evaluate(RunConfig(N=64, preset="high_energy",
+                                     energy_R=levels["ten_depth"][0]))
     run_seconds = time.perf_counter() - t0
-    return {"levels": levels, "chain": chain, "traj": traj,
-            "estimate": estimate, "report": report,
+    return {"levels": levels, "chain": chain, "traj": art.traj,
+            "estimate": art.estimate, "report": art.report,
             "run_seconds": run_seconds}
 
 

@@ -12,6 +12,7 @@ from beamblow import (
     StepControls,
     adapt_dt,
     detect_blowup,
+    evaluate,
     make_grid,
     preset,
     simulate,
@@ -98,20 +99,14 @@ def test_T_num_matches_radau_singular_time(radau_run_1d_n32):
 
 
 def default_run():
-    cfg = RunConfig()
-    grid, prm = cfg.grid(), cfg.model_params()
-    data = preset(cfg.preset, grid, prm, cfg.amplitude)
-    traj = simulate(grid, prm, data.u0, data.u1, cfg.step_controls(),
-                    t_max=cfg.t_max, blow_threshold=cfg.blow_threshold)
-    return cfg, traj
+    return evaluate(RunConfig())
 
 
 def test_default_run_T_num_covers_the_singular_time():
-    cfg, traj = default_run()
-    assert traj.termination == "blowup_threshold"
-    assert traj.n_steps <= 5000
-    est = detect_blowup(traj.times(), traj.series("lp1_u"), cfg.thresholds,
-                        traj.params.blowup_exponent)
+    art = default_run()
+    assert art.traj.termination == "blowup_threshold"
+    assert art.traj.n_steps <= 5000
+    est = art.estimate
     assert est.detected and not est.coarse
     assert abs(est.T_num - T_STAR_DEFAULT_1D) <= est.uncertainty
 
@@ -119,11 +114,7 @@ def test_default_run_T_num_covers_the_singular_time():
 def test_dissipation_accounts_for_the_energy_drop():
     # the default run stopped at max|u| = 1e4: the energy-identity
     # residuals the run reports are at most 1% of E(0) - E(T)
-    cfg = RunConfig(blow_threshold=1e4)
-    grid, prm = cfg.grid(), cfg.model_params()
-    data = preset(cfg.preset, grid, prm, cfg.amplitude)
-    traj = simulate(grid, prm, data.u0, data.u1, cfg.step_controls(),
-                    t_max=cfg.t_max, blow_threshold=cfg.blow_threshold)
+    traj = evaluate(RunConfig(blow_threshold=1e4)).traj
     assert traj.termination == "blowup_threshold"
     E = traj.series("E")
     drop = E[0] - E[-1]
@@ -132,7 +123,7 @@ def test_dissipation_accounts_for_the_energy_drop():
 
 
 def test_step_counts_add_up():
-    cfg, traj = default_run()
+    traj = default_run().traj
     n = traj.counts
     rejected = (n.rejected_nonfinite + n.rejected_solver + n.rejected_newton
                 + n.rejected_energy)

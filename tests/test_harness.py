@@ -87,7 +87,7 @@ def test_run_detects_blowup(tmp_path):
 
 
 def test_report_lists_every_chain_field_once(tmp_path):
-    art = harness._evaluate(FAST_BLOWUP)
+    art = harness.evaluate(FAST_BLOWUP)
     harness.write_artifacts(tmp_path, art)
     lines = (tmp_path / "report.txt").read_text().splitlines()
     keys = [line.split(" = ", 1)[0] for line in lines]
@@ -117,7 +117,7 @@ def test_run_failure_leaves_marker(tmp_path, monkeypatch):
     def boom(config):
         raise ConstructionFailure("no admissible amplitude")
 
-    monkeypatch.setattr(harness, "_evaluate", boom)
+    monkeypatch.setattr(harness, "evaluate", boom)
     out = tmp_path / "fail"
     assert run(QUIET, out) == 4
     marker = out / harness.FAILURE_MARKER
@@ -180,7 +180,7 @@ def test_sweep_cell_status_tokens(monkeypatch, exc, status):
     def fail(config):
         raise exc
 
-    monkeypatch.setattr(harness, "_evaluate", fail)
+    monkeypatch.setattr(harness, "evaluate", fail)
     assert harness._sweep_cell((3, QUIET)) == (3, status, None)
 
 
@@ -188,7 +188,7 @@ def test_sweep_prints_integer_axes_exactly(monkeypatch):
     def fail(config):
         raise ConstructionFailure("x")
 
-    monkeypatch.setattr(harness, "_evaluate", fail)
+    monkeypatch.setattr(harness, "evaluate", fail)
     big = 2**53 + 1
     sw = SweepConfig(base=QUIET, axes={"seed": (big,)})
     row = sweep(sw).splitlines()[1].split(",")
@@ -198,7 +198,7 @@ def test_sweep_prints_integer_axes_exactly(monkeypatch):
 
 def test_sweep_keeps_failures_in_row(monkeypatch):
     calls = {"n": 0}
-    real = harness._evaluate
+    real = harness.evaluate
 
     def flaky(config):
         calls["n"] += 1
@@ -206,7 +206,7 @@ def test_sweep_keeps_failures_in_row(monkeypatch):
             raise ConvergenceFailure("stalled")
         return real(config)
 
-    monkeypatch.setattr(harness, "_evaluate", flaky)
+    monkeypatch.setattr(harness, "evaluate", flaky)
     sw = SweepConfig(base=QUIET, axes={"p": (3.0, 4.0)})
     lines = sweep(sw).splitlines()
     assert len(lines) == 3
@@ -389,7 +389,7 @@ def test_evaluate_passes_the_configured_seed(monkeypatch):
     seen = []
     monkeypatch.setattr(harness, "compute_constants", _seed_spy(seen))
     with pytest.raises(_SeedSeen):
-        harness._evaluate(replace(QUIET, seed=7))
+        harness.evaluate(replace(QUIET, seed=7))
     assert seen == [7]
 
 

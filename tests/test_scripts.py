@@ -1,9 +1,11 @@
-"""Every research script imports against the current package, and every
+"""Every research script imports against the current package, the
+three research scripts run end to end on a coarse grid, and every
 function the benchmark's tracer wraps by name exists, so a renamed
-helper fails here instead of at its next run."""
+helper or a changed signature fails here instead of at its next run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,38 @@ def test_scripts_exist():
 def test_script_imports(path):
     module = _load(path, f"script_{path.stem}")
     assert callable(getattr(module, "main", None))
+
+
+def _run_main(monkeypatch, capsys, name: str, *argv: str) -> str:
+    module = _load(ROOT / "scripts" / f"{name}.py", f"script_{name}")
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    assert module.main() == 0
+    return capsys.readouterr().out
+
+
+def test_bound_gap_study_runs(monkeypatch, capsys):
+    out = _run_main(monkeypatch, capsys, "bound_gap_study", "--n", "16")
+    rows = out.splitlines()[2:5]
+    assert [row.split()[0] for row in rows] == ["2.50", "3.00", "4.00"]
+    assert all(len(row.split()) == 7 for row in rows)
+
+
+def test_energy_ladder_simulates_every_level(monkeypatch, capsys):
+    out = _run_main(monkeypatch, capsys, "energy_ladder", "--n", "16",
+                    "--simulate", "--levels", "-1", "1", "10")
+    rows = out.splitlines()[3:]
+    assert len(rows) == 3
+    # the last column is the detected T_num, "-" when none was found
+    assert all(float(row.split()[-1]) > 0.0 for row in rows)
+
+
+def test_blowup_portrait_writes_its_artifacts(monkeypatch, capsys, tmp_path):
+    out = _run_main(monkeypatch, capsys, "blowup_portrait", "--n", "16",
+                    "--out", str(tmp_path))
+    assert "blowup_detected = true" in out
+    assert "sandwich_ok = true" in out
+    for name in ("u0.csv", "u1.csv", "timeseries.csv", "report.txt"):
+        assert (tmp_path / name).exists(), name
 
 
 def test_every_traced_function_exists():
