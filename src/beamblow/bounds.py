@@ -444,23 +444,14 @@ class Thm35Result:
 
 
 @dataclass(frozen=True)
-class LowerBounds:
-    """Merged view of both lower-bound chains."""
-
-    F0: float
-    varpi: float
-    K1: float
-    K2: float
-    T_lower_34_truncated: float
-    T_lower_34_with_tail: float
-    G0: float
-    C_eff: float
-    T_lower_35: float
+class LowerBounds(Thm35Result, Thm34Result):
+    """Merged view of both lower-bound chains: the fields of
+    Thm34Result, then those of Thm35Result (dataclasses collect fields
+    in reverse method resolution order)."""
 
     @classmethod
     def from_parts(cls, r34: Thm34Result, r35: Thm35Result) -> "LowerBounds":
-        parts = {**vars(r34), **vars(r35)}
-        return cls(**{f.name: parts[f.name] for f in fields(cls)})
+        return cls(**vars(r34), **vars(r35))
 
 
 # the Theorem 3.4 integral in s = ln y: a 20-node Gauss-Legendre rule on

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bounds import SUMMARY_COLUMNS, fmt, report_lines, summary_row
 from .config import parse_config, parse_sweep_config
-from .errors import BeamblowError
+from .errors import BeamblowError, ConfigError
 from .functionals import snapshot
 from .harness import (FAILURE_MARKER, constants_items, exit_code_for,
                       _write_vector, run, run_with_artifacts, sweep, verify)
@@ -61,6 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> tuple:
     config = parse_config(Path(args.config).read_text())
     if getattr(args, "energy", None) is not None:
+        if args.command != "construct" and config.preset != "high_energy":
+            raise ConfigError(f"--energy changes nothing under preset "
+                              f"{config.preset!r}; only high_energy reads it")
         config = replace(config, energy_R=args.energy)
     return config, Path(args.out)
 

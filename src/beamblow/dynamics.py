@@ -48,6 +48,13 @@ CG_RTOL = 1e-10
 # at which it stops, relative to the iterate in the max norm
 NEWTON_MAX_ITER = 8
 NEWTON_RTOL = 1e-12
+# the StepCounts field of each cause of a failed step attempt, matched
+# in order (a NewtonFailure is a ConvergenceFailure); OverflowError is a
+# float power that overflowed
+_REJECTIONS = {NewtonFailure: "rejected_newton",
+               ConvergenceFailure: "rejected_solver",
+               FloatingPointError: "rejected_nonfinite",
+               OverflowError: "rejected_nonfinite"}
 
 
 @dataclass(frozen=True)
@@ -112,9 +119,22 @@ def coefficients(dt: float, mbar: float) -> tuple[float, float]:
     return 0.25 * dt * dt, 0.5 * dt + 0.25 * mbar * dt * dt
 
 
+def _force(ops: GridOperators, params: ModelParams, y: np.ndarray,
+           x: np.ndarray) -> tuple:
+    """F(y, x) with the pieces of its Jacobian: (F, L y, G, M(G),
+    |x|^{r-1}, |y|^{p-1}), where G = ||grad y||^2."""
+    Ly = ops.L @ y
+    G = max(ops.grid.weight * float(y @ -Ly), 0.0)
+    m = functionals.kirchhoff(params, G)
+    damp = np.abs(x)**(params.r - 1.0)
+    grow = np.abs(y)**(params.p - 1.0)
+    F = -(ops.B @ y) + m * Ly + ops.L @ x - damp * x + grow * y
+    return F, Ly, G, m, damp, grow
+
+
 def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
          v: np.ndarray, dt: float,
-         counts: StepCounts) -> tuple[np.ndarray, np.ndarray] | None:
+         counts: StepCounts) -> tuple[np.ndarray, np.ndarray]:
     """One trapezoidal step of size dt on the whole system.
 
     With F(u, v) = -B u + M(G(u)) L u + L v - |v|^{r-1} v + |u|^{p-1} u
@@ -130,36 +150,28 @@ def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
     error left falls below NEWTON_RTOL of the iterate in the max norm.
 
     ``ops`` is the grid's operator object; Newton iterations and
-    linear solves are added to ``counts``.  Returns None when an
-    iterate or the new state is not finite, raises NewtonFailure when
-    Newton has not converged in NEWTON_MAX_ITER iterations and
-    ConvergenceFailure when a linear solve breaks down: each is the
-    signal to retry with a smaller dt.  u and v are not checked:
-    ``simulate`` checks the initial data and every state it passes on
-    came from this function.
+    linear solves are added to ``counts``.  Returns (u_new, v_new) or
+    raises: FloatingPointError when an iterate or the new state is not
+    finite (OverflowError when the Kirchhoff power overflows),
+    NewtonFailure when Newton has not converged in NEWTON_MAX_ITER
+    iterations and ConvergenceFailure when a linear solve breaks down;
+    each is the signal to retry with a smaller dt.  u and v are not
+    checked: ``simulate`` checks the initial data and every state it
+    passes on came from this function.
     """
     p, r, w = params.p, params.r, ops.grid.weight
     h = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Lu = ops.L @ u
-        m0 = functionals.kirchhoff(params, max(w * float(u @ -Lu), 0.0))
         # the explicit half of the trapezoid, and the part of u_new
         # that does not depend on v_new
-        rest = v + h * (-(ops.B @ u) + m0 * Lu + ops.L @ v
-                        - functionals.damping_term(params, v)
-                        + functionals.source_term(params, u))
+        rest = v + h * _force(ops, params, u, v)[0]
         u_half = u + h * v
         x, last = v, None
         for _ in range(NEWTON_MAX_ITER):
             # the displacement that the trial velocity x gives
             y = u_half + h * x
-            Ly = ops.L @ y
-            G = max(w * float(y @ -Ly), 0.0)
-            m = functionals.kirchhoff(params, G)
-            damp = np.abs(x)**(r - 1.0)
-            grow = np.abs(y)**(p - 1.0)
-            residual = x - rest - h * (-(ops.B @ y) + m * Ly + ops.L @ x
-                                       - damp * x + grow * y)
+            F, Ly, G, m, damp, grow = _force(ops, params, y, x)
+            residual = x - rest - h * F
             a, c = coefficients(dt, m)
             d = h * r * damp - h * h * p * grow
             # G = 0 only at y = 0, where the rank-1 term L y vanishes
@@ -170,7 +182,7 @@ def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
             counts.newton_iters += 1
             x = x + delta
             if not np.isfinite(x).all():
-                return None
+                raise FloatingPointError("Newton iterate is not finite")
             size = np.abs(delta).max()
             # the error left after this correction: the correction itself
             # at first, then theta/(1 - theta) times it, theta = size/last
@@ -188,7 +200,7 @@ def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
                                 f"{NEWTON_MAX_ITER} iterations")
         u_new = u_half + h * x
         if not np.isfinite(u_new).all():
-            return None
+            raise FloatingPointError("new displacement is not finite")
     return u_new, x
 
 
@@ -239,10 +251,10 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
 
     Termination is one of ``time_limit``, ``blowup_threshold`` or
     ``solver_failure`` (step collapse or step budget exhaustion; details
-    in ``note``).  A step attempt that leaves a non-finite state, breaks
-    down in its linear solve, does not converge in Newton or overflows
-    the diagnostics is rejected and retried at half the step; the
-    attempts and the cause of each rejection are counted in the
+    in ``note``).  A step attempt that raises (a non-finite state, a
+    linear solve that broke down, Newton not converging) or whose
+    diagnostics are not finite is rejected and retried at half the step;
+    the attempts and the cause of each rejection are counted in the
     trajectory's ``counts``.
 
     u0 and v0 are checked here, once (ValueError if either is
@@ -300,28 +312,19 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
             break
 
         counts.attempts += 1
-        snap_new = None
         try:
-            result = step(ops, params, u, v, dt, counts)
-            if result is not None:
-                snap_new = functionals.snapshot(grid, *result, params)
-        except NewtonFailure:
-            counts.rejected_newton += 1
-        except ConvergenceFailure:
-            counts.rejected_solver += 1
-        except OverflowError:
-            counts.rejected_nonfinite += 1
-        else:
-            if snap_new is None or not (
-                    math.isfinite(snap_new.E)
+            u_new, v_new = step(ops, params, u, v, dt, counts)
+            snap_new = functionals.snapshot(grid, u_new, v_new, params)
+            if not (math.isfinite(snap_new.E)
                     and math.isfinite(snap_new.dissipation_rate)):
-                counts.rejected_nonfinite += 1
-                snap_new = None
-        if snap_new is None:
+                raise FloatingPointError("diagnostics are not finite")
+        except tuple(_REJECTIONS) as exc:
             # the step could not be completed at this dt
+            cause = next(name for cls, name in _REJECTIONS.items()
+                         if isinstance(exc, cls))
+            setattr(counts, cause, getattr(counts, cause) + 1)
             scale *= 0.5
             continue
-        u_new, v_new = result
 
         step_diss = 0.5 * dt * (snap.dissipation_rate
                                 + snap_new.dissipation_rate)

@@ -68,11 +68,10 @@ class ModelParams:
 
 
 def kirchhoff(params: ModelParams, s: float) -> float:
-    """Stiffness coefficient M(s) = 1 + beta * s^gamma for s >= 0."""
+    """Stiffness coefficient M(s) = 1 + beta * s^gamma for s >= 0
+    (1 + beta at gamma = 0, where 0.0**0.0 == 1.0)."""
     if s < 0:
         raise ValueError(f"stiffness argument must be nonnegative, got {s}")
-    if params.gamma == 0:
-        return 1.0 + params.beta
     return 1.0 + params.beta * s**params.gamma
 
 
@@ -82,10 +81,7 @@ def source_term(params: ModelParams, u: np.ndarray) -> np.ndarray:
 
 
 def damping_term(params: ModelParams, v: np.ndarray) -> np.ndarray:
-    """Velocity damping |v|^{r-1} v; the r = 1 case short-circuits to v
-    so that zero velocity never evaluates 0^0."""
-    if params.r == 1:
-        return v
+    """Velocity damping |v|^{r-1} v (v at r = 1, where 0.0**0.0 == 1.0)."""
     return np.abs(v)**(params.r - 1.0) * v
 
 

@@ -177,16 +177,15 @@ def run(config: RunConfig, output_dir: str | Path) -> int:
     return run_with_artifacts(config, output_dir)[0]
 
 
-def _sweep_cell(task: tuple[int, RunConfig]) -> tuple[int, str, dict | None]:
+def _sweep_cell(config: RunConfig) -> tuple[str, dict | None]:
     """Evaluate one sweep cell; never raises."""
-    index, config = task
     try:
         artifacts = evaluate(config)
     except Exception as exc:
-        return index, _failure(exc)[1], None
+        return _failure(exc)[1], None
     failure = integrator_failure(artifacts.traj)
     status = "ok" if failure is None else _failure(failure)[1]
-    return index, status, summary_row(artifacts.report)
+    return status, summary_row(artifacts.report)
 
 
 def sweep(config: SweepConfig, jobs: int = 1) -> str:
@@ -199,18 +198,15 @@ def sweep(config: SweepConfig, jobs: int = 1) -> str:
     """
     cells = config.cells()
     keys = sorted(config.axes)
-    tasks = list(enumerate(cells))
     if jobs <= 1:
-        results = [_sweep_cell(task) for task in tasks]
+        results = list(map(_sweep_cell, cells))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_cell, tasks))
-    results.sort(key=lambda item: item[0])
+            results = list(pool.map(_sweep_cell, cells))
 
     header = list(keys) + list(SUMMARY_COLUMNS) + ["status"]
     lines = [",".join(header)]
-    for index, status, row in results:
-        cell = cells[index]
+    for cell, (status, row) in zip(cells, results):
         values = [fmt(getattr(cell, key)) for key in keys]
         if row is None:
             values += ["none"] * len(SUMMARY_COLUMNS)
@@ -246,12 +242,16 @@ class VerifyReport:
 
 
 def _suite_green_identity() -> tuple[bool, str]:
-    """Symmetry and quadratic-form identities of the discrete operators."""
+    """Symmetry of the discrete operators; the gradient energy against
+    the sum of squared first differences; and, as B = L^2 + (2/h^4)
+    (e_1 e_1^T + e_n e_n^T) along every grid line, the plate energy
+    against ||L u||^2 + (2/h^4) sum of u^2 over the line ends."""
     rng = np.random.default_rng(7)
     worst = 0.0
     for grid in (make_grid(1, 64), make_grid(2, 16)):
         L = mesh.laplacian_matrix(grid)
         B = mesh.biharmonic_matrix(grid)
+        axes = range(grid.dim)
         for _ in range(50):
             u = rng.standard_normal(grid.size)
             w = rng.standard_normal(grid.size)
@@ -260,9 +260,15 @@ def _suite_green_identity() -> tuple[bool, str]:
                 a = grid.weight * float(u @ (A @ w))
                 b = grid.weight * float(w @ (A @ u))
                 pairs.append((a, b))
-            pairs.append((-grid.weight * float(u @ (L @ u)),
+            # u with its zero boundary; a corner is the end of two lines
+            V = np.pad(u.reshape((grid.n_interior,) * grid.dim), 1)
+            diffs = sum(np.sum(np.diff(V, axis=k)**2) for k in axes)
+            ends = sum(np.sum(np.take(V, (1, -2), axis=k)**2) for k in axes)
+            Lu = L @ u
+            pairs.append((grid.weight * float(diffs) / grid.h**2,
                           mesh.grad_norm_sq(grid, u)))
-            pairs.append((grid.weight * float(u @ (B @ u)),
+            plate = Lu @ Lu + 2.0 / grid.h**4 * ends
+            pairs.append((grid.weight * float(plate),
                           mesh.lap_norm_sq(grid, u)))
             for a, b in pairs:
                 rel = abs(a - b) / max(abs(a), abs(b), 1e-300)

@@ -5,9 +5,10 @@ grid alone: the Dirichlet Laplacian ``L`` and the clamped biharmonic
 ``B`` with their infinity norms, the banded storage of the 1d stencils,
 the orthonormal sine basis that diagonalizes ``L`` and its closed-form
 eigenpairs, the Newton solve of the time step, the fixed quadratic
-forms of the embedding sweeps with their exact solves, and the results
-of ``spectra`` once they are computed.  Every member is built on first
-use, so asking for ``L`` does not pay for the sine basis.
+forms of the embedding sweeps with their exact solves, and the costly
+results of ``spectra`` (the plate eigenpair and the embedding
+constants) once they are computed.  Every member is built on first use,
+so asking for ``L`` does not pay for the sine basis.
 
 The sine basis is what makes the 2d solves cheap.  With the orthonormal
 matrix S (S = S^T = S^{-1}) the 1d Laplacian is S diag(mu) S, and the
@@ -54,7 +55,6 @@ from .solvers import (conjugate_gradient, operator_norm_estimate,
 
 if TYPE_CHECKING:
     from .mesh import Grid
-    from .spectra import VariationalConstants
 
 # the fixed quadratic forms of the embedding sweeps: -L, B and B - L
 FORMS = ("grad", "lap", "H")
@@ -82,15 +82,16 @@ def _stencil_1d(n: int, h: float, order: int) -> sp.dia_matrix:
 
 
 class GridOperators:
-    """Operators, transforms, solves and spectral results of one grid."""
+    """Operators, transforms and solves of one grid, with the plate
+    eigenpair and the embedding constants that ``spectra`` computes on
+    it; closed forms and constant bundles are rebuilt, not kept."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        # results of ``spectra``: eigenpairs by operator name, embedding
-        # constants by (q, denominator, seed), bundles by (params, seed)
-        self.eigenpairs: dict[str, tuple[float, np.ndarray]] = {}
+        # results of ``spectra``: the plate eigenpair, and embedding
+        # constants with their maximizers by (q, denominator, seed)
+        self.plate_eigenpair: tuple[float, np.ndarray] | None = None
         self.embeddings: dict[tuple, tuple[float, np.ndarray]] = {}
-        self.constants: dict[tuple, VariationalConstants] = {}
         # (product, exact solve) of each fixed form, by name in FORMS
         self.forms: dict[str, tuple[Callable, Callable]] = {}
 

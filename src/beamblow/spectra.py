@@ -76,19 +76,18 @@ def smallest_eigen(grid: Grid,
 
     The returned field has unit weighted L2 norm and its largest entry
     positive.  For the Laplacian it is the first sine mode in closed
-    form; the plate pair comes from inverse iteration.  Pairs are kept
-    on the grid's operator object and handed out as copies.
+    form; the plate pair comes from inverse iteration, is kept on the
+    grid's operator object and is handed out as a copy.
     """
-    pairs = operators(grid).eigenpairs
-    if operator not in pairs:
-        if operator == "laplacian":
-            pairs[operator] = operators(grid).laplacian_mode((1,) * grid.dim)
-        elif operator == "biharmonic":
-            pairs[operator] = _plate_inverse_iteration(grid)
-        else:
-            raise ValueError(f"unknown operator {operator!r}, "
-                             f"expected one of {_OPERATORS}")
-    lam, x = pairs[operator]
+    ops = operators(grid)
+    if operator == "laplacian":
+        return ops.laplacian_mode((1,) * grid.dim)
+    if operator != "biharmonic":
+        raise ValueError(f"unknown operator {operator!r}, "
+                         f"expected one of {_OPERATORS}")
+    if ops.plate_eigenpair is None:
+        ops.plate_eigenpair = _plate_inverse_iteration(grid)
+    lam, x = ops.plate_eigenpair
     return lam, x.copy()
 
 
@@ -198,27 +197,23 @@ class VariationalConstants:
 
 def compute_constants(grid: Grid, params: ModelParams,
                       seed: int = 0) -> VariationalConstants:
-    """All constants the bound chains need, computed once per pairing
-    and kept on the grid's operator object by (params, seed).
+    """All constants the bound chains need, built from the plate
+    eigenpair and embedding constants kept on the grid's operator object.
 
     B1 is the Poincare constant ||u|| <= B1 ||grad u||; C, C_a, C_b
     bound ||u||_{p+1} by the graph, gradient and Laplacian norms; and
     B_star bounds ||u||_{2p} by the Laplacian norm.  ``seed`` seeds the
     random starts of the embedding sweeps.
     """
-    memo = operators(grid).constants
-    if (params, seed) not in memo:
-        lam1_lap, _ = smallest_eigen(grid, "laplacian")
-        lam1_bih, _ = smallest_eigen(grid, "biharmonic")
-        q = params.p + 1.0
-        C, _ = embedding_constant(grid, q, "H", seed=seed)
-        C_a, _ = embedding_constant(grid, q, "grad", seed=seed)
-        C_b, _ = embedding_constant(grid, q, "lap", seed=seed)
-        B_star, _ = embedding_constant(grid, 2.0 * params.p, "lap",
-                                       seed=seed)
-        lam_star, depth = well_depth(C, params)
-        memo[params, seed] = VariationalConstants(
-            lam1_lap=lam1_lap, lam1_bih=lam1_bih, B1=lam1_lap**-0.5,
-            C=C, C_a=C_a, C_b=C_b, B_star=B_star,
-            lam_star=lam_star, depth=depth)
-    return memo[params, seed]
+    lam1_lap, _ = smallest_eigen(grid, "laplacian")
+    lam1_bih, _ = smallest_eigen(grid, "biharmonic")
+    q = params.p + 1.0
+    C, _ = embedding_constant(grid, q, "H", seed=seed)
+    C_a, _ = embedding_constant(grid, q, "grad", seed=seed)
+    C_b, _ = embedding_constant(grid, q, "lap", seed=seed)
+    B_star, _ = embedding_constant(grid, 2.0 * params.p, "lap", seed=seed)
+    lam_star, depth = well_depth(C, params)
+    return VariationalConstants(
+        lam1_lap=lam1_lap, lam1_bih=lam1_bih, B1=lam1_lap**-0.5,
+        C=C, C_a=C_a, C_b=C_b, B_star=B_star,
+        lam_star=lam_star, depth=depth)

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from beamblow import (
+    BlowupEstimate,
+    LowerBounds,
     ModelParams,
-    Thm31Chain,
+    Thm34Result,
+    Thm35Result,
     construct_energy_level,
     detect_blowup,
     energy_E,
     full_report,
     growth_functional,
     growth_series,
-    inner,
     make_grid,
     norm_lq,
     preset,
@@ -260,6 +262,38 @@ def test_full_report_without_blowup(grid48, params, consts48):
     assert report.T_num is None
     assert report.sandwich_ok  # vacuous without detection
     assert report.T_upper is not None  # thm33 applies
+
+
+def _detected_at(T_num: float) -> BlowupEstimate:
+    return BlowupEstimate(detected=True, T_num=T_num, uncertainty=0.0,
+                          crossings=(), coarse=False)
+
+
+def test_full_report_sandwich_fails_outside_the_bounds(grid48, params,
+                                                       consts48):
+    data = preset("negative_energy", grid48, params)
+
+    def report_at(T_num):
+        return full_report(grid48, data.u0, data.u1, params, consts48,
+                           _detected_at(T_num))
+
+    bare = full_report(grid48, data.u0, data.u1, params, consts48, None)
+    lowest = min(bare.lowers.T_lower_34_truncated, bare.lowers.T_lower_35)
+    highest = max(bare.lowers.T_lower_34_truncated, bare.lowers.T_lower_35)
+    assert bare.T_upper is not None and highest < bare.T_upper
+    assert report_at(0.5 * (highest + bare.T_upper)).sandwich_ok
+    # below a certified lower bound, and above the upper bound
+    assert not report_at(0.5 * lowest).sandwich_ok
+    assert not report_at(2.0 * bare.T_upper).sandwich_ok
+
+
+def test_lower_bounds_merge_both_results_in_order():
+    r34 = Thm34Result(F0=1.0, varpi=2.0, K1=3.0, K2=4.0,
+                      T_lower_34_truncated=5.0, T_lower_34_with_tail=6.0)
+    r35 = Thm35Result(G0=7.0, C_eff=8.0, T_lower_35=9.0)
+    merged = LowerBounds.from_parts(r34, r35)
+    assert list(vars(merged)) == [*vars(r34), *vars(r35)]
+    assert list(vars(merged).values()) == [float(k) for k in range(1, 10)]
 
 
 def test_report_formatting(grid48, params, consts48):

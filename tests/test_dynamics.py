@@ -252,6 +252,39 @@ def test_fixed_step_overflow_ends_in_solver_failure(monkeypatch, dim,
         assert "collapsed" in traj.note
 
 
+def test_a_non_finite_snapshot_is_rejected_and_retried(monkeypatch,
+                                                      grid48, params):
+    """The third snapshot (of the second step attempt) reports a nan
+    energy: that attempt is counted as non-finite and retried at half
+    the step, and the run ends as it does without the fault."""
+    from dataclasses import replace
+
+    from beamblow import functionals
+
+    data = preset("negative_energy", grid48, params)
+
+    def run():
+        return simulate(grid48, params, data.u0, data.u1, StepControls(),
+                        t_max=5.0, blow_threshold=1e4)
+
+    clean = run()
+    snapshot = functionals.snapshot
+    calls = []
+
+    def faulty(*args):
+        calls.append(1)
+        snap = snapshot(*args)
+        return replace(snap, E=math.nan) if len(calls) == 3 else snap
+
+    monkeypatch.setattr(functionals, "snapshot", faulty)
+    traj = run()
+    assert clean.counts.rejected_nonfinite == 0
+    assert traj.counts.rejected_nonfinite == 1
+    assert traj.counts.attempts == traj.n_steps + (
+        traj.counts.rejected_energy + 1)
+    assert traj.termination == clean.termination == "blowup_threshold"
+
+
 def test_detect_blowup_synthetic_pole():
     # value = 3 (1 - t)^{-2} has an exact pole at T = 1, and the law with
     # k = 2 recovers it

@@ -181,7 +181,25 @@ def test_sweep_cell_status_tokens(monkeypatch, exc, status):
         raise exc
 
     monkeypatch.setattr(harness, "evaluate", fail)
-    assert harness._sweep_cell((3, QUIET)) == (3, status, None)
+    assert harness._sweep_cell(QUIET) == (status, None)
+
+
+def test_cli_sweep(tmp_path, capsys, small_sweep_text):
+    cfg = tmp_path / "sweep.txt"
+    cfg.write_text(small_sweep_text)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 5
+    assert "4 rows written" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("passed,code", [(True, 0), (False, 1)])
+def test_cli_verify_exit_code(monkeypatch, capsys, passed, code):
+    report = harness.VerifyReport(suites=(
+        harness.SuiteResult("stub", passed, "stubbed", 0.0),))
+    monkeypatch.setattr(cli, "verify", lambda: report)
+    assert main(["verify"]) == code
+    assert capsys.readouterr().out.splitlines() == report.lines()
 
 
 def test_sweep_prints_integer_axes_exactly(monkeypatch):
@@ -419,6 +437,25 @@ def test_cli_one_node_grid_is_a_construction_failure(tmp_path, capsys,
             RunConfig(), N=1, preset="high_energy")
         assert "ConstructionFailure" in (
             out / harness.FAILURE_MARKER).read_text()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_cli_energy_flag_needs_the_high_energy_preset(tmp_path, capsys,
+                                                      command):
+    # energy_R is read only by the high_energy preset: under any other
+    # the flag would change nothing, so the run is refused
+    cfg = tmp_path / "run.txt"
+    cfg.write_text(serialize_config(QUIET))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--energy", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "'sine_bump'" in err and "high_energy" in err
+    assert not out.exists()
+    cfg.write_text(serialize_config(replace(QUIET, preset="high_energy")))
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--energy", "3"]) == 0
+    assert parse_config((out / "config.txt").read_text()).energy_R == 3.0
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
