@@ -60,8 +60,8 @@ benchmark's tracer (``perfbench/tracing.py``), which wraps the
 program's functions from outside, so the same script measures any
 version that has these names.  The tracer's own cost per wrapped call
 is included on both sides.  ``2d_forms`` and ``run_1d`` time the
-program directly; ``run_1d`` counts the attempts with a wrapper around
-``dynamics.step`` that only counts.
+program directly; ``run_1d`` reads the step attempts from the
+trajectory's ``counts``.
 """
 
 import argparse
@@ -195,16 +195,7 @@ def measure_run_1d(src: str) -> dict:
 
     sys.path.insert(0, src)
     import beamblow as bb
-    from beamblow import dynamics
 
-    attempts = [0]
-    step = dynamics.step
-
-    def counted_step(*args, **kwargs):
-        attempts[0] += 1
-        return step(*args, **kwargs)
-
-    dynamics.step = counted_step
     cfg = bb.RunConfig()
     # the whole pipeline, untimed: the data, the estimate the run
     # reports, and a warm-up of the operators, bands and caches
@@ -212,7 +203,6 @@ def measure_run_1d(src: str) -> dict:
     grid, params, data, est = art.grid, art.params, art.data, art.estimate
 
     def run():
-        attempts[0] = 0
         start = time.perf_counter()
         traj = bb.simulate(grid, params, data.u0, data.u1,
                            cfg.step_controls(), t_max=cfg.t_max,
@@ -231,7 +221,7 @@ def measure_run_1d(src: str) -> dict:
         "simulate_s": statistics.median(seconds),
         "repetitions_s": seconds,
         "accepted_steps": traj.n_steps,
-        "attempts": attempts[0],
+        "attempts": traj.counts.attempts,
         "T_num": est.T_num,
         "T_num_uncertainty": est.uncertainty,
         "T_star": T_STAR_1D,

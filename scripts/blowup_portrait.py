@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from beamblow import RunConfig, evaluate, parse_config, report_lines
-from beamblow.harness import constants_items, write_artifacts
+from beamblow.bounds import scalar_items
+from beamblow.harness import write_artifacts
 
 
 def main() -> int:
@@ -33,7 +34,7 @@ def main() -> int:
     art = evaluate(config)
 
     print("# constants")
-    for key, value in constants_items(art.consts):
+    for key, value in scalar_items(art.consts, "constants."):
         print(f"{key} = {value}")
 
     print("\n# certificate report")

@@ -47,7 +47,7 @@ def main() -> int:
         data = construct_energy_level(grid, params, R, chain.B)
         E0 = energy_E(grid, data.u0, data.u1, params)
         margin = inner(grid, data.u0, data.u1) - chain.B * R
-        verdict = thm31_check(grid, data.u0, data.u1, params, chain, E0)
+        verdict = thm31_check(grid, data.u0, data.u1, chain, E0)
         row = f"{level:6.2f} {E0:13.6e} {margin:12.4e} {verdict:>16}"
         if args.simulate:
             est = evaluate(replace(base, energy_R=R)).estimate

@@ -10,8 +10,7 @@ checks the certified bound sandwich against the observed blow-up time.
 
 from .bounds import (BoundReport, LowerBounds, Thm31Chain, Thm32Chain,
                      Thm33Chain, Thm34Result, Thm35Result, full_report,
-                     growth_functional, growth_series, report_items,
-                     report_lines, summary_row, thm31_check,
+                     growth_series, report_lines, summary_row, thm31_check,
                      thm31_constants, thm32_upper, thm33_upper, thm34_lower,
                      thm35_lower)
 from .config import (RunConfig, SweepConfig, parse_config,
@@ -22,14 +21,12 @@ from .dynamics import (DEFAULT_THRESHOLDS, BlowupEstimate, StepControls,
 from .errors import (BeamblowError, ConfigError, ConstructionFailure,
                      ConvergenceFailure, NewtonFailure, SolverFailure)
 from .functionals import (FunctionalSnapshot, ModelParams, classify,
-                          damping_term, dissipation_rate, energy_E,
-                          kirchhoff, lemma21_verdict, nehari_I,
-                          nehari_from_parts, potential_J,
-                          potential_from_parts, snapshot, source_term)
+                          dissipation_rate, energy_E, kirchhoff,
+                          lemma21_verdict, nehari_I, nehari_from_parts,
+                          potential_J, potential_from_parts, snapshot)
 from .harness import (RunArtifacts, SuiteResult, VerifyReport, evaluate,
                       run, sweep, verify, write_artifacts)
-from .mesh import (Grid, apply_biharmonic, apply_laplacian,
-                   biharmonic_matrix, grad_norm_sq, inner, lap_norm_sq,
+from .mesh import (Grid, biharmonic_matrix, grad_norm_sq, inner, lap_norm_sq,
                    laplacian_matrix, make_grid, max_norm, norm_l2, norm_lq)
 from .scenarios import (InitialData, PRESET_NAMES, chi,
                         construct_energy_level, eigen_pair_basis, preset)

@@ -31,7 +31,25 @@ from .mesh import Grid, grad_norm_sq, inner, lap_norm_sq, norm_l2, norm_lq
 from .spectra import VariationalConstants
 
 
-def _largest_admissible(pred, hi: float, *, iters: int = 100) -> float:
+def _boundary(pred, good: float, bad: float) -> float:
+    """The end of the bracket (good, bad), in either order, at which
+    ``pred`` holds, after halving the bracket until its ends are
+    adjacent floats.
+
+    ``pred`` must hold at ``good`` and fail at ``bad``, both finite.
+    With a single changeover between them the result is the last float
+    on the passing side."""
+    while True:
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            return good
+        if pred(mid):
+            good = mid
+        else:
+            bad = mid
+
+
+def _largest_admissible(pred, hi: float) -> float:
     """Largest x in (0, hi] passing ``pred``, located by bisection.
 
     Assumes ``pred`` holds near 0 and fails past a single changeover
@@ -45,16 +63,8 @@ def _largest_admissible(pred, hi: float, *, iters: int = 100) -> float:
     for _ in range(80):
         lo *= 0.5
         if pred(lo):
-            break
-    else:
-        return 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+            return _boundary(pred, lo, hi)
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +171,7 @@ def thm31_constants(params: ModelParams, B1: float) -> Thm31Chain:
 
 
 def thm31_check(grid: Grid, u0: np.ndarray, u1: np.ndarray,
-                params: ModelParams, chain: Thm31Chain, E0: float) -> str:
+                chain: Thm31Chain, E0: float) -> str:
     """Classify initial data for the growth certificate.
 
     ``case_i``: negative initial energy.  ``case_ii``: nonnegative
@@ -177,14 +187,9 @@ def thm31_check(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     return "not-applicable"
 
 
-def growth_functional(grid: Grid, u: np.ndarray, v: np.ndarray,
-                      chain: Thm31Chain, E_val: float) -> float:
-    """F(t) = inner(u, u_t) - B*E(t); grows at least like F(0) e^{At}."""
-    return inner(grid, u, v) - chain.B * E_val
-
-
 def growth_series(traj: Trajectory, chain: Thm31Chain) -> np.ndarray:
-    """Evaluate the growth functional along a recorded trajectory."""
+    """The growth functional F(t) = inner(u, u_t) - B*E(t), which grows
+    at least like F(0) e^{At}, along a recorded trajectory."""
     return np.array([rec.inner_uv - chain.B * rec.snap.E for rec in traj.records])
 
 
@@ -553,11 +558,16 @@ def thm35_lower(grid: Grid, u0: np.ndarray, u1: np.ndarray,
 class BoundReport:
     """Everything the certificate machinery can say about one run.
 
-    The field order is the order of ``report_items``."""
+    The field order is the order of ``report_lines``: the four verdicts
+    follow ``thm31_verdict``, and a nested chain contributes its fields
+    under its own prefix."""
 
     E0: float
     thm31_verdict: str
-    verdicts: dict[str, bool]
+    thm31_case_i: bool
+    thm31_case_ii: bool
+    thm32_applicable: bool
+    thm33_applicable: bool
     thm31: Thm31Chain
     thm32: Thm32Chain
     thm33: Thm33Chain
@@ -584,7 +594,7 @@ def full_report(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     """
     E0 = energy_E(grid, u0, u1, params)
     chain31 = thm31_constants(params, consts.B1)
-    verdict31 = thm31_check(grid, u0, u1, params, chain31, E0)
+    verdict31 = thm31_check(grid, u0, u1, chain31, E0)
     chain32 = thm32_upper(grid, u0, u1, params, consts, mu,
                           m_safety=m_safety, alpha_override=alpha_override,
                           eps_override=eps_override)
@@ -595,17 +605,11 @@ def full_report(grid: Grid, u0: np.ndarray, u1: np.ndarray,
         thm34_lower(grid, u0, u1, params, consts.B_star),
         thm35_lower(grid, u0, u1, params, consts.C_a, consts.C_b))
 
-    verdicts = {
-        "thm31_case_i": verdict31 == "case_i",
-        "thm31_case_ii": verdict31 == "case_ii",
-        "thm32_applicable": bool(chain32.applicable and verdict31 == "case_ii"),
-        "thm33_applicable": bool(chain33.applicable),
-    }
-
+    thm32_applicable = chain32.applicable and verdict31 == "case_ii"
     uppers = []
-    if verdicts["thm32_applicable"] and chain32.T_upper is not None:
+    if thm32_applicable and chain32.T_upper is not None:
         uppers.append(chain32.T_upper)
-    if verdicts["thm33_applicable"] and chain33.T_upper is not None:
+    if chain33.applicable and chain33.T_upper is not None:
         uppers.append(chain33.T_upper)
     T_upper = min(uppers) if uppers else None
 
@@ -623,7 +627,11 @@ def full_report(grid: Grid, u0: np.ndarray, u1: np.ndarray,
 
     return BoundReport(E0=E0, thm31=chain31, thm32=chain32, thm33=chain33,
                        lowers=lowers, thm31_verdict=verdict31,
-                       verdicts=verdicts, T_upper=T_upper, T_num=T_num,
+                       thm31_case_i=verdict31 == "case_i",
+                       thm31_case_ii=verdict31 == "case_ii",
+                       thm32_applicable=thm32_applicable,
+                       thm33_applicable=chain33.applicable,
+                       T_upper=T_upper, T_num=T_num,
                        T_num_uncertainty=uncertainty,
                        blowup_detected=detected, sandwich_ok=sandwich_ok)
 
@@ -648,33 +656,24 @@ def scalar_items(obj, prefix: str = "") -> list[tuple[str, str]]:
     """Flatten a dataclass into ordered (key, value) string pairs.
 
     Keys follow the field order.  A nested dataclass contributes its
-    own fields under ``<field>.`` (or the field's ``key`` metadata), a
-    dict contributes its entries as they are, and an empty ``note``
-    reads ``ok``."""
+    own fields under ``<field>.`` (or the field's ``key`` metadata), and
+    an empty ``note`` reads ``ok``."""
     items: list[tuple[str, str]] = []
     for f in fields(obj):
         value = getattr(obj, f.name)
         key = prefix + f.metadata.get("key", f.name)
         if is_dataclass(value):
             items += scalar_items(value, key + ".")
-        elif isinstance(value, dict):
-            items += [(prefix + k, fmt(v)) for k, v in value.items()]
         else:
             items.append((key, fmt(value or "ok") if f.name == "note"
                           else fmt(value)))
     return items
 
 
-def report_items(report: BoundReport) -> list[tuple[str, str]]:
-    """Flatten a BoundReport into ordered (key, value) string pairs:
-    every field of every chain, under ``thm31.``, ``thm32.``,
-    ``thm33.`` and ``lower.``."""
-    return scalar_items(report)
-
-
 def report_lines(report: BoundReport) -> list[str]:
-    """Render a BoundReport as `key = value` lines."""
-    return [f"{key} = {value}" for key, value in report_items(report)]
+    """Render a BoundReport as `key = value` lines: every field of every
+    chain, under ``thm31.``, ``thm32.``, ``thm33.`` and ``lower.``."""
+    return [f"{key} = {value}" for key, value in scalar_items(report)]
 
 
 # columns of sweep tables and the bounds CSV; a ``lower.`` report key
@@ -689,6 +688,6 @@ SUMMARY_COLUMNS = (
 def summary_row(report: BoundReport) -> dict[str, str]:
     """Compact per-run row for sweep tables and the bounds CSV, keyed
     and ordered by SUMMARY_COLUMNS."""
-    items = dict(report_items(report))
+    items = dict(scalar_items(report))
     return {col: items[col] if col in items else items["lower." + col]
             for col in SUMMARY_COLUMNS}

@@ -14,14 +14,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bounds import SUMMARY_COLUMNS, fmt, report_lines, summary_row
+from .bounds import (SUMMARY_COLUMNS, fmt, report_lines, scalar_items,
+                     summary_row)
 from .config import parse_config, parse_sweep_config
 from .errors import BeamblowError, ConfigError
 from .functionals import snapshot
-from .harness import (FAILURE_MARKER, constants_items, exit_code_for,
-                      _write_vector, run, run_with_artifacts, sweep, verify)
+from .harness import (FAILURE_MARKER, exit_code_for, _write_vector, run,
+                      run_with_artifacts, sweep, verify)
 from .mesh import inner
-from .scenarios import preset
+from .scenarios import construct_energy_level, growth_weight
 from .spectra import compute_constants
 
 
@@ -72,7 +73,7 @@ def _cmd_spectra(args) -> int:
     config, out = _load(args)
     consts = compute_constants(config.grid(), config.model_params(),
                                config.seed)
-    lines = [f"{k} = {v}" for k, v in constants_items(consts)]
+    lines = [f"{k} = {v}" for k, v in scalar_items(consts, "constants.")]
     print("\n".join(lines))
     out.mkdir(parents=True, exist_ok=True)
     (out / "spectra.txt").write_text("\n".join(lines) + "\n")
@@ -112,8 +113,8 @@ def _cmd_construct(args) -> int:
     config, out = _load(args)
     grid = config.grid()
     params = config.model_params()
-    data = preset("high_energy", grid, params, energy_R=config.energy_R)
-    B = data.meta["B"]
+    B = growth_weight(grid, params)
+    data = construct_energy_level(grid, params, config.energy_R, B)
     snap = snapshot(grid, data.u0, data.u1, params)
     corr = inner(grid, data.u0, data.u1)
     lines = [

@@ -162,7 +162,7 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.output_every < 1:
         bad(f"output_every must be at least 1, got {cfg.output_every}")
     if len(cfg.thresholds) < 3:
-        bad("thresholds needs at least 3 values for a crossing fit")
+        bad("thresholds needs at least 3 values")
     if any(t <= 0 for t in cfg.thresholds):
         bad("thresholds must be positive")
     if any(a >= b for a, b in zip(cfg.thresholds, cfg.thresholds[1:])):

@@ -107,11 +107,9 @@ class StepCounts:
 
 @dataclass
 class State:
-    grid: Grid
     t: float
     u: np.ndarray
     v: np.ndarray
-    dt: float
 
 
 def coefficients(dt: float, mbar: float) -> tuple[float, float]:
@@ -278,14 +276,12 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
     records = [Record(t=0.0, dt=dt, snap=snap, energy_residual=0.0,
                       inner_uv=mesh.inner(grid, u, v))]
     diss_accum = 0.0
-    last_record_E = snap.E
-    steps_since_record = 0
     termination = None
     note = ""
 
     def record() -> Record:
         return Record(t=t, dt=dt, snap=snap,
-                      energy_residual=snap.E - last_record_E + diss_accum,
+                      energy_residual=snap.E - records[-1].snap.E + diss_accum,
                       inner_uv=mesh.inner(grid, u, v))
 
     while True:
@@ -345,19 +341,16 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
         t += dt
         u, v, snap = u_new, v_new, snap_new
         n_steps += 1
-        steps_since_record += 1
-        if steps_since_record >= output_every:
+        if n_steps % output_every == 0:
             records.append(record())
-            last_record_E = snap.E
             diss_accum = 0.0
-            steps_since_record = 0
 
-    if steps_since_record > 0:
+    if n_steps % output_every:
         records.append(record())
 
     return Trajectory(grid=grid, params=params, records=records,
                       termination=termination, note=note, n_steps=n_steps,
-                      final_state=State(grid=grid, t=t, u=u, v=v, dt=dt),
+                      final_state=State(t=t, u=u, v=v),
                       counts=counts)
 
 

@@ -12,8 +12,8 @@ class ConfigError(BeamblowError):
 
 
 class SolverFailure(BeamblowError):
-    """Time integration could not continue (step size exhausted, linear
-    solve diverged, or state became non-finite)."""
+    """Time integration could not continue: the adapted step collapsed
+    below dt_min, or the step budget ran out."""
 
 
 class ConvergenceFailure(BeamblowError):

@@ -75,16 +75,6 @@ def kirchhoff(params: ModelParams, s: float) -> float:
     return 1.0 + params.beta * s**params.gamma
 
 
-def source_term(params: ModelParams, u: np.ndarray) -> np.ndarray:
-    """Focusing source |u|^{p-1} u, evaluated nodewise."""
-    return np.abs(u)**(params.p - 1.0) * u
-
-
-def damping_term(params: ModelParams, v: np.ndarray) -> np.ndarray:
-    """Velocity damping |v|^{r-1} v (v at r = 1, where 0.0**0.0 == 1.0)."""
-    return np.abs(v)**(params.r - 1.0) * v
-
-
 def _power(x: float, y: float) -> float:
     """x**y for x >= 0, inf where it overflows: a Python float power
     raises OverflowError there, and the diagnostics of a large finite

@@ -15,7 +15,7 @@ processes, and produce one CSV row per cell in a deterministic order
 worker count.  Failures are recorded in-row, never raised.
 
 verify() runs the internal consistency suites and is what the command
-line exposes so an installation can check itself in a few minutes.
+line exposes so an installation can check itself in about a second.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import numpy as np
 
 from . import functionals, mesh
 from .bounds import (SUMMARY_COLUMNS, BoundReport, _lower_34_integral, fmt,
-                     full_report, report_items, scalar_items, summary_row,
-                     thm31_constants)
+                     full_report, scalar_items, summary_row, thm31_constants)
 from .config import RunConfig, SweepConfig, serialize_config
 from .dynamics import (BlowupEstimate, StepControls, Trajectory,
                        detect_blowup, simulate)
@@ -116,13 +115,9 @@ def _write_timeseries(path: Path, traj: Trajectory) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def constants_items(consts: VariationalConstants) -> list[tuple[str, str]]:
-    return scalar_items(consts, "constants.")
-
-
 def _write_report(path: Path, artifacts: RunArtifacts) -> None:
-    items = constants_items(artifacts.consts)
-    items += report_items(artifacts.report)
+    items = scalar_items(artifacts.consts, "constants.")
+    items += scalar_items(artifacts.report)
     items += [("run.termination", artifacts.traj.termination),
               ("run.note", artifacts.traj.note or "none"),
               ("run.n_steps", str(artifacts.traj.n_steps)),

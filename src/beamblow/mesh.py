@@ -95,14 +95,6 @@ def check_field(grid: Grid, u) -> np.ndarray:
     return u
 
 
-def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
-    return laplacian_matrix(grid) @ check_field(grid, u)
-
-
-def apply_biharmonic(grid: Grid, u: np.ndarray) -> np.ndarray:
-    return biharmonic_matrix(grid) @ check_field(grid, u)
-
-
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     """Weighted L2 inner product."""
     return grid.weight * float(np.dot(u, v))

@@ -12,10 +12,11 @@ construction is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _boundary, thm31_constants
 from .errors import ConstructionFailure
 from .functionals import ModelParams, potential_J
 from .mesh import Grid, inner, norm_l2
@@ -27,11 +28,10 @@ PRESET_NAMES = ("sine_bump", "negative_energy", "high_energy")
 
 @dataclass(frozen=True)
 class InitialData:
-    """A displacement/velocity pair plus its construction record."""
+    """Initial displacement u0 and velocity u1 on the interior nodes."""
 
     u0: np.ndarray
     u1: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def eigen_pair_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -68,9 +68,9 @@ def construct_energy_level(grid: Grid, params: ModelParams, R: float,
     """Blow-up data with E(0) = R exactly and inner(u0, u1) > B*R.
 
     Doubles r1 from 1 until chi(r1) < R and r1^2 > B*R both hold, then
-    bisects inside the final power-of-two bracket, keeping the
-    admissible end.  The second-mode amplitude r2 solves the quadratic
-    that lands the assembled energy on R.
+    bisects inside the final power-of-two bracket down to adjacent
+    floats, keeping the admissible end.  The second-mode amplitude r2
+    solves the quadratic that lands the assembled energy on R.
     """
     if B <= 0.0:
         raise ConstructionFailure("energy weight B must be positive")
@@ -88,18 +88,10 @@ def construct_energy_level(grid: Grid, params: ModelParams, R: float,
         if hi > 2.0**60:
             raise ConstructionFailure(
                 f"no admissible amplitude below 2^60 for R = {R}")
-    lo = 0.5 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
-    r1 = hi
+    r1 = _boundary(admissible, hi, 0.5 * hi)
 
     u0 = r1 * v1
     J0 = potential_J(grid, u0, params)
-    chi_val = 0.5 * r1**2 * l2_v1_sq + J0
     # E(0) = ||r1 v1 + r2 v2||^2 / 2 + J(u0) = R, solved for r2 > 0
     b_lin = 2.0 * r1 * cross
     c_const = r1**2 * l2_v1_sq - 2.0 * (R - J0)
@@ -107,10 +99,7 @@ def construct_energy_level(grid: Grid, params: ModelParams, R: float,
     if disc <= 0.0:
         raise ConstructionFailure("second-mode amplitude has no real solution")
     r2 = (-b_lin + np.sqrt(disc)) / (2.0 * l2_v2_sq)
-    u1 = r1 * v1 + r2 * v2
-    return InitialData(u0=u0, u1=u1,
-                       meta={"method": "energy_level", "R": R, "B": B,
-                             "r1": r1, "r2": float(r2), "chi": chi_val})
+    return InitialData(u0=u0, u1=r1 * v1 + r2 * v2)
 
 
 def _negative_energy_amplitude(grid: Grid, params: ModelParams,
@@ -133,13 +122,18 @@ def _negative_energy_amplitude(grid: Grid, params: ModelParams,
         lo *= 0.5
     else:
         raise ConstructionFailure("potential energy has no positive branch")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if J_of(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _boundary(lambda a: J_of(a) < 0.0, hi, lo)
+
+
+def growth_weight(grid: Grid, params: ModelParams) -> float:
+    """The energy weight B of the concavity chain, with the first
+    Dirichlet-Laplacian eigenvalue giving B1 = lambda_1^{-1/2}."""
+    lam1_lap, _ = smallest_eigen(grid, "laplacian")
+    chain = thm31_constants(params, lam1_lap**-0.5)
+    if not chain.feasible:
+        raise ConstructionFailure("growth chain infeasible; "
+                                  "cannot pick the energy weight B")
+    return chain.B
 
 
 def preset(name: str, grid: Grid, params: ModelParams,
@@ -157,22 +151,13 @@ def preset(name: str, grid: Grid, params: ModelParams,
         raise ConstructionFailure(f"unknown preset {name!r}; "
                                   f"expected one of {PRESET_NAMES}")
     if name == "high_energy":
-        from .bounds import thm31_constants
-
-        lam1_lap, _ = smallest_eigen(grid, "laplacian")
-        chain = thm31_constants(params, lam1_lap**-0.5)
-        if not chain.feasible:
-            raise ConstructionFailure("growth chain infeasible; "
-                                      "cannot pick the energy weight B")
-        data = construct_energy_level(grid, params, energy_R, chain.B)
-        data.meta["preset"] = name
-        return data
+        return construct_energy_level(grid, params, energy_R,
+                                      growth_weight(grid, params))
 
     _, phi = smallest_eigen(grid, "biharmonic")
     if name == "sine_bump":
         u0 = amplitude * phi
-        return InitialData(u0=u0, u1=np.zeros_like(u0),
-                           meta={"preset": name, "amplitude": amplitude})
+        return InitialData(u0=u0, u1=np.zeros_like(u0))
 
     root = _negative_energy_amplitude(grid, params, phi)
     a = 1.25 * root * amplitude
@@ -180,6 +165,4 @@ def preset(name: str, grid: Grid, params: ModelParams,
     if potential_J(grid, u0, params) >= 0.0:
         raise ConstructionFailure(
             f"amplitude {a} leaves E(0) >= 0; increase the amplitude factor")
-    return InitialData(u0=u0, u1=np.zeros_like(u0),
-                       meta={"preset": name, "amplitude": amplitude,
-                             "scaled_amplitude": a, "zero_crossing": root})
+    return InitialData(u0=u0, u1=np.zeros_like(u0))

@@ -229,7 +229,7 @@ def test_criterion_5_sandwich_preset(preset_blowup_run):
     rep = art.report
     low = max(rep.lowers.T_lower_34_truncated, rep.lowers.T_lower_35)
     ok = (rep.blowup_detected and rep.T_num is not None
-          and rep.verdicts["thm33_applicable"]
+          and rep.thm33_applicable
           and rep.T_upper == rep.thm33.T_upper
           and low <= rep.T_num <= rep.T_upper
           and rep.sandwich_ok and seconds < 60.0)
@@ -237,7 +237,7 @@ def test_criterion_5_sandwich_preset(preset_blowup_run):
           f"{low:.3e} <= T_num={rep.T_num:.6g} <= {rep.T_upper:.6g} "
           f"(negative-energy upper), {seconds:.1f}s (budget 60s)")
     assert rep.blowup_detected
-    assert rep.verdicts["thm33_applicable"]
+    assert rep.thm33_applicable
     assert rep.T_upper == rep.thm33.T_upper
     assert low <= rep.T_num <= rep.T_upper
     assert rep.sandwich_ok
@@ -249,7 +249,7 @@ def test_criterion_5_sandwich_construction(constructed_runs):
     seconds = constructed_runs["run_seconds"]
     low = max(rep.lowers.T_lower_34_truncated, rep.lowers.T_lower_35)
     ok = (rep.blowup_detected and rep.T_num is not None
-          and rep.verdicts["thm32_applicable"]
+          and rep.thm32_applicable
           and rep.T_upper == rep.thm32.T_upper
           and low <= rep.T_num <= rep.T_upper
           and rep.sandwich_ok and seconds < 60.0)
@@ -257,7 +257,7 @@ def test_criterion_5_sandwich_construction(constructed_runs):
           f"{low:.3e} <= T_num={rep.T_num:.6g} <= {rep.T_upper:.6g} "
           f"(positive-energy upper), {seconds:.1f}s (budget 60s)")
     assert rep.blowup_detected
-    assert rep.verdicts["thm32_applicable"]
+    assert rep.thm32_applicable
     assert rep.T_upper == rep.thm32.T_upper
     assert low <= rep.T_num <= rep.T_upper
     assert rep.sandwich_ok

@@ -15,15 +15,14 @@ from beamblow import (
     detect_blowup,
     energy_E,
     full_report,
-    growth_functional,
     growth_series,
+    inner,
     make_grid,
     norm_lq,
     preset,
     simulate,
     StepControls,
     summary_row,
-    report_items,
     thm31_check,
     thm31_constants,
     thm32_upper,
@@ -31,8 +30,23 @@ from beamblow import (
     thm34_lower,
     thm35_lower,
 )
-from beamblow.bounds import (_grad_interpolation_constant,
-                             _lower_34_integral, fmt)
+from beamblow.bounds import (_boundary, _grad_interpolation_constant,
+                             _lower_34_integral, fmt, scalar_items)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (2.0**-40, 2.0**40)])
+@pytest.mark.parametrize("good_is_low", [True, False])
+def test_boundary_bisects_to_adjacent_floats(lo, hi, good_is_low):
+    # an edge near 2^-38 inside [2^-40, 2^40] lies below the resolution
+    # of 100 halvings (2^-60), so a fixed step cap would stop short
+    edge = 3e-12
+    if good_is_low:
+        good, bad, pred = lo, hi, (lambda x: x < edge)
+    else:
+        good, bad, pred = hi, lo, (lambda x: x > edge)
+    x = _boundary(pred, good, bad)
+    assert pred(x)
+    assert np.nextafter(x, bad) == edge and not pred(edge)
 
 
 @pytest.fixture(scope="module")
@@ -85,17 +99,17 @@ def test_thm31_interval_nesting(p, r):
 def test_thm31_check_verdicts(grid48, params, consts48):
     chain = thm31_constants(params, consts48.B1)
     u = np.zeros(grid48.size)
-    assert thm31_check(grid48, u, u, params, chain, -1.0) == "case_i"
+    assert thm31_check(grid48, u, u, chain, -1.0) == "case_i"
     # positive energy with enough velocity correlation
     data = construct_energy_level(grid48, params, 5.0, chain.B)
     E0 = energy_E(grid48, data.u0, data.u1, params)
     assert E0 >= 0.0
-    assert thm31_check(grid48, data.u0, data.u1, params, chain, E0) == "case_ii"
+    assert thm31_check(grid48, data.u0, data.u1, chain, E0) == "case_ii"
     # resting data at positive energy: no certificate
     bump = preset("sine_bump", grid48, params, amplitude=0.1)
     E0b = energy_E(grid48, bump.u0, bump.u1, params)
     assert E0b > 0.0
-    assert thm31_check(grid48, bump.u0, bump.u1, params, chain, E0b) == "not-applicable"
+    assert thm31_check(grid48, bump.u0, bump.u1, chain, E0b) == "not-applicable"
 
 
 def test_growth_functional_series(grid48, params, consts48):
@@ -104,8 +118,8 @@ def test_growth_functional_series(grid48, params, consts48):
     traj = simulate(grid48, params, data.u0, data.u1, StepControls(),
                     t_max=0.01)
     series = growth_series(traj, chain)
-    first = growth_functional(grid48, data.u0, data.u1, chain,
-                              energy_E(grid48, data.u0, data.u1, params))
+    first = (inner(grid48, data.u0, data.u1)
+             - chain.B * energy_E(grid48, data.u0, data.u1, params))
     assert series[0] == pytest.approx(first, rel=1e-12)
     assert len(series) == len(traj.records)
 
@@ -257,7 +271,7 @@ def test_full_report_without_blowup(grid48, params, consts48):
                              (1e20, 1e21), params.blowup_exponent)
     report = full_report(grid48, data.u0, data.u1, params, consts48, estimate)
     assert report.thm31_verdict == "case_i"
-    assert report.verdicts["thm31_case_i"]
+    assert report.thm31_case_i
     assert not report.blowup_detected
     assert report.T_num is None
     assert report.sandwich_ok  # vacuous without detection
@@ -299,7 +313,7 @@ def test_lower_bounds_merge_both_results_in_order():
 def test_report_formatting(grid48, params, consts48):
     data = preset("negative_energy", grid48, params)
     report = full_report(grid48, data.u0, data.u1, params, consts48, None)
-    items = dict(report_items(report))
+    items = dict(scalar_items(report))
     assert items["thm31_verdict"] == "case_i"
     assert items["T_num"] == "none"
     row = summary_row(report)

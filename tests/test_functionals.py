@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from beamblow import (
     ModelParams,
     classify,
-    damping_term,
     dissipation_rate,
     energy_E,
     grad_norm_sq,
@@ -21,7 +20,6 @@ from beamblow import (
     norm_lq,
     potential_J,
     snapshot,
-    source_term,
 )
 
 
@@ -74,16 +72,6 @@ def test_kirchhoff_term_in_functionals(node):
     base = ModelParams(p=4.0, r=1.0, gamma=1.0, beta=0.0)
     assert potential_J(node, u, prm) - potential_J(node, u, base) == pytest.approx(extra_J, rel=1e-12)
     assert nehari_I(node, u, prm) - nehari_I(node, u, base) == pytest.approx(extra_I, rel=1e-12)
-
-
-def test_source_and_damping_terms(cubic):
-    u = np.array([-2.0, 0.5])
-    assert source_term(cubic, u) == pytest.approx([-8.0, 0.125])
-    v = np.array([-3.0, 2.0])
-    # r = 1 damping is linear
-    assert damping_term(cubic, v) == pytest.approx([-3.0, 2.0])
-    prm = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=0.0)
-    assert damping_term(prm, v) == pytest.approx([-9.0, 4.0])
 
 
 def test_dissipation_rate(node):

@@ -365,11 +365,12 @@ def test_cli_spectra(tmp_path, capsys):
 
 def test_cli_construct_refuses_an_infeasible_growth_chain(tmp_path, capsys,
                                                          monkeypatch):
-    import beamblow.bounds as bounds
+    import beamblow.scenarios as scenarios
 
-    real = bounds.thm31_constants
-    monkeypatch.setattr(bounds, "thm31_constants", lambda params, B1: replace(
-        real(params, B1), feasible=False))
+    real = scenarios.thm31_constants
+    monkeypatch.setattr(scenarios, "thm31_constants",
+                        lambda params, B1: replace(real(params, B1),
+                                                   feasible=False))
     cfg = tmp_path / "run.txt"
     cfg.write_text(serialize_config(QUIET))
     out = tmp_path / "con"

@@ -1,7 +1,9 @@
 """Every research script imports against the current package, the
-three research scripts run end to end on a coarse grid, and every
-function the benchmark's tracer wraps by name exists, so a renamed
-helper or a changed signature fails here instead of at its next run."""
+three research scripts run end to end on a coarse grid, every function
+the benchmark's tracer wraps by name exists, and every benchmark
+workload runs and passes its checks at a reduced size, so a renamed
+helper, a removed field or a changed signature fails here instead of at
+its next run."""
 
 import importlib
 import importlib.util
@@ -74,3 +76,29 @@ def test_every_traced_function_exists():
                if not callable(getattr(importlib.import_module(
                    f"beamblow.{short}"), fname, None))]
     assert not missing
+
+
+def test_benchmark_workloads_run_and_pass_their_checks(monkeypatch,
+                                                       tmp_path):
+    # the benchmark's workloads, checks and reference model import each
+    # other by their bare module names
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import beamblow as bb
+    import workloads as W
+
+    reduced = {
+        "blowup_1d": W.Blowup({**W.BLOWUP_1D, "N": 32}, False),
+        "blowup_2d": W.Blowup({**W.BLOWUP_2D, "N": 16}, False),
+        "constants_2d": W.Constants({**W.CONSTANTS_2D, "N": 16}, (3.0,)),
+    }
+    assert set(reduced) == set(W.WORKLOADS)
+    for name, workload in reduced.items():
+        cfg = bb.parse_config(workload.config_text(0))
+        outcome = workload.work(bb, cfg, cfg.grid(), tmp_path / name)
+        assert outcome.attempted > 0 and outcome.failed == 0, (
+            name, outcome.outputs.get("errors"))
+        checks = workload.check(bb, cfg, cfg.grid(), outcome)
+        checks += workload.parent_check([outcome.outputs])
+        assert checks
+        failed = [(c.name, c.detail) for c in checks if not c.ok]
+        assert not failed, (name, failed)
