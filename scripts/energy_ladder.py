@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from beamblow import (RunConfig, compute_constants, construct_energy_level,
-                      energy_E, evaluate, inner, thm31_check,
+                      evaluate, inner, snapshot, thm31_check,
                       thm31_constants)
 
 
@@ -45,9 +45,10 @@ def main() -> int:
     for level in args.levels:
         R = level * d
         data = construct_energy_level(grid, params, R, chain.B)
-        E0 = energy_E(grid, data.u0, data.u1, params)
-        margin = inner(grid, data.u0, data.u1) - chain.B * R
-        verdict = thm31_check(grid, data.u0, data.u1, chain, E0)
+        E0 = snapshot(grid, data.u0, data.u1, params).E
+        corr = inner(grid, data.u0, data.u1)
+        margin = corr - chain.B * R
+        verdict = thm31_check(E0, corr, chain)
         row = f"{level:6.2f} {E0:13.6e} {margin:12.4e} {verdict:>16}"
         if args.simulate:
             est = evaluate(replace(base, energy_R=R)).estimate

@@ -1,7 +1,8 @@
 """Blow-up certificates: growth laws and two-sided bounds on the blow-up time.
 
-Four constant chains are evaluated for given initial data.  The
-concavity chain (`thm31_*`) classifies the data and produces the
+Each chain reads one state (u, u_t) only through the scalars a run's
+``Record`` holds, its ``FunctionalSnapshot`` and inner(u, u_t), and
+the grid only for its volume.  The concavity chain (`thm31_*`) classifies the data and produces the
 exponential growth law for inner(u, u_t) - B*E(t).  Two differential
 inequality chains (`thm32_upper`, `thm33_upper`) give upper bounds on
 the blow-up time for positive and negative initial energy.  Two
@@ -26,8 +27,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .dynamics import BlowupEstimate, Trajectory
 from .errors import ConfigError, ConvergenceFailure
-from .functionals import ModelParams, _power, energy_E
-from .mesh import Grid, grad_norm_sq, inner, lap_norm_sq, norm_l2, norm_lq
+from .functionals import FunctionalSnapshot, ModelParams, _power
+from .mesh import Grid
 from .spectra import VariationalConstants
 
 
@@ -170,19 +171,18 @@ def thm31_constants(params: ModelParams, B1: float) -> Thm31Chain:
     return chain
 
 
-def thm31_check(grid: Grid, u0: np.ndarray, u1: np.ndarray,
-                chain: Thm31Chain, E0: float) -> str:
-    """Classify initial data for the growth certificate.
+def thm31_check(E0: float, inner_uv: float, chain: Thm31Chain) -> str:
+    """Classify a state for the growth certificate.
 
-    ``case_i``: negative initial energy.  ``case_ii``: nonnegative
-    energy dominated by the velocity correlation, E0 < inner(u0,u1)/B.
+    ``case_i``: negative energy.  ``case_ii``: nonnegative energy
+    dominated by the velocity correlation, E0 < inner(u, u_t)/B.
     Anything else is ``not-applicable``.
     """
     if E0 < 0.0:
         return "case_i"
     if not chain.feasible:
         return "not-applicable"
-    if E0 < inner(grid, u0, u1) / chain.B:
+    if E0 < inner_uv / chain.B:
         return "case_ii"
     return "not-applicable"
 
@@ -267,12 +267,12 @@ def _c1_constant(alpha: float, p: float, volume: float) -> float:
     return (q / (2.0 * (1.0 - alpha))) * volume ** ((p - 1.0) / (p + 1.0) / q)
 
 
-def thm32_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
+def thm32_upper(grid: Grid, snap: FunctionalSnapshot, inner_uv: float,
                 params: ModelParams, consts: VariationalConstants,
                 mu: float = 1.0, *, m_safety: float = 2.0,
                 alpha_override: float | None = None,
                 eps_override: float | None = None) -> Thm32Chain:
-    """Upper bound on the blow-up time for positive initial energy.
+    """Upper bound on the blow-up time from a state of positive energy.
 
     The auxiliary functional L = H^{1-alpha} + eps(inner(u,u_t) +
     ||grad u||^2/2), H = E(0) - E(t), satisfies L' >= (mu1/mu2)
@@ -288,7 +288,7 @@ def thm32_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
         raise ValueError("mu must be positive")
     if gam <= 0.0 or beta <= 0.0:
         return Thm32Chain(mu=mu, note="needs gamma > 0 and beta > 0")
-    E0 = energy_E(grid, u0, u1, params)
+    E0 = snap.E
     alpha_cap = min((p - 1.0) / (2.0 * (p + 1.0)), gam / (gam + 1.0))
     if not E0 > 0.0:
         return Thm32Chain(mu=mu, alpha=alpha_cap,
@@ -329,8 +329,8 @@ def thm32_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
         (0.5 * eps) ** l * C2,
         1.0)
 
-    L0 = eps * (inner(grid, u0, u1) + 0.5 * grad_norm_sq(grid, u0))
-    norm_condition = norm_l2(grid, u0) ** 2 >= (p + 2.0 * gam + 3.0 + mu) / (2.0 * mu0) * E0
+    L0 = eps * (inner_uv + 0.5 * snap.grad_u_sq)
+    norm_condition = snap.l2_u ** 2 >= (p + 2.0 * gam + 3.0 + mu) / (2.0 * mu0) * E0
 
     chain = Thm32Chain(alpha=alpha, mu=mu, M=M, mu0=mu0, zeta=zeta, eps=eps,
                        C1=C1, s0=s0, C2=C2, mu1=mu1, mu2=mu2, L0=L0)
@@ -361,11 +361,11 @@ class Thm33Chain:
     note: str = ""
 
 
-def thm33_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
+def thm33_upper(grid: Grid, snap: FunctionalSnapshot, inner_uv: float,
                 params: ModelParams, consts: VariationalConstants, *,
                 alpha_override: float | None = None,
                 eps_override: float | None = None) -> Thm33Chain:
-    """Upper bound on the blow-up time for negative initial energy.
+    """Upper bound on the blow-up time from a state of negative energy.
 
     Here H = -E(t) >= H0 > 0 and no mass condition is needed.  delta
     is fixed so the binding positivity margin v1 - C3 delta^r equals
@@ -376,7 +376,7 @@ def thm33_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     p, r, gam, beta = params.p, params.r, params.gamma, params.beta
     if gam <= 0.0 or beta <= 0.0:
         return Thm33Chain(note="needs gamma > 0 and beta > 0")
-    E0 = energy_E(grid, u0, u1, params)
+    E0 = snap.E
     alpha_cap = min((p - r) / ((p + 1.0) * r),
                     (p - 1.0) / (2.0 * (p + 1.0)),
                     gam / (gam + 1.0))
@@ -398,7 +398,7 @@ def thm33_upper(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     m1 = v1 - C3 * delta**r
     m2 = 0.5 * (p + 2.0 * gam + 3.0) - C3 * delta**r
 
-    correlation = inner(grid, u0, u1) + 0.5 * grad_norm_sq(grid, u0)
+    correlation = inner_uv + 0.5 * snap.grad_u_sq
     eps_cap = (1.0 - alpha) * (r + 1.0) * delta / r
     if correlation < 0.0:
         eps_cap = min(eps_cap, H0 ** (1.0 - alpha) / (-correlation))
@@ -505,11 +505,11 @@ def _lower_34_integral(F0: float, K1: float, K2: float, p: float) -> tuple[float
     raise ConvergenceFailure("lower-bound quadrature did not reach its tail target")
 
 
-def thm34_lower(grid: Grid, u0: np.ndarray, u1: np.ndarray,
-                params: ModelParams, b_star: float) -> Thm34Result:
+def thm34_lower(snap: FunctionalSnapshot, params: ModelParams,
+                b_star: float) -> Thm34Result:
     """Lower bound via F' <= K1 + F + K2 F^p for F = ||u||_{p+1}^{p+1}.
 
-    varpi is the initial energy; for varpi <= 0 the energy terms in K1
+    varpi is the state's energy; for varpi <= 0 the energy terms in K1
     are dropped entirely (a conservative weakening, since the energy
     inequality only improves).  Zero data with K1 = 0 yields an
     infinite bound: no blow-up can start from rest.
@@ -517,8 +517,8 @@ def thm34_lower(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     if b_star <= 0.0:
         raise ValueError("b_star must be positive")
     p = params.p
-    F0 = norm_lq(grid, u0, p + 1.0) ** (p + 1.0)
-    varpi = energy_E(grid, u0, u1, params)
+    F0 = snap.lp1_u ** (p + 1.0)
+    varpi = snap.E
     w = max(varpi, 0.0)
     K1 = (p + 1.0) * (w + b_star ** (2.0 * p) * 2.0 ** (p - 2.0) * (2.0 * w) ** p)
     K2 = b_star ** (2.0 * p) * 2.0 ** (2.0 * p - 2.0) * (p + 1.0) ** (-p)
@@ -528,8 +528,8 @@ def thm34_lower(grid: Grid, u0: np.ndarray, u1: np.ndarray,
                        T_lower_34_with_tail=with_tail)
 
 
-def thm35_lower(grid: Grid, u0: np.ndarray, u1: np.ndarray,
-                params: ModelParams, embed_ca: float, embed_cb: float) -> Thm35Result:
+def thm35_lower(snap: FunctionalSnapshot, params: ModelParams,
+                embed_ca: float, embed_cb: float) -> Thm35Result:
     """Lower bound via G' <= C_eff (2G)^p / 2^p for the quadratic energy G.
 
     G collects every quadratic piece of the energy plus the Kirchhoff
@@ -540,8 +540,8 @@ def thm35_lower(grid: Grid, u0: np.ndarray, u1: np.ndarray,
     if embed_ca <= 0.0 or embed_cb <= 0.0:
         raise ValueError("embedding constants must be positive")
     p, gam, beta = params.p, params.gamma, params.beta
-    G = grad_norm_sq(grid, u0)
-    G0 = (0.5 * norm_l2(grid, u1) ** 2 + 0.5 * G + 0.5 * lap_norm_sq(grid, u0)
+    G = snap.grad_u_sq
+    G0 = (0.5 * snap.l2_v ** 2 + 0.5 * G + 0.5 * snap.lap_u_sq
           + beta / (2.0 * (gam + 1.0)) * _power(G, gam + 1.0))
     C_eff = (embed_ca * embed_cb**p) ** 2 * 2.0 ** (p - 2.0)
     if G0 == 0.0:
@@ -579,31 +579,31 @@ class BoundReport:
     sandwich_ok: bool = True
 
 
-def full_report(grid: Grid, u0: np.ndarray, u1: np.ndarray,
+def full_report(grid: Grid, snap: FunctionalSnapshot, inner_uv: float,
                 params: ModelParams, consts: VariationalConstants,
                 estimate: BlowupEstimate | None, *, mu: float = 1.0,
                 m_safety: float = 2.0, alpha_override: float | None = None,
                 eps_override: float | None = None) -> BoundReport:
-    """Evaluate every chain against one run and check the bound sandwich.
+    """Evaluate every chain from one state and check the bound sandwich.
 
+    A run reports from its first record's ``snap`` and ``inner_uv``.
     ``estimate`` is the run's ``detect_blowup`` result, or None without
     a run.  Chain failures become not-applicable verdicts rather than
     errors.  sandwich_ok is vacuously true when no blow-up was detected;
     otherwise it requires every certified lower bound at or below
     T_num and, when an upper chain applies, T_num at or below T_upper.
     """
-    E0 = energy_E(grid, u0, u1, params)
     chain31 = thm31_constants(params, consts.B1)
-    verdict31 = thm31_check(grid, u0, u1, chain31, E0)
-    chain32 = thm32_upper(grid, u0, u1, params, consts, mu,
+    verdict31 = thm31_check(snap.E, inner_uv, chain31)
+    chain32 = thm32_upper(grid, snap, inner_uv, params, consts, mu,
                           m_safety=m_safety, alpha_override=alpha_override,
                           eps_override=eps_override)
-    chain33 = thm33_upper(grid, u0, u1, params, consts,
+    chain33 = thm33_upper(grid, snap, inner_uv, params, consts,
                           alpha_override=alpha_override,
                           eps_override=eps_override)
     lowers = LowerBounds.from_parts(
-        thm34_lower(grid, u0, u1, params, consts.B_star),
-        thm35_lower(grid, u0, u1, params, consts.C_a, consts.C_b))
+        thm34_lower(snap, params, consts.B_star),
+        thm35_lower(snap, params, consts.C_a, consts.C_b))
 
     thm32_applicable = chain32.applicable and verdict31 == "case_ii"
     uppers = []
@@ -625,7 +625,7 @@ def full_report(grid: Grid, u0: np.ndarray, u1: np.ndarray,
         if T_upper is not None and T_num > T_upper:
             sandwich_ok = False
 
-    return BoundReport(E0=E0, thm31=chain31, thm32=chain32, thm33=chain33,
+    return BoundReport(E0=snap.E, thm31=chain31, thm32=chain32, thm33=chain33,
                        lowers=lowers, thm31_verdict=verdict31,
                        thm31_case_i=verdict31 == "case_i",
                        thm31_case_ii=verdict31 == "case_ii",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import mesh
 from .mesh import Grid
-from .operators import GridOperators, operators
+from .operators import operators
 
 
 @dataclass(frozen=True)
@@ -113,26 +113,10 @@ def nehari_from_parts(G: float, Bq: float, F: float,
     return G + Bq + params.beta * _power(G, params.gamma + 1.0) - F
 
 
-def energy_E(grid: Grid, u: np.ndarray, v: np.ndarray,
-             params: ModelParams) -> float:
-    return (0.5 * _power(mesh.norm_l2(grid, v), 2)
-            + potential_J(grid, u, params))
-
-
-def dissipation_rate(grid: Grid, v: np.ndarray, params: ModelParams) -> float:
-    """Instantaneous energy loss -E'(t), always nonnegative."""
-    return _dissipation(operators(grid), mesh.check_field(grid, v), params)
-
-
-def _dissipation(ops: GridOperators, v: np.ndarray,
-                 params: ModelParams) -> float:
-    return (_power(mesh.norm_lq(ops.grid, v, params.r + 1), params.r + 1)
-            + mesh.grad_form(ops, v))
-
-
 @dataclass(frozen=True)
 class FunctionalSnapshot:
-    """All scalar diagnostics of a state (u, v) at one instant."""
+    """All scalar diagnostics of a state (u, v) at one instant;
+    ``dissipation_rate`` is the energy loss -E'(t) >= 0."""
 
     E: float
     J: float
@@ -169,7 +153,8 @@ def snapshot(grid: Grid, u: np.ndarray, v: np.ndarray,
         l2_v=l2_v,
         grad_u_sq=G,
         lap_u_sq=Bq,
-        dissipation_rate=_dissipation(ops, v, params),
+        dissipation_rate=(_power(mesh.norm_lq(grid, v, params.r + 1),
+                                 params.r + 1) + mesh.grad_form(ops, v)),
     )
 
 

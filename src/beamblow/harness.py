@@ -21,6 +21,7 @@ line exposes so an installation can check itself in about a second.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -83,7 +84,7 @@ class RunArtifacts:
 def evaluate(config: RunConfig) -> RunArtifacts:
     """Run the full pipeline for one configuration, in memory:
     constants, initial data, ``simulate``, ``detect_blowup`` on the
-    ``lp1_u`` series, ``full_report``."""
+    ``lp1_u`` series, ``full_report`` from the run's first record."""
     grid = config.grid()
     params = config.model_params()
     consts = compute_constants(grid, params, config.seed)
@@ -94,8 +95,9 @@ def evaluate(config: RunConfig) -> RunArtifacts:
                     output_every=config.output_every)
     estimate = detect_blowup(traj.times(), traj.series("lp1_u"),
                              config.thresholds, params.blowup_exponent)
-    report = full_report(grid, data.u0, data.u1, params, consts, estimate,
-                         mu=config.mu, m_safety=config.M_safety,
+    first = traj.records[0]
+    report = full_report(grid, first.snap, first.inner_uv, params, consts,
+                         estimate, mu=config.mu, m_safety=config.M_safety,
                          alpha_override=config.alpha_override,
                          eps_override=config.eps_override)
     return RunArtifacts(config=config, grid=grid, params=params,
@@ -190,13 +192,19 @@ def sweep(config: SweepConfig, jobs: int = 1) -> str:
     the per-run summary columns, and a status token.  Rows keep the
     lexicographic cell order no matter how many workers ran them, and a
     failed cell yields a row of ``none`` values instead of an error.
+    ``jobs`` caps the worker processes, which never outnumber the cells
+    or the CPUs (a pool forks all of its workers at once); one worker
+    runs in this process.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     cells = config.cells()
     keys = sorted(config.axes)
-    if jobs <= 1:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers <= 1:
         results = list(map(_sweep_cell, cells))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
 
     header = list(keys) + list(SUMMARY_COLUMNS) + ["status"]
@@ -314,6 +322,7 @@ def _suite_lemma21(n_fields: int = 200) -> tuple[bool, str]:
     consts = compute_constants(grid, params)
     rng = np.random.default_rng(11)
     counts: dict[str, int] = {}
+    zeros = np.zeros(grid.size)
     x = (np.arange(1, grid.size + 1)) * grid.h
     taper = np.sin(np.pi * x / grid.extent)**2
     for _ in range(n_fields):
@@ -335,13 +344,11 @@ def _suite_lemma21(n_fields: int = 200) -> tuple[bool, str]:
                 break
             s_out *= 1.5
         for w in (s_hi * rng.uniform(0.05, 1.0) * u, s_out * u):
-            X = mesh.grad_norm_sq(grid, w) + mesh.lap_norm_sq(grid, w)
+            snap = functionals.snapshot(grid, w, zeros, params)
+            X = snap.grad_u_sq + snap.lap_u_sq
             verdict = functionals.lemma21_verdict(
-                math.sqrt(X),
-                functionals.nehari_I(grid, w, params),
-                functionals.potential_J(grid, w, params),
-                consts.lam_star, consts.depth,
-                scale=X + mesh.norm_lq(grid, w, params.p + 1)**(params.p + 1))
+                math.sqrt(X), snap.I, snap.J, consts.lam_star, consts.depth,
+                scale=X + snap.lp1_u**(params.p + 1))
             counts[verdict] = counts.get(verdict, 0) + 1
     violations = counts.get("violation", 0)
     seen = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))

@@ -28,7 +28,6 @@ from beamblow import (
     StepControls,
     biharmonic_matrix,
     construct_energy_level,
-    energy_E,
     grad_norm_sq,
     growth_series,
     inner,
@@ -38,6 +37,7 @@ from beamblow import (
     preset,
     simulate,
     smallest_eigen,
+    snapshot,
     thm31_constants,
 )
 from beamblow.bounds import _lower_34_integral
@@ -192,7 +192,7 @@ def test_criterion_4_construction(constructed_runs, grid64, params):
     details = []
     ok = True
     for label, (R, data, seconds) in constructed_runs["levels"].items():
-        E0 = energy_E(grid64, data.u0, data.u1, params)
+        E0 = snapshot(grid64, data.u0, data.u1, params).E
         gap = abs(E0 - R)
         corr = inner(grid64, data.u0, data.u1)
         ok_level = (gap <= 1e-9 * max(1.0, abs(R)) and corr > chain.B * R
@@ -212,7 +212,7 @@ def test_criterion_4_construction(constructed_runs, grid64, params):
           f"{run_seconds:.1f}s (budget 60s)")
 
     for label, (R, data, seconds) in constructed_runs["levels"].items():
-        E0 = energy_E(grid64, data.u0, data.u1, params)
+        E0 = snapshot(grid64, data.u0, data.u1, params).E
         assert abs(E0 - R) <= 1e-9 * max(1.0, abs(R)), label
         assert inner(grid64, data.u0, data.u1) > chain.B * R, label
         assert seconds < 60.0, label

@@ -13,7 +13,6 @@ from beamblow import (
     Thm35Result,
     construct_energy_level,
     detect_blowup,
-    energy_E,
     full_report,
     growth_series,
     inner,
@@ -21,6 +20,7 @@ from beamblow import (
     norm_lq,
     preset,
     simulate,
+    snapshot,
     StepControls,
     summary_row,
     thm31_check,
@@ -47,6 +47,13 @@ def test_boundary_bisects_to_adjacent_floats(lo, hi, good_is_low):
     x = _boundary(pred, good, bad)
     assert pred(x)
     assert np.nextafter(x, bad) == edge and not pred(edge)
+
+
+def state(grid, data, params):
+    """The scalars a chain reads from initial data: the snapshot of
+    (u0, u1) and inner(u0, u1)."""
+    return (snapshot(grid, data.u0, data.u1, params),
+            inner(grid, data.u0, data.u1))
 
 
 @pytest.fixture(scope="module")
@@ -98,18 +105,17 @@ def test_thm31_interval_nesting(p, r):
 
 def test_thm31_check_verdicts(grid48, params, consts48):
     chain = thm31_constants(params, consts48.B1)
-    u = np.zeros(grid48.size)
-    assert thm31_check(grid48, u, u, chain, -1.0) == "case_i"
+    assert thm31_check(-1.0, 0.0, chain) == "case_i"
     # positive energy with enough velocity correlation
     data = construct_energy_level(grid48, params, 5.0, chain.B)
-    E0 = energy_E(grid48, data.u0, data.u1, params)
-    assert E0 >= 0.0
-    assert thm31_check(grid48, data.u0, data.u1, chain, E0) == "case_ii"
+    snap, corr = state(grid48, data, params)
+    assert snap.E >= 0.0
+    assert thm31_check(snap.E, corr, chain) == "case_ii"
     # resting data at positive energy: no certificate
     bump = preset("sine_bump", grid48, params, amplitude=0.1)
-    E0b = energy_E(grid48, bump.u0, bump.u1, params)
-    assert E0b > 0.0
-    assert thm31_check(grid48, bump.u0, bump.u1, chain, E0b) == "not-applicable"
+    snap_b, corr_b = state(grid48, bump, params)
+    assert snap_b.E > 0.0
+    assert thm31_check(snap_b.E, corr_b, chain) == "not-applicable"
 
 
 def test_growth_functional_series(grid48, params, consts48):
@@ -119,7 +125,7 @@ def test_growth_functional_series(grid48, params, consts48):
                     t_max=0.01)
     series = growth_series(traj, chain)
     first = (inner(grid48, data.u0, data.u1)
-             - chain.B * energy_E(grid48, data.u0, data.u1, params))
+             - chain.B * snapshot(grid48, data.u0, data.u1, params).E)
     assert series[0] == pytest.approx(first, rel=1e-12)
     assert len(series) == len(traj.records)
 
@@ -127,37 +133,40 @@ def test_growth_functional_series(grid48, params, consts48):
 def test_thm32_on_case_ii_data(grid48, params, consts48):
     chain31 = thm31_constants(params, consts48.B1)
     data = construct_energy_level(grid48, params, 10.0, chain31.B)
-    chain32 = thm32_upper(grid48, data.u0, data.u1, params, consts48)
+    chain32 = thm32_upper(grid48, *state(grid48, data, params), params,
+                          consts48)
     assert chain32.applicable
     assert chain32.alpha == pytest.approx(0.25, rel=1e-14)
     assert chain32.T_upper is not None and chain32.T_upper > 0.0
     # larger safety factor weakens (lengthens) the bound
-    loose = thm32_upper(grid48, data.u0, data.u1, params, consts48,
-                        m_safety=8.0)
+    loose = thm32_upper(grid48, *state(grid48, data, params), params,
+                        consts48, m_safety=8.0)
     assert loose.T_upper > chain32.T_upper
 
 
 def test_thm32_needs_positive_energy(grid48, params, consts48):
     data = preset("negative_energy", grid48, params)
-    chain32 = thm32_upper(grid48, data.u0, data.u1, params, consts48)
+    chain32 = thm32_upper(grid48, *state(grid48, data, params), params,
+                          consts48)
     assert not chain32.applicable
     assert "needs E(0) > 0" in chain32.note
 
 
 def test_thm33_on_negative_energy(grid48, params, consts48):
     data = preset("negative_energy", grid48, params)
-    chain33 = thm33_upper(grid48, data.u0, data.u1, params, consts48)
+    snap, corr = state(grid48, data, params)
+    chain33 = thm33_upper(grid48, snap, corr, params, consts48)
     assert chain33.applicable
     # alpha = min((p-r)/((p+1)r), (p-1)/(2(p+1)), gamma/(gamma+1))
     assert chain33.alpha == pytest.approx(0.125, rel=1e-14)
-    assert chain33.H0 == pytest.approx(
-        -energy_E(grid48, data.u0, data.u1, params), rel=1e-12)
+    assert chain33.H0 == pytest.approx(-snap.E, rel=1e-12)
     assert chain33.T_upper > 0.0
 
 
 def test_thm33_needs_negative_energy(grid48, params, consts48):
     bump = preset("sine_bump", grid48, params, amplitude=0.1)
-    chain33 = thm33_upper(grid48, bump.u0, bump.u1, params, consts48)
+    chain33 = thm33_upper(grid48, *state(grid48, bump, params), params,
+                          consts48)
     assert not chain33.applicable
 
 
@@ -223,7 +232,8 @@ def test_grad_interpolation_constant_degenerate_limits():
 
 def test_thm34_lower_formulas(grid48, params, consts48):
     data = preset("negative_energy", grid48, params)
-    res = thm34_lower(grid48, data.u0, data.u1, params, consts48.B_star)
+    snap = snapshot(grid48, data.u0, data.u1, params)
+    res = thm34_lower(snap, params, consts48.B_star)
     p = params.p
     assert res.F0 == pytest.approx(
         norm_lq(grid48, data.u0, p + 1) ** (p + 1), rel=1e-12)
@@ -234,12 +244,13 @@ def test_thm34_lower_formulas(grid48, params, consts48):
         consts48.B_star ** (2 * p) * 2.0 ** (2 * p - 2) * (p + 1) ** (-p), rel=1e-13)
     assert 0.0 < res.T_lower_34_truncated <= res.T_lower_34_with_tail
     with pytest.raises(ValueError):
-        thm34_lower(grid48, data.u0, data.u1, params, 0.0)
+        thm34_lower(snap, params, 0.0)
 
 
 def test_thm34_positive_energy_k1(grid48, params, consts48):
     bump = preset("sine_bump", grid48, params, amplitude=0.5)
-    res = thm34_lower(grid48, bump.u0, bump.u1, params, consts48.B_star)
+    res = thm34_lower(snapshot(grid48, bump.u0, bump.u1, params), params,
+                      consts48.B_star)
     w = res.varpi
     assert w > 0.0
     p = params.p
@@ -252,15 +263,16 @@ def test_thm35_lower_closed_form():
     # C_eff = 1, hence T = G0^{1-p} / (p-1) = 1/2
     g = make_grid(1, 1)
     prm = ModelParams(p=3.0, r=1.0, gamma=0.5, beta=1.0)
-    res = thm35_lower(g, np.array([0.0]), np.array([2.0]), prm,
-                      2.0 ** -0.5, 1.0)
+    snap = snapshot(g, np.array([0.0]), np.array([2.0]), prm)
+    res = thm35_lower(snap, prm, 2.0 ** -0.5, 1.0)
     assert res.G0 == pytest.approx(1.0, rel=1e-14)
     assert res.C_eff == pytest.approx(1.0, rel=1e-14)
     assert res.T_lower_35 == pytest.approx(0.5, rel=1e-14)
-    zero = thm35_lower(g, np.array([0.0]), np.array([0.0]), prm, 1.0, 1.0)
+    rest = snapshot(g, np.array([0.0]), np.array([0.0]), prm)
+    zero = thm35_lower(rest, prm, 1.0, 1.0)
     assert math.isinf(zero.T_lower_35)
     with pytest.raises(ValueError):
-        thm35_lower(g, np.array([0.0]), np.array([2.0]), prm, -1.0, 1.0)
+        thm35_lower(snap, prm, -1.0, 1.0)
 
 
 def test_full_report_without_blowup(grid48, params, consts48):
@@ -269,13 +281,33 @@ def test_full_report_without_blowup(grid48, params, consts48):
                     t_max=0.01)
     estimate = detect_blowup(traj.times(), traj.series("lp1_u"),
                              (1e20, 1e21), params.blowup_exponent)
-    report = full_report(grid48, data.u0, data.u1, params, consts48, estimate)
+    report = full_report(grid48, *state(grid48, data, params), params,
+                         consts48, estimate)
     assert report.thm31_verdict == "case_i"
     assert report.thm31_case_i
     assert not report.blowup_detected
     assert report.T_num is None
     assert report.sandwich_ok  # vacuous without detection
     assert report.T_upper is not None  # thm33 applies
+
+
+def test_full_report_reads_everything_from_a_record(grid48, params,
+                                                    consts48):
+    # a chain restarted from a recorded state gets the report of the
+    # fields themselves, so a finished run can restart its chains
+    data = preset("negative_energy", grid48, params)
+    traj = simulate(grid48, params, data.u0, data.u1, StepControls(),
+                    t_max=0.01)
+    last = traj.final_state
+    assert traj.n_steps > 0 and last.t == traj.records[-1].t
+    for rec, (u, v) in ((traj.records[0], (data.u0, data.u1)),
+                        (traj.records[-1], (last.u, last.v))):
+        from_record = full_report(grid48, rec.snap, rec.inner_uv, params,
+                                  consts48, None)
+        from_fields = full_report(grid48, snapshot(grid48, u, v, params),
+                                  inner(grid48, u, v), params, consts48,
+                                  None)
+        assert scalar_items(from_record) == scalar_items(from_fields)
 
 
 def _detected_at(T_num: float) -> BlowupEstimate:
@@ -286,12 +318,13 @@ def _detected_at(T_num: float) -> BlowupEstimate:
 def test_full_report_sandwich_fails_outside_the_bounds(grid48, params,
                                                        consts48):
     data = preset("negative_energy", grid48, params)
+    snap, corr = state(grid48, data, params)
 
     def report_at(T_num):
-        return full_report(grid48, data.u0, data.u1, params, consts48,
+        return full_report(grid48, snap, corr, params, consts48,
                            _detected_at(T_num))
 
-    bare = full_report(grid48, data.u0, data.u1, params, consts48, None)
+    bare = full_report(grid48, snap, corr, params, consts48, None)
     lowest = min(bare.lowers.T_lower_34_truncated, bare.lowers.T_lower_35)
     highest = max(bare.lowers.T_lower_34_truncated, bare.lowers.T_lower_35)
     assert bare.T_upper is not None and highest < bare.T_upper
@@ -312,7 +345,8 @@ def test_lower_bounds_merge_both_results_in_order():
 
 def test_report_formatting(grid48, params, consts48):
     data = preset("negative_energy", grid48, params)
-    report = full_report(grid48, data.u0, data.u1, params, consts48, None)
+    report = full_report(grid48, *state(grid48, data, params), params,
+                         consts48, None)
     items = dict(scalar_items(report))
     assert items["thm31_verdict"] == "case_i"
     assert items["T_num"] == "none"

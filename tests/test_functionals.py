@@ -9,8 +9,6 @@ from hypothesis import given, strategies as st
 from beamblow import (
     ModelParams,
     classify,
-    dissipation_rate,
-    energy_E,
     grad_norm_sq,
     kirchhoff,
     lap_norm_sq,
@@ -58,7 +56,7 @@ def test_energy_adds_kinetic_term(node, cubic):
     u = np.array([1.0])
     v = np.array([3.0])
     # ||v||^2 = 0.5 * 9
-    assert energy_E(node, u, v, cubic) == pytest.approx(
+    assert snapshot(node, u, v, cubic).E == pytest.approx(
         potential_J(node, u, cubic) + 0.5 * 0.5 * 9.0, rel=1e-13)
 
 
@@ -78,10 +76,13 @@ def test_dissipation_rate(node):
     prm = ModelParams(p=3.0, r=1.0, gamma=0.5, beta=0.0)
     v = np.array([2.0])
     # ||v||_2^2 = 2, ||grad v||^2 = 16
-    assert dissipation_rate(node, v, prm) == pytest.approx(2.0 + 16.0, rel=1e-13)
+    u = np.array([0.0])
+    assert snapshot(node, u, v, prm).dissipation_rate == pytest.approx(
+        2.0 + 16.0, rel=1e-13)
     prm2 = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=0.0)
     # ||v||_3^3 = 4
-    assert dissipation_rate(node, v, prm2) == pytest.approx(4.0 + 16.0, rel=1e-13)
+    assert snapshot(node, u, v, prm2).dissipation_rate == pytest.approx(
+        4.0 + 16.0, rel=1e-13)
 
 
 def test_snapshot_consistency(grid64, params, rng):
@@ -92,11 +93,8 @@ def test_snapshot_consistency(grid64, params, rng):
     assert snap.lap_u_sq == pytest.approx(lap_norm_sq(grid64, u), rel=1e-13)
     assert snap.J == pytest.approx(potential_J(grid64, u, params), rel=1e-13)
     assert snap.I == pytest.approx(nehari_I(grid64, u, params), rel=1e-13)
-    assert snap.E == pytest.approx(energy_E(grid64, u, v, params), rel=1e-13)
     assert snap.lp1_u == pytest.approx(norm_lq(grid64, u, params.p + 1), rel=1e-13)
     assert snap.linf_u == pytest.approx(np.abs(u).max(), rel=1e-13)
-    assert snap.dissipation_rate == pytest.approx(
-        dissipation_rate(grid64, v, params), rel=1e-13)
 
 
 @given(a=st.floats(0.05, 20.0))
@@ -125,7 +123,7 @@ def test_functionals_of_an_overflowing_field_are_not_finite(grid64, params,
     mode = np.sin(np.pi * (1 + np.arange(grid64.size)) * grid64.h)
     u, v = 1e110 * mode, 1e200 * mode
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not math.isfinite(energy_E(grid64, u, v, params))
+        assert not math.isfinite(snapshot(grid64, u, v, params).E)
         assert not math.isfinite(nehari_I(grid64, u, params))
         snap = snapshot(grid64, u, v, params)
         assert not math.isfinite(snap.E) and not math.isfinite(snap.I)

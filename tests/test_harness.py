@@ -169,6 +169,52 @@ def test_sweep_jobs_invariance(small_sweep_text):
     assert sweep(sw, jobs=1) == sweep(sw, jobs=2)
 
 
+@pytest.mark.parametrize("cpus,jobs,sizes", [
+    (64, 10_000, [2]),   # no more workers than cells
+    (64, 2, [2]),
+    (1, 10_000, []),     # one CPU runs in this process
+    (None, 10_000, []),  # an unknown CPU count counts as one
+])
+def test_sweep_worker_count_is_clamped(monkeypatch, cpus, jobs, sizes):
+    started = []
+
+    class SerialPool:
+        """Records the worker count asked for and maps in this process,
+        so no pool is started."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    sw = SweepConfig(base=QUIET, axes={"p": (3.0, 4.0)})
+    serial = sweep(sw)
+    assert started == []
+    assert sweep(sw, jobs=jobs) == serial
+    assert started == sizes
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_sweep_needs_at_least_one_job(tmp_path, capsys,
+                                         small_sweep_text, jobs):
+    cfg = tmp_path / "sweep.txt"
+    cfg.write_text(small_sweep_text)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("exc,status", [
     (ConfigError("x"), "config_error"),
     (SolverFailure("x"), "solver_failure"),

@@ -9,13 +9,13 @@ from beamblow import (
     chi,
     construct_energy_level,
     eigen_pair_basis,
-    energy_E,
     inner,
     laplacian_matrix,
     make_grid,
     norm_l2,
     potential_J,
     preset,
+    snapshot,
     thm31_constants,
 )
 
@@ -57,7 +57,7 @@ def test_chi_closed_form(grid64, params):
     assert chi(r1, grid64, v1, params) == pytest.approx(expect, rel=1e-13)
     # chi equals the full energy of the pair (r1 v1, r1 v1)
     assert chi(r1, grid64, v1, params) == pytest.approx(
-        energy_E(grid64, r1 * v1, r1 * v1, params), rel=1e-12)
+        snapshot(grid64, r1 * v1, r1 * v1, params).E, rel=1e-12)
 
 
 def test_preset_names(grid48, params):
@@ -77,14 +77,14 @@ def test_sine_bump_scaling(grid48, params):
 def test_negative_energy_preset(grid48, params):
     data = preset("negative_energy", grid48, params)
     assert np.all(data.u1 == 0.0)
-    E0 = energy_E(grid48, data.u0, data.u1, params)
+    E0 = snapshot(grid48, data.u0, data.u1, params).E
     assert E0 < 0.0
     assert potential_J(grid48, data.u0, params) < 0.0
 
 
 def test_high_energy_preset(grid48, params):
     data = preset("high_energy", grid48, params, energy_R=25.0)
-    E0 = energy_E(grid48, data.u0, data.u1, params)
+    E0 = snapshot(grid48, data.u0, data.u1, params).E
     assert E0 == pytest.approx(25.0, abs=1e-9 * 25.0)
 
 
@@ -92,7 +92,7 @@ def test_high_energy_preset(grid48, params):
 def test_construct_energy_level(grid48, params, consts48, R):
     chain = thm31_constants(params, consts48.B1)
     data = construct_energy_level(grid48, params, R, chain.B)
-    E0 = energy_E(grid48, data.u0, data.u1, params)
+    E0 = snapshot(grid48, data.u0, data.u1, params).E
     assert abs(E0 - R) <= 1e-9 * max(1.0, abs(R))
     assert inner(grid48, data.u0, data.u1) > chain.B * R
     # the second mode enters with a positive amplitude
