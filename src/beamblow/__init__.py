@@ -21,9 +21,8 @@ from .dynamics import (DEFAULT_THRESHOLDS, BlowupEstimate, StepControls,
 from .errors import (BeamblowError, ConfigError, ConstructionFailure,
                      ConvergenceFailure, NewtonFailure, SolverFailure)
 from .functionals import (FunctionalSnapshot, ModelParams, classify,
-                          kirchhoff, lemma21_verdict, nehari_I,
-                          nehari_from_parts, potential_J,
-                          potential_from_parts, snapshot)
+                          kirchhoff, lemma21_verdict, nehari_from_parts,
+                          potential_J, potential_from_parts, snapshot)
 from .harness import (RunArtifacts, SuiteResult, VerifyReport, evaluate,
                       run, sweep, verify, write_artifacts)
 from .mesh import (Grid, biharmonic_matrix, grad_norm_sq, inner, lap_norm_sq,

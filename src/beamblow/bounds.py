@@ -50,22 +50,28 @@ def _boundary(pred, good: float, bad: float) -> float:
             bad = mid
 
 
+def _walk(pred, x: float, factor: float, tries: int) -> tuple[float, bool]:
+    """The first of x * factor^k, k < ``tries``, at which ``pred``
+    holds, with True; x * factor^tries with False when none does."""
+    for _ in range(tries):
+        if pred(x):
+            return x, True
+        x *= factor
+    return x, False
+
+
 def _largest_admissible(pred, hi: float) -> float:
-    """Largest x in (0, hi] passing ``pred``, located by bisection.
+    """Largest x in (0, hi] passing ``pred``: a halving walk down from
+    hi to the first passing point, then bisection of (point, hi) to
+    adjacent floats.
 
     Assumes ``pred`` holds near 0 and fails past a single changeover
-    point.  Returns 0.0 when the predicate fails even arbitrarily
-    close to 0 (infeasible chain).  The returned point itself passes
-    the predicate.
+    point.  Returns 0.0 when the predicate fails even at hi / 2^80
+    (infeasible chain).  The returned point itself passes the
+    predicate.
     """
-    if pred(hi):
-        return hi
-    lo = hi
-    for _ in range(80):
-        lo *= 0.5
-        if pred(lo):
-            return _boundary(pred, lo, hi)
-    return 0.0
+    lo, found = _walk(pred, hi, 0.5, 81)
+    return _boundary(pred, lo, hi) if found else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +625,11 @@ def full_report(grid: Grid, snap: FunctionalSnapshot, inner_uv: float,
 
     sandwich_ok = True
     if detected and T_num is not None:
+        # phrased so that a NaN bound fails the sandwich
         for low in (lowers.T_lower_34_truncated, lowers.T_lower_35):
-            if low > T_num:
+            if not low <= T_num:
                 sandwich_ok = False
-        if T_upper is not None and T_num > T_upper:
+        if T_upper is not None and not T_num <= T_upper:
             sandwich_ok = False
 
     return BoundReport(E0=snap.E, thm31=chain31, thm32=chain32, thm33=chain33,

@@ -223,8 +223,6 @@ class Record:
 
 @dataclass
 class Trajectory:
-    grid: Grid
-    params: ModelParams
     records: list[Record]
     termination: str
     note: str
@@ -348,9 +346,8 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
     if n_steps % output_every:
         records.append(record())
 
-    return Trajectory(grid=grid, params=params, records=records,
-                      termination=termination, note=note, n_steps=n_steps,
-                      final_state=State(t=t, u=u, v=v),
+    return Trajectory(records=records, termination=termination, note=note,
+                      n_steps=n_steps, final_state=State(t=t, u=u, v=v),
                       counts=counts)
 
 

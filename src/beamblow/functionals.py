@@ -87,8 +87,12 @@ def _power(x: float, y: float) -> float:
 
 def _parts(grid: Grid, u: np.ndarray,
            params: ModelParams) -> tuple[float, float, float]:
-    """G = ||grad u||^2, Bq = ||lap u||^2 and F = ||u||_{p+1}^{p+1}."""
-    return (mesh.grad_norm_sq(grid, u), mesh.lap_norm_sq(grid, u),
+    """G = ||grad u||^2, Bq = ||lap u||^2 and F = ||u||_{p+1}^{p+1},
+    after checking u once (ValueError if it is mis-shaped or not
+    finite)."""
+    u = mesh.check_field(grid, u)
+    ops = operators(grid)
+    return (mesh.grad_form(ops, u), mesh.lap_form(ops, u),
             _power(mesh.norm_lq(grid, u, params.p + 1), params.p + 1))
 
 
@@ -102,10 +106,6 @@ def potential_from_parts(G: float, Bq: float, F: float,
             + params.beta / (2.0 * (params.gamma + 1.0))
             * _power(G, params.gamma + 1.0)
             - F / (params.p + 1.0))
-
-
-def nehari_I(grid: Grid, u: np.ndarray, params: ModelParams) -> float:
-    return nehari_from_parts(*_parts(grid, u, params), params)
 
 
 def nehari_from_parts(G: float, Bq: float, F: float,

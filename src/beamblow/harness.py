@@ -30,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import functionals, mesh
-from .bounds import (SUMMARY_COLUMNS, BoundReport, _lower_34_integral, fmt,
-                     full_report, scalar_items, summary_row, thm31_constants)
+from .bounds import (SUMMARY_COLUMNS, BoundReport, _lower_34_integral, _walk,
+                     fmt, full_report, scalar_items, summary_row,
+                     thm31_constants)
 from .config import RunConfig, SweepConfig, serialize_config
 from .dynamics import (BlowupEstimate, StepControls, Trajectory,
                        detect_blowup, simulate)
@@ -264,7 +265,7 @@ def _suite_green_identity() -> tuple[bool, str]:
                 b = grid.weight * float(w @ (A @ u))
                 pairs.append((a, b))
             # u with its zero boundary; a corner is the end of two lines
-            V = np.pad(u.reshape((grid.n_interior,) * grid.dim), 1)
+            V = np.pad(u.reshape(grid.shape), 1)
             diffs = sum(np.sum(np.diff(V, axis=k)**2) for k in axes)
             ends = sum(np.sum(np.take(V, (1, -2), axis=k)**2) for k in axes)
             Lu = L @ u
@@ -320,34 +321,27 @@ def _suite_lemma21(n_fields: int = 200) -> tuple[bool, str]:
     grid = make_grid(1, 48)
     params = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
     consts = compute_constants(grid, params)
+    depth = consts.depth
     rng = np.random.default_rng(11)
     counts: dict[str, int] = {}
     zeros = np.zeros(grid.size)
-    x = (np.arange(1, grid.size + 1)) * grid.h
-    taper = np.sin(np.pi * x / grid.extent)**2
+    taper = np.sin(np.pi * grid.axis_coords() / grid.extent)**2
     for _ in range(n_fields):
         u = rng.standard_normal(grid.size) * taper
+
+        def J_at(s: float) -> float:
+            return functionals.potential_J(grid, s * u, params)
+
         # walk down the ray into the well, then test a random point of it
-        s_hi = 1.0
-        for _ in range(200):
-            if functionals.potential_J(grid, s_hi * u, params) <= consts.depth:
-                break
-            s_hi *= 0.7
+        s_hi, _ = _walk(lambda s: J_at(s) <= depth, 1.0, 0.7, 200)
         # and up the ray: through the barrier, onto the outer branch
-        s_out = s_hi
-        for _ in range(200):
-            if functionals.potential_J(grid, s_out * u, params) > consts.depth:
-                break
-            s_out *= 1.5
-        for _ in range(400):
-            if functionals.potential_J(grid, s_out * u, params) <= consts.depth:
-                break
-            s_out *= 1.5
+        s_out, _ = _walk(lambda s: J_at(s) > depth, s_hi, 1.5, 200)
+        s_out, _ = _walk(lambda s: J_at(s) <= depth, s_out, 1.5, 400)
         for w in (s_hi * rng.uniform(0.05, 1.0) * u, s_out * u):
             snap = functionals.snapshot(grid, w, zeros, params)
             X = snap.grad_u_sq + snap.lap_u_sq
             verdict = functionals.lemma21_verdict(
-                math.sqrt(X), snap.I, snap.J, consts.lam_star, consts.depth,
+                math.sqrt(X), snap.I, snap.J, consts.lam_star, depth,
                 scale=X + snap.lp1_u**(params.p + 1))
             counts[verdict] = counts.get(verdict, 0) + 1
     violations = counts.get("violation", 0)

@@ -6,8 +6,9 @@ which are sine modes known in closed form.
 The radial amplitude r1 is pushed out until the single-mode energy
 chi(r1) drops below the requested level R while the correlation
 inner(u0, u1) = r1^2 clears B*R; the second mode then tops the energy
-up to R exactly.  All amplitude searches are plain bisections, so the
-construction is bit-for-bit reproducible.
+up to R exactly.  Every amplitude search is a geometric walk, then
+bisection to adjacent floats, so the construction is bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _boundary, thm31_constants
+from .bounds import _boundary, _walk, thm31_constants
 from .errors import ConstructionFailure
 from .functionals import ModelParams, potential_J
 from .mesh import Grid, inner, norm_l2
@@ -82,12 +83,10 @@ def construct_energy_level(grid: Grid, params: ModelParams, R: float,
     def admissible(r1: float) -> bool:
         return chi(r1, grid, v1, params) < R and r1 * r1 * l2_v1_sq > B * R
 
-    hi = 1.0
-    while not admissible(hi):
-        hi *= 2.0
-        if hi > 2.0**60:
-            raise ConstructionFailure(
-                f"no admissible amplitude below 2^60 for R = {R}")
+    hi, found = _walk(admissible, 1.0, 2.0, 61)
+    if not found:
+        raise ConstructionFailure(
+            f"no admissible amplitude below 2^60 for R = {R}")
     r1 = _boundary(admissible, hi, 0.5 * hi)
 
     u0 = r1 * v1
@@ -109,18 +108,11 @@ def _negative_energy_amplitude(grid: Grid, params: ModelParams,
     def J_of(a: float) -> float:
         return potential_J(grid, a * phi, params)
 
-    lo, hi = 1.0, 1.0
-    for _ in range(80):
-        if J_of(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
+    hi, found = _walk(lambda a: J_of(a) < 0.0, 1.0, 2.0, 80)
+    if not found:
         raise ConstructionFailure("potential energy never turns negative")
-    for _ in range(80):
-        if J_of(lo) > 0.0:
-            break
-        lo *= 0.5
-    else:
+    lo, found = _walk(lambda a: J_of(a) > 0.0, 1.0, 0.5, 80)
+    if not found:
         raise ConstructionFailure("potential energy has no positive branch")
     return _boundary(lambda a: J_of(a) < 0.0, hi, lo)
 

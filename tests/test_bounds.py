@@ -31,7 +31,8 @@ from beamblow import (
     thm35_lower,
 )
 from beamblow.bounds import (_boundary, _grad_interpolation_constant,
-                             _lower_34_integral, fmt, scalar_items)
+                             _largest_admissible, _lower_34_integral, _walk,
+                             fmt, scalar_items)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (2.0**-40, 2.0**40)])
@@ -47,6 +48,42 @@ def test_boundary_bisects_to_adjacent_floats(lo, hi, good_is_low):
     x = _boundary(pred, good, bad)
     assert pred(x)
     assert np.nextafter(x, bad) == edge and not pred(edge)
+
+
+def counted(pred):
+    """``pred`` and the list of the points it is called at."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return pred(x)
+    return wrapped, calls
+
+
+def test_walk_stops_at_a_passing_first_probe():
+    pred, calls = counted(lambda x: x > 1.0)
+    assert _walk(pred, 3.0, 2.0, 10) == (3.0, True)
+    assert calls == [3.0]
+
+
+def test_walk_returns_the_first_passing_probe():
+    pred, calls = counted(lambda x: x > 10.0)
+    assert _walk(pred, 1.0, 2.0, 10) == (16.0, True)
+    assert calls == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+def test_walk_without_a_passing_probe_ends_one_step_past_the_last():
+    pred, calls = counted(lambda x: False)
+    assert _walk(pred, 1.0, 0.5, 7) == (2.0**-7, False)
+    assert calls == [2.0**-k for k in range(7)]
+
+
+def test_largest_admissible_probe_count():
+    # walk probes at 1 and 1/2, then the bisection of (1/2, 1) down to
+    # adjacent floats around 0.3
+    pred, calls = counted(lambda e: e <= 0.3)
+    assert _largest_admissible(pred, 1.0) == 0.3
+    assert len(calls) == 56
 
 
 def state(grid, data, params):

@@ -27,6 +27,8 @@ from beamblow import (
 RADAU_CROSSINGS_1D_N32 = {1e3: 0.1854969, 1e6: 0.2480639}
 # Its singular time T*: max|u|^(-1/k) is linear in T* - t near blow-up.
 T_STAR_1D_N32 = 0.2500652
+# The model of both Radau references.
+RADAU_PARAMS_1D_N32 = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
 # The singular time T* of the default run (RunConfig(), 1D N = 128):
 # the Radau run's max|u|^(-1/k) is linear in T* - t near blow-up.
 T_STAR_DEFAULT_1D = 0.2493837
@@ -71,7 +73,7 @@ def test_scheme_matches_reference_ode():
 def radau_run_1d_n32():
     """The Radau reference's run: 1D N = 32, negative_energy, to 1e6."""
     g = make_grid(1, 32)
-    prm = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
+    prm = RADAU_PARAMS_1D_N32
     data = preset("negative_energy", g, prm)
     traj = simulate(g, prm, data.u0, data.u1, StepControls(), t_max=10.0,
                     blow_threshold=1e6)
@@ -83,7 +85,7 @@ def test_crossings_match_dense_jacobian_radau(radau_run_1d_n32):
     traj = radau_run_1d_n32
     est = detect_blowup(traj.times(), traj.series("linf_u"),
                         tuple(RADAU_CROSSINGS_1D_N32),
-                        traj.params.blowup_exponent)
+                        RADAU_PARAMS_1D_N32.blowup_exponent)
     assert len(est.crossings) == 2
     for crossing in est.crossings:
         assert crossing.t_cross == pytest.approx(
@@ -93,7 +95,8 @@ def test_crossings_match_dense_jacobian_radau(radau_run_1d_n32):
 def test_T_num_matches_radau_singular_time(radau_run_1d_n32):
     traj = radau_run_1d_n32
     est = detect_blowup(traj.times(), traj.series("lp1_u"),
-                        (1e2, 1e3, 1e4, 1e5), traj.params.blowup_exponent)
+                        (1e2, 1e3, 1e4, 1e5),
+                        RADAU_PARAMS_1D_N32.blowup_exponent)
     assert est.detected and not est.coarse
     assert abs(est.T_num - T_STAR_1D_N32) <= 5e-5
 

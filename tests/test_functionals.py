@@ -14,7 +14,6 @@ from beamblow import (
     lap_norm_sq,
     lemma21_verdict,
     make_grid,
-    nehari_I,
     norm_lq,
     potential_J,
     snapshot,
@@ -46,10 +45,18 @@ def test_nehari_and_potential_closed_form(node, cubic):
     # I(a) = 68 a^2 - a^4/2 and J(a) = 34 a^2 - a^4/8 when beta = 0.
     for a in (0.3, 1.0, 5.0):
         u = np.array([a])
-        assert nehari_I(node, u, cubic) == pytest.approx(68 * a**2 - 0.5 * a**4, rel=1e-13)
+        assert snapshot(node, u, np.zeros_like(u), cubic).I == pytest.approx(
+            68 * a**2 - 0.5 * a**4, rel=1e-13)
         assert potential_J(node, u, cubic) == pytest.approx(34 * a**2 - 0.125 * a**4, rel=1e-13)
     root = math.sqrt(136.0)
-    assert abs(nehari_I(node, np.array([root]), cubic)) < 1e-9
+    assert abs(snapshot(node, np.array([root]), np.zeros(1), cubic).I) < 1e-9
+
+
+@pytest.mark.parametrize("u, match", [
+    (np.array([np.inf]), "non-finite"), (np.zeros(2), "does not match")])
+def test_potential_J_checks_its_field(node, cubic, u, match):
+    with pytest.raises(ValueError, match=match):
+        potential_J(node, u, cubic)
 
 
 def test_energy_adds_kinetic_term(node, cubic):
@@ -69,7 +76,9 @@ def test_kirchhoff_term_in_functionals(node):
     extra_I = 2.0 * G**2
     base = ModelParams(p=4.0, r=1.0, gamma=1.0, beta=0.0)
     assert potential_J(node, u, prm) - potential_J(node, u, base) == pytest.approx(extra_J, rel=1e-12)
-    assert nehari_I(node, u, prm) - nehari_I(node, u, base) == pytest.approx(extra_I, rel=1e-12)
+    zero = np.zeros_like(u)
+    assert (snapshot(node, u, zero, prm).I - snapshot(node, u, zero, base).I
+            == pytest.approx(extra_I, rel=1e-12))
 
 
 def test_dissipation_rate(node):
@@ -92,7 +101,6 @@ def test_snapshot_consistency(grid64, params, rng):
     assert snap.grad_u_sq == pytest.approx(grad_norm_sq(grid64, u), rel=1e-13)
     assert snap.lap_u_sq == pytest.approx(lap_norm_sq(grid64, u), rel=1e-13)
     assert snap.J == pytest.approx(potential_J(grid64, u, params), rel=1e-13)
-    assert snap.I == pytest.approx(nehari_I(grid64, u, params), rel=1e-13)
     assert snap.lp1_u == pytest.approx(norm_lq(grid64, u, params.p + 1), rel=1e-13)
     assert snap.linf_u == pytest.approx(np.abs(u).max(), rel=1e-13)
 
@@ -106,7 +114,8 @@ def test_scaling_identity(a):
     ds = 1e-6 * max(a, 1.0)
     dJ = (potential_J(node, np.array([a + ds]), prm)
           - potential_J(node, np.array([a - ds]), prm)) / (2 * ds)
-    assert dJ * a == pytest.approx(nehari_I(node, np.array([a]), prm), rel=1e-5)
+    assert dJ * a == pytest.approx(
+        snapshot(node, np.array([a]), np.zeros(1), prm).I, rel=1e-5)
 
 
 def test_classify_labels(grid64, params, consts64):
@@ -124,7 +133,8 @@ def test_functionals_of_an_overflowing_field_are_not_finite(grid64, params,
     u, v = 1e110 * mode, 1e200 * mode
     with np.errstate(over="ignore", invalid="ignore"):
         assert not math.isfinite(snapshot(grid64, u, v, params).E)
-        assert not math.isfinite(nehari_I(grid64, u, params))
+        assert not math.isfinite(
+            snapshot(grid64, u, np.zeros_like(u), params).I)
         snap = snapshot(grid64, u, v, params)
         assert not math.isfinite(snap.E) and not math.isfinite(snap.I)
         assert classify(grid64, u, params, consts64.depth) == "indeterminate"

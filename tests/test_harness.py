@@ -399,6 +399,17 @@ def test_cli_simulate_with_overflowing_lower_bound_integrand(tmp_path,
     assert float(report["lower.F0"]) > 1e240
     assert math.isfinite(float(report["lower.T_lower_34_truncated"]))
 
+
+def test_a_nan_lower_bound_fails_the_sandwich():
+    # at amplitude 1e200 ||grad u0||^2 comes out as inf - inf = nan, so
+    # the Theorem 3.5 lower bound is nan and certifies nothing
+    cfg = RunConfig(N=32, preset="sine_bump", amplitude=1e200)
+    with np.errstate(all="ignore"):
+        report = harness.evaluate(cfg).report
+    assert report.blowup_detected
+    assert math.isnan(report.lowers.T_lower_35)
+    assert not report.sandwich_ok
+
 def test_cli_spectra(tmp_path, capsys):
     cfg = tmp_path / "run.txt"
     cfg.write_text(serialize_config(QUIET))

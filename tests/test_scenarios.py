@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import beamblow.scenarios as scenarios
 from beamblow import (
     ConstructionFailure,
     PRESET_NAMES,
@@ -98,6 +99,32 @@ def test_construct_energy_level(grid48, params, consts48, R):
     # the second mode enters with a positive amplitude
     _, v2 = eigen_pair_basis(grid48)
     assert inner(grid48, data.u1 - data.u0, v2) > 0.0
+
+
+def counted_J(monkeypatch):
+    """Count the potential_J probes the data construction makes."""
+    calls = []
+
+    def J(*args):
+        calls.append(args)
+        return potential_J(*args)
+    monkeypatch.setattr(scenarios, "potential_J", J)
+    return calls
+
+
+def test_construct_energy_level_probe_count(grid48, params, consts48,
+                                            monkeypatch):
+    B = thm31_constants(params, consts48.B1).B
+    calls = counted_J(monkeypatch)
+    construct_energy_level(grid48, params, 3.0 * consts48.depth, B)
+    assert len(calls) == 61
+
+
+def test_negative_energy_probe_count(params, monkeypatch):
+    grid = make_grid(1, 128)
+    calls = counted_J(monkeypatch)
+    preset("negative_energy", grid, params)
+    assert len(calls) == 62
 
 
 def test_construct_rejects_bad_weight(grid48, params):
