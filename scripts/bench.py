@@ -40,6 +40,18 @@ The cases:
     of the same configuration, which also supplies the data and warms
     up, untimed) and its relative gap to the
     singular time T* = 0.2493837 of a Radau IIA run of the same model.
+  * ``run_2d``: the default 2D runs (``RunConfig(dim=2, N=N)``) at
+    N = 32 and 64 from their data to ``blow_threshold`` = 1e9, each
+    repetition a fresh process per side, the sides alternating which
+    runs first, so drift of the host falls on both alike.  It reports
+    the wall time of ``dynamics.simulate`` (median and quartiles per
+    side, with the runs; the grid's operators are built inside it, as
+    in a user's run), the accepted steps, step attempts, Newton
+    corrections and ``T_num``, and the CG iterations counted by the
+    benchmark's tracer in one more, untimed, run per side
+    (``run_cg_iters`` is the run's own count, ``StepCounts.cg_iters``,
+    where the version has it).  With ``--before`` it adds the relative
+    change of ``T_num`` at each N.
   * ``2d_forms``: the exact solves of the fixed forms ``lap`` (B) and
     ``H`` (B - L) of the 2D embedding sweeps at N = 64, 96 and 128,
     reporting the set-up time of each form (``GridOperators.form``,
@@ -60,8 +72,10 @@ benchmark's tracer (``perfbench/tracing.py``), which wraps the
 program's functions from outside, so the same script measures any
 version that has these names.  The tracer's own cost per wrapped call
 is included on both sides.  ``2d_forms`` and ``run_1d`` time the
-program directly; ``run_1d`` reads the step attempts from the
-trajectory's ``counts``.
+program directly; ``run_1d`` and ``run_2d`` read the step counts from
+the trajectory's ``counts``.  The per-step diagnostics of ``step_1d``
+are ``functionals.diagnostics`` where the version has it (the step
+loop's unchecked snapshot), and ``functionals.snapshot`` otherwise.
 """
 
 import argparse
@@ -80,6 +94,8 @@ STEPS = 100
 STEP_1D_STEPS = 2000
 STEP_1D_REPEATS = 5
 RUN_1D_REPEATS = 3
+RUN_2D_N = (32, 64)
+RUN_2D_REPEATS = 5
 # singular time of the default 1D run: the Radau IIA run of the same
 # model (perfbench/reference.py) follows max|u|^(-1/k) = c (T* - t)
 T_STAR_1D = 0.2493837
@@ -105,6 +121,10 @@ def traced_package(src: str):
 
     tracer = Tracer()
     tracer.install(bb)
+    if hasattr(bb.functionals, "diagnostics"):
+        # the step loop's snapshot, which the tracer does not name
+        bb.functionals.diagnostics = tracer.wrap(
+            "functionals.diagnostics", bb.functionals.diagnostics)
 
     def reset() -> None:
         # the installed wrappers keep pointing at this tracer object
@@ -168,12 +188,15 @@ def measure_step_1d(src: str) -> dict:
                            t_max=cfg.t_max, blow_threshold=cfg.blow_threshold)
 
     run()  # warm-up: operators, bands and caches built outside the timing
+    layers = dict(STEP_1D_LAYERS)
+    if tracer.calls["functionals.diagnostics"]:
+        layers["snapshot"] = "functionals.diagnostics"
     reps = []
     for _ in range(STEP_1D_REPEATS):
         reset()
         traj = run()
         us = {key: 1e6 * tracer.total[name] / max(tracer.calls[name], 1)
-              for key, name in STEP_1D_LAYERS.items()}
+              for key, name in layers.items()}
         us["step_self"] = (1e6 * tracer.self_time["dynamics.step"]
                            / max(tracer.calls["dynamics.step"], 1))
         us["simulate_per_accepted_step"] = (
@@ -182,8 +205,7 @@ def measure_step_1d(src: str) -> dict:
     return {
         "grid": {"dim": cfg.dim, "N": cfg.N},
         "accepted_steps": traj.n_steps,
-        "calls": {key: tracer.calls[name]
-                  for key, name in STEP_1D_LAYERS.items()},
+        "calls": {key: tracer.calls[name] for key, name in layers.items()},
         "us_per_call": {key: statistics.median(r[key] for r in reps)
                         for key in reps[0]},
         "repetitions": reps,
@@ -227,6 +249,83 @@ def measure_run_1d(src: str) -> dict:
         "T_star": T_STAR_1D,
         "T_num_rel_gap": (est.T_num - T_STAR_1D) / T_STAR_1D,
     }
+
+
+def run_2d(bb, n: int):
+    """The default 2D run at N = n: (config, params, trajectory, wall
+    time of ``simulate``)."""
+    import time
+
+    cfg = bb.RunConfig(dim=2, N=n)
+    grid, params = cfg.grid(), cfg.model_params()
+    data = bb.preset(cfg.preset, grid, params, cfg.amplitude)
+    start = time.perf_counter()
+    traj = bb.simulate(grid, params, data.u0, data.u1, cfg.step_controls(),
+                       t_max=cfg.t_max, blow_threshold=cfg.blow_threshold,
+                       output_every=cfg.output_every)
+    return cfg, params, traj, time.perf_counter() - start
+
+
+def measure_run_2d(src: str) -> dict:
+    sys.path.insert(0, src)
+    import beamblow as bb
+
+    result = {}
+    for n in RUN_2D_N:
+        cfg, params, traj, elapsed = run_2d(bb, n)
+        est = bb.detect_blowup(traj.times(), traj.series("lp1_u"),
+                               cfg.thresholds, params.blowup_exponent)
+        result[str(n)] = {
+            "simulate_s": elapsed,
+            "termination": traj.termination,
+            "accepted_steps": traj.n_steps,
+            "attempts": traj.counts.attempts,
+            "newton_iters": traj.counts.newton_iters,
+            "run_cg_iters": getattr(traj.counts, "cg_iters", None),
+            "T_num": est.T_num,
+        }
+    return result
+
+
+def count_run_2d(src: str) -> dict:
+    """CG iterations of the ``run_2d`` runs, by the benchmark's tracer."""
+    bb, tracer, reset = traced_package(src)
+    counts = {}
+    for n in RUN_2D_N:
+        reset()
+        run_2d(bb, n)
+        counts[str(n)] = tracer.cg_iters
+    return counts
+
+
+def compare_run_2d(sides: dict[str, Path]) -> dict:
+    """``run_2d`` on each side, the sides alternating which runs first."""
+    runs = {side: [] for side in sides}
+    order = list(sides)
+    for _ in range(RUN_2D_REPEATS):
+        for side in order:
+            runs[side].append(run_side("run_2d", sides[side]))
+        order.reverse()
+    result = {"repetitions": RUN_2D_REPEATS}
+    for side, src in sides.items():
+        cg_iters = run_side("run_2d_cg", src)
+        result[side] = {}
+        for n in map(str, RUN_2D_N):
+            # every repetition makes the same steps; the first one's
+            # counts stand for all
+            first = runs[side][0][n]
+            result[side][n] = {
+                **{key: value for key, value in first.items()
+                   if key != "simulate_s"},
+                "cg_iters": cg_iters[n],
+                "simulate_s": spread([run[n]["simulate_s"]
+                                      for run in runs[side]]),
+            }
+    if "before" in sides:
+        result["T_num_rel_change"] = {
+            n: (result["after"][n]["T_num"] - result["before"][n]["T_num"])
+            / result["before"][n]["T_num"] for n in map(str, RUN_2D_N)}
+    return result
 
 
 def closure_bytes(fn) -> int:
@@ -310,15 +409,18 @@ def measure_startup(sides: dict[str, Path]) -> dict:
 
 CASES = {"2d_solve": measure_2d_solve, "step_1d": measure_step_1d,
          "run_1d": measure_run_1d, "2d_forms": measure_2d_forms}
-# cases that time whole processes and so run every side themselves
-PROCESS_CASES = {"startup": measure_startup}
+# cases that run every side themselves: in fresh processes that they
+# time from outside, or in processes of their own that alternate sides
+PROCESS_CASES = {"startup": measure_startup, "run_2d": compare_run_2d}
+# what one process measures on one side, by the name run_side passes
+MEASURES = {**CASES, "run_2d": measure_run_2d, "run_2d_cg": count_run_2d}
 
 
-def run_side(case: str, src: Path) -> dict:
+def run_side(measure: str, src: Path) -> dict:
     env = {**os.environ, **THREADS}
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(
-        [sys.executable, __file__, "--case", case, "--measure", str(src)],
+        [sys.executable, __file__, "--measure", measure, str(src)],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -343,10 +445,11 @@ def main() -> int:
                     help="run only this case (default: every case)")
     ap.add_argument("--out-dir", type=Path, default=ROOT,
                     help="where BENCH_<case>.json is written")
-    ap.add_argument("--measure", help=argparse.SUPPRESS)
+    ap.add_argument("--measure", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure:
-        print(json.dumps(CASES[args.case](args.measure)))
+        measure, src = args.measure
+        print(json.dumps(MEASURES[measure](src)))
         return 0
 
     import numpy

@@ -16,7 +16,18 @@ nonlinear system for v_new, solved by Newton.  Its matrix is
     rho = dt^2/2 h^dim M'(G) >= 0,
 
 solved by one banded Cholesky call and a Sherman-Morrison update in
-one dimension and by preconditioned conjugate gradients in two.
+one dimension and by preconditioned conjugate gradients in two.  Newton
+stops at NEWTON_RTOL = 1e-8: it converges quadratically, so the step
+lands within about 1e-12 of the velocity of one solved to rounding.
+
+Two cheaper solves were measured and rejected, because a fixed-step run
+past the blow-up must collapse to dt_min.  A CG solve stopped early
+(at 1e-4 to 1e-8, fixed or with Eisenstat-Walker-style forcing) never
+meets the negative curvature of the indefinite Newton matrix there, so
+in 2d the run crawls on at steps near 1e-13 instead; a check for a
+positive diagonal did not restore the collapse.  Starting Newton from
+the explicit predictor v + dt F(u, v) instead of v keeps the run going
+in the same way in one dimension and in two.
 
 The step size is set by an energy compliance governor alone: every
 accepted step must reproduce the dissipation identity
@@ -42,12 +53,15 @@ from .functionals import FunctionalSnapshot, ModelParams
 from .mesh import Grid
 from .operators import GridOperators, operators
 
-# row-wise backward-error target of the 2d step's conjugate gradients
+# row-wise backward-error target of the 2d step's conjugate gradients;
+# looser solves never meet the negative curvature of the Newton matrix
+# past the blow-up, and a fixed-step run then crawls instead of
+# collapsing (measured at 1e-4 to 1e-8, see the module docstring)
 CG_RTOL = 1e-10
 # Newton on the step's velocity: iteration cap, and the error estimate
 # at which it stops, relative to the iterate in the max norm
 NEWTON_MAX_ITER = 8
-NEWTON_RTOL = 1e-12
+NEWTON_RTOL = 1e-8
 # the StepCounts field of each cause of a failed step attempt, matched
 # in order (a NewtonFailure is a ConvergenceFailure); OverflowError is a
 # float power that overflowed
@@ -93,8 +107,9 @@ class StepCounts:
     Every attempt is accepted or rejected for one cause: a non-finite
     state or diagnostics, a linear solve that broke down, Newton not
     converging, or the energy test.  ``newton_iters`` counts Newton
-    corrections and ``linear_solves`` the solves begun for them, over
-    all attempts."""
+    corrections, ``linear_solves`` the solves begun for them and
+    ``cg_iters`` the conjugate-gradient iterations of those solves (0 in
+    1d, where each is one banded call), over all attempts."""
 
     attempts: int = 0
     rejected_nonfinite: int = 0
@@ -103,6 +118,7 @@ class StepCounts:
     rejected_energy: int = 0
     newton_iters: int = 0
     linear_solves: int = 0
+    cg_iters: int = 0
 
 
 @dataclass
@@ -147,12 +163,13 @@ def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
     ``GridOperators.solve``.  Newton stops when its estimate of the
     error left falls below NEWTON_RTOL of the iterate in the max norm.
 
-    ``ops`` is the grid's operator object; Newton iterations and
-    linear solves are added to ``counts``.  Returns (u_new, v_new) or
-    raises: FloatingPointError when an iterate or the new state is not
-    finite (OverflowError when the Kirchhoff power overflows),
-    NewtonFailure when Newton has not converged in NEWTON_MAX_ITER
-    iterations and ConvergenceFailure when a linear solve breaks down;
+    ``ops`` is the grid's operator object; Newton iterations, linear
+    solves and their CG iterations are added to ``counts``.  Returns
+    (u_new, v_new) or raises: FloatingPointError when an iterate or the
+    new state is not finite (OverflowError when the Kirchhoff power
+    overflows), NewtonFailure when Newton has not converged in
+    NEWTON_MAX_ITER iterations and ConvergenceFailure when a linear
+    solve breaks down;
     each is the signal to retry with a smaller dt.  u and v are not
     checked: ``simulate`` checks the initial data and every state it
     passes on came from this function.
@@ -176,7 +193,7 @@ def step(ops: GridOperators, params: ModelParams, u: np.ndarray,
             rho = (2.0 * h * h * w * params.beta * params.gamma
                    * G**(params.gamma - 1.0) if G > 0 else 0.0)
             counts.linear_solves += 1
-            delta = ops.solve(a, c, d, rho, Ly, -residual, CG_RTOL)
+            delta = ops.solve(a, c, d, rho, Ly, -residual, CG_RTOL, counts)
             counts.newton_iters += 1
             x = x + delta
             if not np.isfinite(x).all():
@@ -268,7 +285,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
     scale = 1.0
     n_steps = 0
     counts = StepCounts()
-    snap = functionals.snapshot(grid, u, v, params)
+    snap = functionals.diagnostics(ops, u, v, params)
     dt = adapt_dt(controls, scale)
 
     records = [Record(t=0.0, dt=dt, snap=snap, energy_residual=0.0,
@@ -308,7 +325,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
         counts.attempts += 1
         try:
             u_new, v_new = step(ops, params, u, v, dt, counts)
-            snap_new = functionals.snapshot(grid, u_new, v_new, params)
+            snap_new = functionals.diagnostics(ops, u_new, v_new, params)
             if not (math.isfinite(snap_new.E)
                     and math.isfinite(snap_new.dissipation_rate)):
                 raise FloatingPointError("diagnostics are not finite")

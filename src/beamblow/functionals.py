@@ -24,7 +24,7 @@ import numpy as np
 
 from . import mesh
 from .mesh import Grid
-from .operators import operators
+from .operators import GridOperators, operators
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,18 @@ class FunctionalSnapshot:
 def snapshot(grid: Grid, u: np.ndarray, v: np.ndarray,
              params: ModelParams) -> FunctionalSnapshot:
     """Every diagnostic of (u, v).  Both fields are checked once, on
-    entry; the quadratic forms after that run unchecked."""
-    u = mesh.check_field(grid, u)
-    v = mesh.check_field(grid, v)
-    ops = operators(grid)
+    entry (ValueError if either is mis-shaped or not finite); the
+    kernels after that run unchecked."""
+    return diagnostics(operators(grid), mesh.check_field(grid, u),
+                       mesh.check_field(grid, v), params)
+
+
+def diagnostics(ops: GridOperators, u: np.ndarray, v: np.ndarray,
+                params: ModelParams) -> FunctionalSnapshot:
+    """``snapshot`` on the grid of ``ops`` without checking u and v,
+    for code that already knows both are sound, such as the time
+    stepper, whose states are finite by construction."""
+    grid = ops.grid
     G = mesh.grad_form(ops, u)
     Bq = mesh.lap_form(ops, u)
     lp1 = mesh.norm_lq(grid, u, params.p + 1)

@@ -37,7 +37,9 @@ their solve to two sine solves and a dense Cholesky solve of the
 4n-by-4n capacitance matrix (Buzbee & Dorr, SIAM J. Numer. Anal. 11,
 1974), factored once per form and grid.  The Newton matrix of the time
 step adds a diagonal and a rank-1 term to I + a B - c L: in 1d both
-enter the banded solve, and in 2d it is solved by conjugate gradients.
+enter the banded solve, and in 2d it is solved by conjugate gradients,
+each iteration one sparse product with I + a B - c L + diag(d)
+assembled on the pattern of B, plus the rank-1 term.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .solvers import (conjugate_gradient, operator_norm_estimate,
-                      solve_spd_banded)
+from .solvers import (cg_iterations, conjugate_gradient,
+                      operator_norm_estimate, solve_spd_banded)
 
 if TYPE_CHECKING:
+    from .dynamics import StepCounts
     from .mesh import Grid
 
 # the fixed quadratic forms of the embedding sweeps: -L, B and B - L
@@ -190,22 +193,66 @@ class GridOperators:
         R = r.reshape(n, n)
         return (S @ ((S @ R @ S) / diag) @ S).ravel()
 
-    def matvec(self, a: float, c: float):
-        """A function applying I + a B - c L, the linear part of the
-        time step's Newton matrix."""
+    @cached_property
+    def newton_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 2d Newton matrix's fixed parts on the CSR pattern of
+        ``B``: the entries of ``L`` scattered into an array shaped like
+        ``B.data`` (zero where L has no entry), and the positions of the
+        diagonal in ``B.data``.  The 13-point pattern of B holds the
+        5-point pattern of L and the diagonal, so I + a B - c L + diag(d)
+        is one array on that pattern; the positions are found by a
+        vectorised search of the sorted (row, column) keys, built in
+        place to keep the peak memory of the set-up low."""
         B, L = self.B, self.L
-        return lambda x: x + a * (B @ x) - c * (L @ x)
+        size = B.shape[0]
+
+        def keys(A: sp.csr_matrix) -> np.ndarray:
+            keys = np.repeat(np.arange(size), np.diff(A.indptr))
+            keys *= size
+            keys += A.indices
+            return keys
+
+        B_keys = keys(B)
+        L_at = np.searchsorted(B_keys, keys(L))
+        diagonal = np.searchsorted(B_keys, np.arange(size) * (size + 1))
+        del B_keys
+        L_on_B = np.zeros_like(B.data)
+        L_on_B[L_at] = L.data
+        return L_on_B, diagonal
+
+    def newton_product(self, a: float, c: float, d: np.ndarray, rho: float,
+                       w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """A function applying the 2d Newton matrix
+        I + a B - c L + diag(d) + rho w w^T: one sparse product with the
+        first four terms assembled on the pattern of ``B``, plus the
+        rank-1 term."""
+        B = self.B
+        L_on_B, diagonal = self.newton_pattern
+        # a (B - (c/a) L) written into one new array: a second temporary
+        # of this size costs more in page faults than the arithmetic
+        # (a threaded BLAS axpy avoids both, but on two threads it
+        # stalls the sine products that follow it)
+        data = np.multiply(L_on_B, -c / a)
+        data += B.data
+        data *= a
+        data[diagonal] += 1.0 + d
+        A = sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
+        if rho == 0.0:
+            return A.dot
+        return lambda x: A @ x + (rho * (w @ x)) * w
 
     def solve(self, a: float, c: float, d: np.ndarray, rho: float,
-              w: np.ndarray, rhs: np.ndarray, rtol: float) -> np.ndarray:
+              w: np.ndarray, rhs: np.ndarray, rtol: float,
+              counts: StepCounts) -> np.ndarray:
         """Solve (I + a B - c L + diag(d) + rho w w^T) x = rhs, the
         Newton matrix of the time step (rho >= 0).
 
         In 1d one banded Cholesky call takes the band with d on its
         diagonal against the two right-hand sides rhs and w, and the
         Sherman-Morrison formula adds the rank-1 term.  In 2d conjugate
-        gradients from zero apply the rank-1 term as a product.  They
-        are preconditioned by ``sine_solve`` between two diagonal
+        gradients from zero apply ``newton_product``, and the iterations
+        they make, converged or not, are added to ``counts.cg_iters``.
+        They are preconditioned by ``sine_solve`` between two diagonal
         scalings by (1 + d+/k)^{-1/2}, where k is the interior diagonal
         of the sine operator and d+ the positive part of d: while d is
         small against k that is ``sine_solve`` itself, and where d
@@ -218,16 +265,25 @@ class GridOperators:
             ab[2] += d
             x, y = solve_spd_banded(ab, np.column_stack((rhs, w))).T
             return x - (rho * (w @ x) / (1.0 + rho * (w @ y))) * y
-        apply = self.matvec(a, c)
+        apply = self.newton_product(a, c, d, rho, w)
+        products = 0
+
+        def counted(x: np.ndarray) -> np.ndarray:
+            nonlocal products
+            products += 1
+            return apply(x)
+
         h = self.grid.h
         k = 1.0 + 20.0 * a / h**4 + 4.0 * c / h**2
         s = 1.0 / np.sqrt(1.0 + np.maximum(d, 0.0) / k)
-        return conjugate_gradient(
-            lambda x: apply(x) + d * x + (rho * (w @ x)) * w, rhs,
-            x0=np.zeros_like(rhs), rtol=rtol, max_iter=500,
-            M=lambda r: s * self.sine_solve(a, c, s * r),
-            a_norm=(1.0 + a * self.norm_B + c * self.norm_L + np.abs(d)
-                    + rho * np.abs(w) * np.abs(w).sum()))
+        try:
+            return conjugate_gradient(
+                counted, rhs, x0=np.zeros_like(rhs), rtol=rtol, max_iter=500,
+                M=lambda r: s * self.sine_solve(a, c, s * r),
+                a_norm=(1.0 + a * self.norm_B + c * self.norm_L + np.abs(d)
+                        + rho * np.abs(w) * np.abs(w).sum()))
+        finally:
+            counts.cg_iters += cg_iterations(products)
 
     def form(self, name: str) -> tuple[Callable, Callable]:
         """Matrix product and exact solve of the fixed quadratic form

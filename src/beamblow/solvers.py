@@ -89,6 +89,19 @@ def ilu_preconditioner(A: sp.spmatrix, drop_tol: float = 1e-5,
     return spla.LinearOperator(A.shape, matvec=ilu.solve)
 
 
+# conjugate_gradient replaces its recurrence residual by the true one
+# every CG_REFRESH iterations
+CG_REFRESH = 50
+
+
+def cg_iterations(products: int) -> int:
+    """The iterations of a ``conjugate_gradient`` call that applied its
+    operator ``products`` times: once for the initial residual, once per
+    iteration and once more per true-residual refresh."""
+    m = max(products - 1, 0)
+    return m - m // (CG_REFRESH + 1)
+
+
 def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
                        b: np.ndarray, x0: np.ndarray, *, rtol: float,
                        max_iter: int, M: Callable[[np.ndarray], np.ndarray],
@@ -102,23 +115,29 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
 
     Raises ConvergenceFailure (with the final relative backward error in
     ``residual``) if the budget runs out, or at once on a curvature
-    ``p^T A p`` that is not positive, NaN included.  The recurrence residual is
-    replaced by the true residual every 50 iterations to stop rounding
-    drift from masking stagnation.
+    ``p^T A p`` that is not positive, NaN included.  The recurrence
+    residual is replaced by the true residual every CG_REFRESH
+    iterations to stop rounding drift from masking stagnation.  The
+    updates and the stopping test write into buffers made once per
+    call.
     """
     x = np.array(x0, dtype=float)
     b_abs = np.abs(b)
+    denom = np.empty_like(x)
+    work = np.empty_like(x)
+
+    def backward_error(res_vec: np.ndarray) -> float:
+        np.multiply(a_norm, np.abs(x, out=work).max(), out=denom)
+        np.add(denom, b_abs, out=denom)
+        np.maximum(denom, 1e-300, out=denom)
+        np.abs(res_vec, out=work)
+        return float(np.divide(work, denom, out=work).max())
 
     r = b - A(x)
     z = M(r)
     p = z.copy()
     rz = float(np.dot(r, z))
-
-    def backward_error(res_vec: np.ndarray, xv: np.ndarray) -> float:
-        denom = b_abs + a_norm * np.abs(xv).max()
-        return float((np.abs(res_vec) / np.maximum(denom, 1e-300)).max())
-
-    err = backward_error(r, x)
+    err = backward_error(r)
     if err <= rtol:
         return x
 
@@ -131,19 +150,20 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
                 f"or not finite (p^T A p = {pAp:g}); the operator is not "
                 "SPD or not finite", residual=err)
         alpha = rz / pAp
-        x += alpha * p
-        if k % 50 == 0:
+        x += np.multiply(p, alpha, out=work)
+        if k % CG_REFRESH == 0:
             r = b - A(x)
         else:
-            r -= alpha * Ap
-        err = backward_error(r, x)
+            r -= np.multiply(Ap, alpha, out=work)
+        err = backward_error(r)
         if err <= rtol:
             return x
         z = M(r)
         rz_next = float(np.dot(r, z))
         beta = rz_next / rz
         rz = rz_next
-        p = z + beta * p
+        p *= beta
+        p += z
 
     raise ConvergenceFailure(
         f"conjugate gradient stalled after {max_iter} iterations "

@@ -255,6 +255,32 @@ def test_fixed_step_overflow_ends_in_solver_failure(monkeypatch, dim,
         assert "collapsed" in traj.note
 
 
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("dt", [1e-3, 1e-4])
+def test_newton_stopped_at_its_tolerance_matches_a_tight_stop(
+        monkeypatch, dim, n, dt):
+    """Newton converges quadratically, so a step stopped at NEWTON_RTOL
+    lands within 1e-10 of the velocity's size of one stopped at 1e-12."""
+    from beamblow import dynamics
+    from beamblow.operators import operators
+
+    g = make_grid(dim, n)
+    prm = ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0, dim=dim)
+    data = preset("negative_energy", g, prm)
+    ops = operators(g)
+
+    def step():
+        return dynamics.step(ops, prm, data.u0, data.u1, dt,
+                             dynamics.StepCounts())
+
+    u, v = step()
+    monkeypatch.setattr(dynamics, "NEWTON_RTOL", 1e-12)
+    u_tight, v_tight = step()
+    scale = np.abs(v_tight).max()
+    assert np.abs(v - v_tight).max() <= 1e-10 * scale
+    assert np.abs(u - u_tight).max() <= 1e-10 * dt * scale
+
+
 def test_a_non_finite_snapshot_is_rejected_and_retried(monkeypatch,
                                                       grid48, params):
     """The third snapshot (of the second step attempt) reports a nan
@@ -271,15 +297,15 @@ def test_a_non_finite_snapshot_is_rejected_and_retried(monkeypatch,
                         t_max=5.0, blow_threshold=1e4)
 
     clean = run()
-    snapshot = functionals.snapshot
+    diagnostics = functionals.diagnostics
     calls = []
 
     def faulty(*args):
         calls.append(1)
-        snap = snapshot(*args)
+        snap = diagnostics(*args)
         return replace(snap, E=math.nan) if len(calls) == 3 else snap
 
-    monkeypatch.setattr(functionals, "snapshot", faulty)
+    monkeypatch.setattr(functionals, "diagnostics", faulty)
     traj = run()
     assert clean.counts.rejected_nonfinite == 0
     assert traj.counts.rejected_nonfinite == 1

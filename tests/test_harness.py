@@ -113,6 +113,17 @@ def test_report_lists_every_chain_field_once(tmp_path):
     assert len(keys) == len(set(keys))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_report_counts_cg_iterations(tmp_path, dim):
+    # the 2d step solves by conjugate gradients, the 1d one by a banded
+    # call that makes no CG iteration
+    assert run(replace(QUIET, dim=dim, N=16, amplitude=1.0), tmp_path) == 0
+    items = dict(line.split(" = ", 1) for line in
+                 (tmp_path / "report.txt").read_text().splitlines() if line)
+    cg_iters = int(items["run.cg_iters"])
+    assert cg_iters > 0 if dim == 2 else cg_iters == 0
+
+
 def test_run_failure_leaves_marker(tmp_path, monkeypatch):
     def boom(config):
         raise ConstructionFailure("no admissible amplitude")

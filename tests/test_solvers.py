@@ -11,10 +11,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from beamblow import make_grid
-from beamblow.dynamics import coefficients
+from beamblow.dynamics import StepCounts, coefficients
 from beamblow.errors import ConvergenceFailure
 from beamblow.operators import FORMS, GRIDS_KEPT, operators
-from beamblow.solvers import conjugate_gradient, solve_spd_banded
+from beamblow.solvers import (CG_REFRESH, cg_iterations, conjugate_gradient,
+                              operator_norm_estimate, solve_spd_banded)
 
 
 @pytest.mark.parametrize("n", [1, 7, 32, 64])
@@ -123,12 +124,12 @@ def test_sine_preconditioned_cg_solves_the_2d_step_system(n, dt):
     a, c = coefficients(dt, mbar=5.0)
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(g.size)
+    A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()
     # raises ConvergenceFailure if rtol is not met within max_iter
-    x = conjugate_gradient(ops.matvec(a, c), rhs, np.zeros(g.size),
+    x = conjugate_gradient(A.dot, rhs, np.zeros(g.size),
                            rtol=1e-10, max_iter=30,
                            M=lambda r: ops.sine_solve(a, c, r),
                            a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
-    A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()
     ref = spla.spsolve(A, rhs)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -140,20 +141,43 @@ def test_cg_fails_fast_on_a_non_finite_operator():
     g = make_grid(2, 32)
     ops = operators(g)
     a, c = 1e-6, math.inf
-    apply = ops.matvec(a, c)
+    rhs = np.random.default_rng(17).standard_normal(g.size)
     products = []
 
     def counted(x):
         products.append(1)
         return apply(x)
 
-    rhs = np.random.default_rng(17).standard_normal(g.size)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
             ConvergenceFailure, match="not finite"):
+        apply = ops.newton_product(a, c, np.zeros(g.size), 0.0, rhs)
         conjugate_gradient(counted, rhs, np.zeros(g.size), rtol=1e-10,
                            max_iter=500, M=lambda r: ops.sine_solve(a, c, r),
                            a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
     assert len(products) <= 2
+
+
+def test_cg_iterations_are_read_off_the_operator_products():
+    # an unpreconditioned Laplacian solve passes two true-residual
+    # refreshes; a converged CG applies M once per iteration
+    ops = operators(make_grid(2, 32))
+    A = -ops.L
+    products, preconditions = [], []
+
+    def apply(x):
+        products.append(1)
+        return A @ x
+
+    def identity(r):
+        preconditions.append(1)
+        return r.copy()
+
+    rhs = np.random.default_rng(23).standard_normal(A.shape[0])
+    conjugate_gradient(apply, rhs, np.zeros_like(rhs), rtol=1e-10,
+                       max_iter=500, M=identity,
+                       a_norm=operator_norm_estimate(A))
+    assert len(preconditions) > 2 * CG_REFRESH
+    assert cg_iterations(len(products)) == len(preconditions)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 24)])
@@ -168,13 +192,35 @@ def test_step_solve_matches_a_direct_solve(dim, n):
     d = 10.0**rng.uniform(-3.0, 3.0, g.size)
     w = rng.standard_normal(g.size)
     rho = 1.0 / (w @ w)
-    x = ops.solve(a, c, d, rho, w, rhs, 1e-12)
+    counts = StepCounts()
+    x = ops.solve(a, c, d, rho, w, rhs, 1e-12, counts)
     A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()
     ref = np.linalg.solve(A.toarray() + np.diag(d) + rho * np.outer(w, w),
                           rhs)
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
-    assert np.linalg.norm(ops.matvec(a, c)(x) - A @ x) <= (
-        1e-14 * np.linalg.norm(A @ x))
+    # CG iterations are counted in 2d; the 1d solve makes none
+    assert (counts.cg_iters > 0) == (dim == 2)
+
+
+@pytest.mark.parametrize("n", [8, 24])
+@pytest.mark.parametrize("rank_one", [False, True])
+def test_newton_product_is_the_explicit_newton_matrix(n, rank_one):
+    # every entry of the one-product Newton matrix, read off its columns,
+    # equals I + a B - c L + diag(d) + rho w w^T assembled term by term
+    g = make_grid(2, n)
+    ops = operators(g)
+    a, c = coefficients(1e-3, mbar=5.0)
+    rng = np.random.default_rng(19)
+    d = rng.choice((-1.0, 1.0), g.size) * 10.0**rng.uniform(-3.0, 3.0, g.size)
+    w = rng.standard_normal(g.size)
+    rho = 1.0 / (w @ w) if rank_one else 0.0
+    A = ((sp.identity(g.size) + a * ops.B - c * ops.L).toarray()
+         + np.diag(d) + rho * np.outer(w, w))
+    apply = ops.newton_product(a, c, d, rho, w)
+    got = np.column_stack([apply(e) for e in np.eye(g.size)])
+    assert np.max(np.abs(got - A)) <= 1e-14 * np.max(np.abs(A))
+    x = rng.standard_normal(g.size)
+    assert np.linalg.norm(apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
 
 
 @pytest.mark.parametrize("dt,mbar", [(1e-3, 1.0), (1e-4, 30.0),
