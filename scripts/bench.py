@@ -1,16 +1,44 @@
 #!/usr/bin/env python3
-"""Per-layer costs of the time stepper and the solves, and the start-up
-cost of the package, before and after a change.
+"""Whole runs and per-layer costs of beamblow, before and after a
+change.
 
     python scripts/bench.py --before OTHER_CHECKOUT/src [--case NAME]
 
 measures the ``src`` tree next to this script ("after") and the tree
-given by ``--before``, each in a fresh process with two BLAS threads,
-and writes one BENCH_<case>.json per case at the repository root.
-Without ``--before`` only the "after" side is measured; without
-``--case`` every case runs.
+given by ``--before``, with two BLAS threads, and writes one
+BENCH_<case>.json per case at the repository root.  Without
+``--before`` only the "after" side is measured; without ``--case``
+every case runs.
 
-The cases:
+The end-to-end cases are the table ``END_TO_END``: each names its runs,
+and each run is one command, ``python ARGS``:
+
+  * ``startup``: ``python -c "import beamblow"``;
+  * ``run_1d``: ``beamblow simulate`` of an empty configuration file,
+    the default run (``RunConfig()``, 1D N = 128, to ``blow_threshold``
+    = 1e9), with the relative gap of its ``T_num`` to the singular time
+    T* = 0.2493837 of a Radau IIA run of the same model;
+  * ``run_2d``: ``beamblow simulate`` of ``dim = 2`` at N = 32, 64 and
+    128, otherwise the defaults;
+  * ``verify``: ``beamblow verify``;
+  * ``tier1``: the side's tier-1 suite, ``python -m pytest -q
+    --continue-on-collection-errors`` run in that side's checkout (the
+    directory above its ``src``), so each side runs its own tests.
+
+One runner, ``measure``, times them all.  Every repetition of every run
+is a fresh process with the side's ``src`` on PYTHONPATH, timed from
+outside, so the interpreter's start-up and the import are in each
+time; the sides alternate which one runs first, so drift of the host
+falls on both alike.  Each side reports the median and quartiles of the
+wall time with every run.  A simulate run writes its artifacts in a
+scratch directory, and the runner reads the counts from its report.txt:
+``run.termination``, ``run.n_steps`` (accepted steps),
+``run.attempts``, ``run.newton_iters``, ``run.cg_iters``, ``T_num`` and
+``T_num_uncertainty``.  They must be equal on every repetition of a
+side.  With ``--before`` each simulate run adds the relative change of
+``T_num`` between the sides.
+
+The layer cases measure one stage in one process per side:
 
   * ``2d_solve``: the wall time of the first ``spectra.smallest_eigen``
     call for the clamped plate at N = 64 and 96, set-up of its solver
@@ -27,31 +55,10 @@ The cases:
     most 2000 accepted steps (the whole run when it reaches its blow
     threshold sooner), repeated in one process after a warm-up run,
     reporting microseconds per call of ``dynamics.step`` (whole and
-    self time), ``functionals.snapshot``, ``dynamics.adapt_dt`` and
-    ``solvers.solve_spd_banded``, and per accepted step of
-    ``dynamics.simulate``; each value is the median over the
-    repetitions, which are also listed.
-  * ``run_1d``: the default run (``RunConfig()``, 1D N = 128) from its
-    data to ``blow_threshold`` = 1e9, repeated in one process after a
-    warm-up run, reporting the wall time of ``dynamics.simulate`` (the
-    median over the repetitions, which are also listed), the accepted
-    steps, the step attempts (calls of ``dynamics.step``), and
-    ``T_num`` with its reported uncertainty (from ``harness.evaluate``
-    of the same configuration, which also supplies the data and warms
-    up, untimed) and its relative gap to the
-    singular time T* = 0.2493837 of a Radau IIA run of the same model.
-  * ``run_2d``: the default 2D runs (``RunConfig(dim=2, N=N)``) at
-    N = 32 and 64 from their data to ``blow_threshold`` = 1e9, each
-    repetition a fresh process per side, the sides alternating which
-    runs first, so drift of the host falls on both alike.  It reports
-    the wall time of ``dynamics.simulate`` (median and quartiles per
-    side, with the runs; the grid's operators are built inside it, as
-    in a user's run), the accepted steps, step attempts, Newton
-    corrections and ``T_num``, and the CG iterations counted by the
-    benchmark's tracer in one more, untimed, run per side
-    (``run_cg_iters`` is the run's own count, ``StepCounts.cg_iters``,
-    where the version has it).  With ``--before`` it adds the relative
-    change of ``T_num`` at each N.
+    self time), ``functionals.diagnostics`` (the step loop's
+    snapshot), ``dynamics.adapt_dt`` and ``solvers.solve_spd_banded``,
+    and per accepted step of ``dynamics.simulate``; each value is the
+    median over the repetitions, which are also listed.
   * ``2d_forms``: the exact solves of the fixed forms ``lap`` (B) and
     ``H`` (B - L) of the 2D embedding sweeps at N = 64, 96 and 128,
     reporting the set-up time of each form (``GridOperators.form``,
@@ -60,22 +67,12 @@ The cases:
     (median, 10th and 90th percentiles over repeated solves of one
     right-hand side) and the bytes of the arrays the solve function
     holds, which is its factor.
-  * ``startup``: the wall time of fresh processes, measured from
-    outside them: ``python -c "import beamblow"`` and the whole default
-    ``beamblow simulate`` run (an empty configuration file, so
-    ``RunConfig()``), each repeated, reporting the median and quartiles
-    per side and the runs.  With ``--before`` the two sides alternate
-    run by run, so drift of the host falls on both alike.
 
 The counts and times of ``2d_solve`` and ``step_1d`` come from the
 benchmark's tracer (``perfbench/tracing.py``), which wraps the
 program's functions from outside, so the same script measures any
 version that has these names.  The tracer's own cost per wrapped call
-is included on both sides.  ``2d_forms`` and ``run_1d`` time the
-program directly; ``run_1d`` and ``run_2d`` read the step counts from
-the trajectory's ``counts``.  The per-step diagnostics of ``step_1d``
-are ``functionals.diagnostics`` where the version has it (the step
-loop's unchecked snapshot), and ``functionals.snapshot`` otherwise.
+is included on both sides.  ``2d_forms`` times the program directly.
 """
 
 import argparse
@@ -85,7 +82,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 STEPPER_N = (32, 64, 128)
@@ -93,21 +93,130 @@ EIGEN_N = (64, 96)
 STEPS = 100
 STEP_1D_STEPS = 2000
 STEP_1D_REPEATS = 5
-RUN_1D_REPEATS = 3
-RUN_2D_N = (32, 64)
-RUN_2D_REPEATS = 5
-# singular time of the default 1D run: the Radau IIA run of the same
-# model (perfbench/reference.py) follows max|u|^(-1/k) = c (T* - t)
-T_STAR_1D = 0.2493837
 FORMS_N = (64, 96, 128)
 FORM_SOLVES = 40
-STARTUP_REPEATS = 11
 THREADS = {name: "2" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
 # per-call layers of the 1D step loop, by tracer name
-STEP_1D_LAYERS = {"step": "dynamics.step", "snapshot": "functionals.snapshot",
+STEP_1D_LAYERS = {"step": "dynamics.step",
+                  "snapshot": "functionals.diagnostics",
                   "adapt_dt": "dynamics.adapt_dt",
                   "banded_solve": "solvers.solve_spd_banded"}
+
+
+class Run(NamedTuple):
+    """One command of an end-to-end case, ``python *args`` in a fresh
+    process.  A ``config`` is the text of the run.txt that a simulate
+    run reads, and marks a run whose report.txt is read; ``in_root``
+    runs the command in the side's checkout instead of a scratch
+    directory; ``T_star`` is a reference blow-up time for ``T_num``."""
+
+    args: tuple[str, ...]
+    config: str | None = None
+    in_root: bool = False
+    T_star: float | None = None
+
+
+def simulate(config: str, T_star: float | None = None) -> Run:
+    return Run(("-m", "beamblow.cli", "simulate", "--config", "run.txt",
+                "--out", "out"), config, T_star=T_star)
+
+
+# the end-to-end cases: each run by name, and the repetitions per side
+END_TO_END = {
+    "startup": {"import": Run(("-c", "import beamblow"))},
+    # singular time of the default 1D run: the Radau IIA run of the same
+    # model (perfbench/reference.py) follows max|u|^(-1/k) = c (T* - t)
+    "run_1d": {"default": simulate("", T_star=0.2493837)},
+    "run_2d": {str(n): simulate(f"dim = 2\nN = {n}\n") for n in (32, 64, 128)},
+    "verify": {"verify": Run(("-m", "beamblow.cli", "verify"))},
+    "tier1": {"suite": Run(("-m", "pytest", "-q",
+                            "--continue-on-collection-errors"),
+                           in_root=True)},
+}
+REPEATS = {"startup": 11, "run_1d": 11, "run_2d": 5, "verify": 5, "tier1": 5}
+# the keys of a simulate run's report.txt that the runner reads
+REPORT_KEYS = ("run.termination", "run.n_steps", "run.attempts",
+               "run.newton_iters", "run.cg_iters", "T_num",
+               "T_num_uncertainty")
+
+
+def read_report(path: Path) -> dict:
+    """The ``REPORT_KEYS`` of a report.txt, numbers parsed."""
+    def value(text: str):
+        for parse in (int, float):
+            try:
+                return parse(text)
+            except ValueError:
+                pass
+        return text
+
+    items = dict(line.split(" = ", 1)
+                 for line in path.read_text().splitlines())
+    return {key: value(items[key]) for key in REPORT_KEYS}
+
+
+def run_once(run: Run, src: Path) -> dict:
+    """The wall time of one fresh process of ``run`` on the side whose
+    package is in ``src``, with the counts of its report."""
+    env = {**os.environ, **THREADS, "PYTHONPATH": str(src)}
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = src.parent if run.in_root else Path(tmp)
+        if run.config is not None:
+            (cwd / "run.txt").write_text(run.config)
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *run.args], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+        result = {"wall_s": time.perf_counter() - start}
+        if proc.returncode != 0:
+            raise RuntimeError(f"{run.args} on {src} exited "
+                               f"{proc.returncode}:\n{proc.stdout[-2000:]}"
+                               f"{proc.stderr[-2000:]}")
+        if run.config is not None:
+            result.update(read_report(cwd / "out" / "report.txt"))
+    return result
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                      else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def measure(runs: dict[str, Run], sides: dict[str, Path],
+            repeats: int) -> dict:
+    """Every run ``repeats`` times on each side, each time a fresh
+    process, the sides alternating which runs first: per side and run
+    the spread of the wall time and the counts of its report."""
+    times = {side: {name: [] for name in runs} for side in sides}
+    counts = {side: {} for side in sides}
+    order = list(sides)
+    for _ in range(repeats):
+        for name, run in runs.items():
+            for side in order:
+                result = run_once(run, sides[side])
+                times[side][name].append(result.pop("wall_s"))
+                if counts[side].setdefault(name, result) != result:
+                    raise RuntimeError(f"{name} on {side}: the counts "
+                                       f"{result} differ from the first "
+                                       f"run's {counts[side][name]}")
+        order.reverse()
+    out = {"repetitions": repeats}
+    for side in sides:
+        out[side] = {}
+        for name, run in runs.items():
+            out[side][name] = {**counts[side][name],
+                               "wall_s": spread(times[side][name])}
+            if run.T_star is not None:
+                gap = (counts[side][name]["T_num"] - run.T_star) / run.T_star
+                out[side][name].update(T_star=run.T_star, T_num_rel_gap=gap)
+    simulated = [name for name, run in runs.items() if run.config is not None]
+    if "before" in sides and simulated:
+        out["T_num_rel_change"] = {
+            name: (counts["after"][name]["T_num"]
+                   - counts["before"][name]["T_num"])
+            / counts["before"][name]["T_num"] for name in simulated}
+    return out
 
 
 def traced_package(src: str):
@@ -121,10 +230,9 @@ def traced_package(src: str):
 
     tracer = Tracer()
     tracer.install(bb)
-    if hasattr(bb.functionals, "diagnostics"):
-        # the step loop's snapshot, which the tracer does not name
-        bb.functionals.diagnostics = tracer.wrap(
-            "functionals.diagnostics", bb.functionals.diagnostics)
+    # the step loop's snapshot, which the tracer does not name
+    bb.functionals.diagnostics = tracer.wrap(
+        "functionals.diagnostics", bb.functionals.diagnostics)
 
     def reset() -> None:
         # the installed wrappers keep pointing at this tracer object
@@ -188,15 +296,12 @@ def measure_step_1d(src: str) -> dict:
                            t_max=cfg.t_max, blow_threshold=cfg.blow_threshold)
 
     run()  # warm-up: operators, bands and caches built outside the timing
-    layers = dict(STEP_1D_LAYERS)
-    if tracer.calls["functionals.diagnostics"]:
-        layers["snapshot"] = "functionals.diagnostics"
     reps = []
     for _ in range(STEP_1D_REPEATS):
         reset()
         traj = run()
         us = {key: 1e6 * tracer.total[name] / max(tracer.calls[name], 1)
-              for key, name in layers.items()}
+              for key, name in STEP_1D_LAYERS.items()}
         us["step_self"] = (1e6 * tracer.self_time["dynamics.step"]
                            / max(tracer.calls["dynamics.step"], 1))
         us["simulate_per_accepted_step"] = (
@@ -205,127 +310,12 @@ def measure_step_1d(src: str) -> dict:
     return {
         "grid": {"dim": cfg.dim, "N": cfg.N},
         "accepted_steps": traj.n_steps,
-        "calls": {key: tracer.calls[name] for key, name in layers.items()},
+        "calls": {key: tracer.calls[name]
+                  for key, name in STEP_1D_LAYERS.items()},
         "us_per_call": {key: statistics.median(r[key] for r in reps)
                         for key in reps[0]},
         "repetitions": reps,
     }
-
-
-def measure_run_1d(src: str) -> dict:
-    import time
-
-    sys.path.insert(0, src)
-    import beamblow as bb
-
-    cfg = bb.RunConfig()
-    # the whole pipeline, untimed: the data, the estimate the run
-    # reports, and a warm-up of the operators, bands and caches
-    art = bb.evaluate(cfg)
-    grid, params, data, est = art.grid, art.params, art.data, art.estimate
-
-    def run():
-        start = time.perf_counter()
-        traj = bb.simulate(grid, params, data.u0, data.u1,
-                           cfg.step_controls(), t_max=cfg.t_max,
-                           blow_threshold=cfg.blow_threshold,
-                           output_every=cfg.output_every)
-        return traj, time.perf_counter() - start
-
-    seconds = []
-    for _ in range(RUN_1D_REPEATS):
-        traj, elapsed = run()
-        seconds.append(elapsed)
-    return {
-        "grid": {"dim": cfg.dim, "N": cfg.N},
-        "blow_threshold": cfg.blow_threshold,
-        "termination": traj.termination,
-        "simulate_s": statistics.median(seconds),
-        "repetitions_s": seconds,
-        "accepted_steps": traj.n_steps,
-        "attempts": traj.counts.attempts,
-        "T_num": est.T_num,
-        "T_num_uncertainty": est.uncertainty,
-        "T_star": T_STAR_1D,
-        "T_num_rel_gap": (est.T_num - T_STAR_1D) / T_STAR_1D,
-    }
-
-
-def run_2d(bb, n: int):
-    """The default 2D run at N = n: (config, params, trajectory, wall
-    time of ``simulate``)."""
-    import time
-
-    cfg = bb.RunConfig(dim=2, N=n)
-    grid, params = cfg.grid(), cfg.model_params()
-    data = bb.preset(cfg.preset, grid, params, cfg.amplitude)
-    start = time.perf_counter()
-    traj = bb.simulate(grid, params, data.u0, data.u1, cfg.step_controls(),
-                       t_max=cfg.t_max, blow_threshold=cfg.blow_threshold,
-                       output_every=cfg.output_every)
-    return cfg, params, traj, time.perf_counter() - start
-
-
-def measure_run_2d(src: str) -> dict:
-    sys.path.insert(0, src)
-    import beamblow as bb
-
-    result = {}
-    for n in RUN_2D_N:
-        cfg, params, traj, elapsed = run_2d(bb, n)
-        est = bb.detect_blowup(traj.times(), traj.series("lp1_u"),
-                               cfg.thresholds, params.blowup_exponent)
-        result[str(n)] = {
-            "simulate_s": elapsed,
-            "termination": traj.termination,
-            "accepted_steps": traj.n_steps,
-            "attempts": traj.counts.attempts,
-            "newton_iters": traj.counts.newton_iters,
-            "run_cg_iters": getattr(traj.counts, "cg_iters", None),
-            "T_num": est.T_num,
-        }
-    return result
-
-
-def count_run_2d(src: str) -> dict:
-    """CG iterations of the ``run_2d`` runs, by the benchmark's tracer."""
-    bb, tracer, reset = traced_package(src)
-    counts = {}
-    for n in RUN_2D_N:
-        reset()
-        run_2d(bb, n)
-        counts[str(n)] = tracer.cg_iters
-    return counts
-
-
-def compare_run_2d(sides: dict[str, Path]) -> dict:
-    """``run_2d`` on each side, the sides alternating which runs first."""
-    runs = {side: [] for side in sides}
-    order = list(sides)
-    for _ in range(RUN_2D_REPEATS):
-        for side in order:
-            runs[side].append(run_side("run_2d", sides[side]))
-        order.reverse()
-    result = {"repetitions": RUN_2D_REPEATS}
-    for side, src in sides.items():
-        cg_iters = run_side("run_2d_cg", src)
-        result[side] = {}
-        for n in map(str, RUN_2D_N):
-            # every repetition makes the same steps; the first one's
-            # counts stand for all
-            first = runs[side][0][n]
-            result[side][n] = {
-                **{key: value for key, value in first.items()
-                   if key != "simulate_s"},
-                "cg_iters": cg_iters[n],
-                "simulate_s": spread([run[n]["simulate_s"]
-                                      for run in runs[side]]),
-            }
-    if "before" in sides:
-        result["T_num_rel_change"] = {
-            n: (result["after"][n]["T_num"] - result["before"][n]["T_num"])
-            / result["before"][n]["T_num"] for n in map(str, RUN_2D_N)}
-    return result
 
 
 def closure_bytes(fn) -> int:
@@ -379,48 +369,16 @@ def measure_2d_forms(src: str) -> dict:
     return {"solves_per_form": FORM_SOLVES, "forms": result}
 
 
-def spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+# the layer cases, each measured in one process per side
+LAYER_CASES = {"2d_solve": measure_2d_solve, "step_1d": measure_step_1d,
+               "2d_forms": measure_2d_forms}
 
 
-def measure_startup(sides: dict[str, Path]) -> dict:
-    """Fresh-process wall times of each side, the sides interleaved."""
-    import tempfile
-    import time
-
-    commands = {"import_s": ["-c", "import beamblow"],
-                "simulate_s": ["-m", "beamblow.cli", "simulate",
-                               "--config", "run.txt", "--out", "out"]}
-    times = {side: {key: [] for key in commands} for side in sides}
-    with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "run.txt").write_text("")
-        for _ in range(STARTUP_REPEATS):
-            for side, src in sides.items():
-                env = {**os.environ, **THREADS, "PYTHONPATH": str(src)}
-                for key, args in commands.items():
-                    start = time.perf_counter()
-                    subprocess.run([sys.executable, *args], cwd=tmp, env=env,
-                                   capture_output=True, check=True)
-                    times[side][key].append(time.perf_counter() - start)
-    return {side: {key: spread(values) for key, values in by_key.items()}
-            for side, by_key in times.items()}
-
-
-CASES = {"2d_solve": measure_2d_solve, "step_1d": measure_step_1d,
-         "run_1d": measure_run_1d, "2d_forms": measure_2d_forms}
-# cases that run every side themselves: in fresh processes that they
-# time from outside, or in processes of their own that alternate sides
-PROCESS_CASES = {"startup": measure_startup, "run_2d": compare_run_2d}
-# what one process measures on one side, by the name run_side passes
-MEASURES = {**CASES, "run_2d": measure_run_2d, "run_2d_cg": count_run_2d}
-
-
-def run_side(measure: str, src: Path) -> dict:
+def run_side(case: str, src: Path) -> dict:
     env = {**os.environ, **THREADS}
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(
-        [sys.executable, __file__, "--measure", measure, str(src)],
+        [sys.executable, __file__, "--measure", case, str(src)],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -441,15 +399,15 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--before", type=Path,
                     help="src directory of the version to compare against")
-    ap.add_argument("--case", choices=sorted(CASES | PROCESS_CASES),
+    ap.add_argument("--case", choices=sorted(LAYER_CASES | END_TO_END),
                     help="run only this case (default: every case)")
     ap.add_argument("--out-dir", type=Path, default=ROOT,
                     help="where BENCH_<case>.json is written")
     ap.add_argument("--measure", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure:
-        measure, src = args.measure
-        print(json.dumps(MEASURES[measure](src)))
+        case, src = args.measure
+        print(json.dumps(LAYER_CASES[case](src)))
         return 0
 
     import numpy
@@ -457,11 +415,12 @@ def main() -> int:
     sides = {"after": ROOT / "src"}
     if args.before is not None:
         sides = {"before": args.before.resolve(), **sides}
-    for case in [args.case] if args.case else sorted(CASES | PROCESS_CASES):
+    for case in [args.case] if args.case else sorted(LAYER_CASES
+                                                     | END_TO_END):
         result = {"machine": machine(), "numpy": numpy.__version__,
                   "scipy": scipy.__version__, "blas_threads": 2}
-        if case in PROCESS_CASES:
-            result.update(PROCESS_CASES[case](sides))
+        if case in END_TO_END:
+            result.update(measure(END_TO_END[case], sides, REPEATS[case]))
         else:
             for side, src in sides.items():
                 result[side] = run_side(case, src)

@@ -167,6 +167,14 @@ def _validate(cfg: RunConfig) -> None:
         bad("thresholds must be positive")
     if any(a >= b for a, b in zip(cfg.thresholds, cfg.thresholds[1:])):
         bad("thresholds must be strictly increasing")
+    # ||u||_{p+1} <= |Omega|^(1/(p+1)) max|u|, and the run stops once
+    # max|u| reaches blow_threshold: only an overshooting last step
+    # could cross a threshold above that reach
+    reach = cfg.blow_threshold * cfg.grid().volume**(1.0 / (cfg.p + 1.0))
+    if cfg.thresholds[-1] > reach:
+        bad(f"top threshold {fmt(cfg.thresholds[-1])} lies beyond the "
+            f"run's reach: ||u||_(p+1) <= |Omega|^(1/(p+1)) blow_threshold "
+            f"= {fmt(reach)}")
     if not cfg.mu > 0:
         bad(f"mu must be positive, got {cfg.mu}")
     if not cfg.M_safety > 1:

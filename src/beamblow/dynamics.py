@@ -76,7 +76,9 @@ class StepControls:
     """Time-step policy.
 
     ``dt_min`` defaults to 1e-12 * dt_max; a step request below it (not
-    caused by clipping at the final time) aborts the run.  Setting
+    caused by clipping at the final time) aborts the run, and so does a
+    step clipped at the final time that fails with the request at
+    dt_min, which no retry could shrink.  Setting
     ``residual_target = inf`` gives fixed steps.  A fixed-step run past
     the blow-up ends in ``solver_failure``: its attempts fail (the
     Newton matrix turns indefinite, Newton does not converge, or the
@@ -283,6 +285,8 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
 
     t = 0.0
     scale = 1.0
+    # whether the last step attempt was rejected
+    rejected = False
     n_steps = 0
     counts = StepCounts()
     snap = functionals.diagnostics(ops, u, v, params)
@@ -312,14 +316,19 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
             break
 
         dt = adapt_dt(controls, scale)
-        clipped = False
-        if t + dt > t_max:
+        floored = dt <= controls.dt_min
+        clipped = t + dt > t_max
+        if clipped:
             dt = t_max - t
-            clipped = True
-        if dt <= controls.dt_min and not clipped:
+        # a clipped step t_max - t that failed is retried only while
+        # the request can still shrink below it; at dt_min it cannot,
+        # and every retry would repeat the failed attempt
+        if floored and (rejected or not clipped):
             termination = "solver_failure"
             note = (f"adapted step collapsed to dt_min = "
                     f"{controls.dt_min:g} at t = {t:g}")
+            if clipped:
+                note += ", where the step clipped to t_max failed"
             break
 
         counts.attempts += 1
@@ -335,6 +344,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
                          if isinstance(exc, cls))
             setattr(counts, cause, getattr(counts, cause) + 1)
             scale *= 0.5
+            rejected = True
             continue
 
         step_diss = 0.5 * dt * (snap.dissipation_rate
@@ -349,8 +359,10 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
             # reject and retry; the dt_min guard bounds the cascade
             counts.rejected_energy += 1
             scale *= min(0.5, max(0.1, gain))
+            rejected = True
             continue
         scale = min(1.0, scale * min(1.25, max(0.9, gain)))
+        rejected = False
 
         diss_accum += step_diss
         t += dt

@@ -181,17 +181,17 @@ class GridOperators:
         lam = -float(self.mu[tuple(kd - 1 for kd in k)])
         return lam, x / (np.sqrt(g.weight) * np.linalg.norm(x))
 
-    def sine_solve(self, a: float, c: float, r: np.ndarray, *,
-                   shift: float = 1.0) -> np.ndarray:
-        """Apply (shift I + a Lap_h^2 - c Lap_h)^{-1} to r through the
-        sine basis; the operator must be definite on every mode."""
+    def sine_inverse(self, a: float, c: float, shift: float = 1.0
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+        """A function applying (shift I + a Lap_h^2 - c Lap_h)^{-1}
+        through the sine basis, its diagonal there computed once; the
+        operator must be definite on every mode."""
         S, mu = self.sine, self.mu
         diag = shift + a * mu * mu - c * mu
         if self.grid.dim == 1:
-            return S @ ((S @ r) / diag)
+            return lambda r: S @ ((S @ r) / diag)
         n = self.grid.n_interior
-        R = r.reshape(n, n)
-        return (S @ ((S @ R @ S) / diag) @ S).ravel()
+        return lambda r: (S @ ((S @ r.reshape(n, n) @ S) / diag) @ S).ravel()
 
     @cached_property
     def newton_pattern(self) -> tuple[np.ndarray, np.ndarray]:
@@ -252,12 +252,12 @@ class GridOperators:
         Sherman-Morrison formula adds the rank-1 term.  In 2d conjugate
         gradients from zero apply ``newton_product``, and the iterations
         they make, converged or not, are added to ``counts.cg_iters``.
-        They are preconditioned by ``sine_solve`` between two diagonal
+        They are preconditioned by ``sine_inverse`` between two diagonal
         scalings by (1 + d+/k)^{-1/2}, where k is the interior diagonal
         of the sine operator and d+ the positive part of d: while d is
-        small against k that is ``sine_solve`` itself, and where d
+        small against k that is ``sine_inverse`` itself, and where d
         dominates, as the damping does near blow-up, it restores the
-        diagonal that ``sine_solve`` misses.  No factorization is ever
+        diagonal that ``sine_inverse`` misses.  No factorization is ever
         made."""
         if self.grid.dim == 1:
             eye_band, B_band, L_band = self.bands
@@ -276,10 +276,11 @@ class GridOperators:
         h = self.grid.h
         k = 1.0 + 20.0 * a / h**4 + 4.0 * c / h**2
         s = 1.0 / np.sqrt(1.0 + np.maximum(d, 0.0) / k)
+        sine_inverse = self.sine_inverse(a, c)
         try:
             return conjugate_gradient(
                 counted, rhs, x0=np.zeros_like(rhs), rtol=rtol, max_iter=500,
-                M=lambda r: s * self.sine_solve(a, c, s * r),
+                M=lambda r: s * sine_inverse(s * r),
                 a_norm=(1.0 + a * self.norm_B + c * self.norm_L + np.abs(d)
                         + rho * np.abs(w) * np.abs(w).sum()))
         finally:
@@ -311,7 +312,7 @@ class GridOperators:
             return A.dot, lambda r: solve_spd_banded(ab, r)
         if name == "grad":
             # exact: the sine basis diagonalizes the Laplacian
-            return A.dot, lambda r: self.sine_solve(0.0, 1.0, r, shift=0.0)
+            return A.dot, self.sine_inverse(0.0, 1.0, shift=0.0)
         # B - c L with c = 0 (lap) or 1 (H)
         return A.dot, self._capacitance_solve(float(name == "H"))
 
@@ -325,7 +326,7 @@ class GridOperators:
 
             x = y - K^{-1} U Cap^{-1} U^T y,  Cap = (h^4/2) I + U^T K^{-1} U,
 
-        so a solve is two ``sine_solve`` calls and one dense Cholesky
+        so a solve is two ``sine_inverse`` products and one dense Cholesky
         solve of size 4n, and the factor of Cap is the only one made.
         Each n-by-n block of U^T K^{-1} U is S diag(w) S between two
         lines of the same direction, and S M S between a row and a
@@ -348,9 +349,10 @@ class GridOperators:
                           for a in (0, 1)])
         cap[np.diag_indices_from(cap)] += 0.5 * g.h**4
         factor = sla.cho_factor(cap, overwrite_a=True, check_finite=False)
+        K_inverse = self.sine_inverse(1.0, c, shift=0.0)
 
         def solve(r: np.ndarray) -> np.ndarray:
-            y = self.sine_solve(1.0, c, r, shift=0.0)
+            y = K_inverse(r)
             Y = y.reshape(n, n)
             z = sla.cho_solve(factor, np.concatenate(
                 (Y[0], Y[-1], Y[:, 0], Y[:, -1])), check_finite=False)
@@ -359,7 +361,7 @@ class GridOperators:
             Z[-1] += z[n:2 * n]
             Z[:, 0] += z[2 * n:3 * n]
             Z[:, -1] += z[3 * n:]
-            return y - self.sine_solve(1.0, c, Z.ravel(), shift=0.0)
+            return y - K_inverse(Z.ravel())
 
         return solve
 

@@ -55,10 +55,20 @@ dt_min = 1e-9
     ("thresholds = 1e2, 1e3", "at least 3"),
     ("thresholds = 1e3, 1e2, 1e4", "strictly increasing"),
     ("M_safety = 1.0", "M_safety must exceed 1"),
+    ("blow_threshold = 1e4", "beyond the run's reach"),
+    ("extent = 0.5\nblow_threshold = 1e8", "beyond the run's reach"),
 ])
 def test_parse_rejects(line, frag):
     with pytest.raises(ConfigError, match=frag):
         parse_config(line)
+
+
+def test_top_threshold_may_reach_the_bound_of_the_blow_threshold():
+    # on |Omega| = 1 the reach of ||u||_{p+1} is blow_threshold itself
+    assert parse_config("blow_threshold = 1e8").thresholds[-1] == 1e8
+    cfg = parse_config("dim = 2\nextent = 2\np = 3\nblow_threshold = 1e8\n"
+                       "thresholds = 1e2, 1e4, 1.4e8\n")
+    assert cfg.thresholds[-1] < 1e8 * 4.0**0.25
 
 
 def test_error_carries_line_number():

@@ -411,6 +411,35 @@ def test_cli_simulate_with_overflowing_lower_bound_integrand(tmp_path,
     assert math.isfinite(float(report["lower.T_lower_34_truncated"]))
 
 
+def test_cli_simulate_ends_when_the_clipped_step_fails_at_dt_min(
+        tmp_path, capsys, monkeypatch):
+    # the request is held at dt_min = 0.1, so every attempt is clipped
+    # to the time left, 0.05, and would repeat the failed one: the run
+    # ends as a solver failure after that one attempt instead of
+    # retrying it forever (the bound turns such a loop into a failure)
+    from beamblow import dynamics
+
+    attempts = []
+    step = dynamics.step
+
+    def bounded_step(*args, **kwargs):
+        attempts.append(1)
+        assert len(attempts) < 100, "the clipped step repeats forever"
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", bounded_step)
+    cfg = tmp_path / "run.txt"
+    cfg.write_text("N = 32\ndt_max = 0.1\ndt_min = 0.1\nt_max = 0.05\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    report = dict(line.split(" = ", 1) for line in
+                  (out / "report.txt").read_text().splitlines())
+    assert report["run.termination"] == "solver_failure"
+    assert "clipped" in report["run.note"]
+    assert report["run.attempts"] == "1"
+    assert "run failed: SolverFailure" in capsys.readouterr().err
+
+
 def test_a_nan_lower_bound_fails_the_sandwich():
     # at amplitude 1e200 ||grad u0||^2 comes out as inf - inf = nan, so
     # the Theorem 3.5 lower bound is nan and certifies nothing

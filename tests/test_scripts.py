@@ -1,9 +1,10 @@
 """Every research script imports against the current package, the
-three research scripts run end to end on a coarse grid, every function
-the benchmark's tracer wraps by name exists, and every benchmark
-workload runs and passes its checks at a reduced size, so a renamed
-helper, a removed field or a changed signature fails here instead of at
-its next run."""
+three research scripts run end to end on a coarse grid, the end-to-end
+runner of ``scripts/bench.py`` reads a run's own counts and alternates
+the sides, every function the benchmark's tracer wraps by name exists,
+and every benchmark workload runs and passes its checks at a reduced
+size, so a renamed helper, a removed field or a changed signature fails
+here instead of at its next run."""
 
 import importlib
 import importlib.util
@@ -63,6 +64,37 @@ def test_blowup_portrait_writes_its_artifacts(monkeypatch, capsys, tmp_path):
     assert "sandwich_ok = true" in out
     for name in ("u0.csv", "u1.csv", "timeseries.csv", "report.txt"):
         assert (tmp_path / name).exists(), name
+
+
+def test_bench_runner_reads_the_counts_of_the_run(tmp_path):
+    import beamblow as bb
+
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    text = "N = 16\nblow_threshold = 1e3\nthresholds = 10, 100, 1000\n"
+    result = bench.measure({"tiny": bench.simulate(text)},
+                           {"after": ROOT / "src"}, 1)
+    assert bb.run(bb.parse_config(text), tmp_path) == 0
+    own = bench.read_report(tmp_path / "report.txt")
+    tiny = result["after"]["tiny"]
+    assert {key: tiny[key] for key in bench.REPORT_KEYS} == own
+    assert own["run.termination"] == "blowup_threshold"
+    assert own["run.n_steps"] > 0
+    assert tiny["wall_s"]["runs"] == [tiny["wall_s"]["median"]]
+
+
+def test_bench_runner_alternates_the_side_that_runs_first(monkeypatch):
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    order = []
+
+    def run_once(run, src):
+        order.append(src.name)
+        return {"wall_s": 1.0}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    sides = {"before": Path("old"), "after": Path("new")}
+    result = bench.measure({"a": bench.Run(("-c", "pass"))}, sides, 3)
+    assert order == ["old", "new", "new", "old", "old", "new"]
+    assert result["before"]["a"]["wall_s"]["runs"] == [1.0] * 3
 
 
 def test_every_traced_function_exists():

@@ -76,7 +76,7 @@ def test_sine_solve_inverts_the_shifted_laplacian(dim, n, c):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(g.size)
     A = sp.identity(g.size) - c * ops.L
-    got = ops.sine_solve(0.0, c, A @ x)
+    got = ops.sine_inverse(0.0, c)(A @ x)
     assert np.linalg.norm(got - x) <= 1e-13 * np.linalg.norm(x)
 
 
@@ -128,7 +128,7 @@ def test_sine_preconditioned_cg_solves_the_2d_step_system(n, dt):
     # raises ConvergenceFailure if rtol is not met within max_iter
     x = conjugate_gradient(A.dot, rhs, np.zeros(g.size),
                            rtol=1e-10, max_iter=30,
-                           M=lambda r: ops.sine_solve(a, c, r),
+                           M=ops.sine_inverse(a, c),
                            a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
     ref = spla.spsolve(A, rhs)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -152,7 +152,7 @@ def test_cg_fails_fast_on_a_non_finite_operator():
             ConvergenceFailure, match="not finite"):
         apply = ops.newton_product(a, c, np.zeros(g.size), 0.0, rhs)
         conjugate_gradient(counted, rhs, np.zeros(g.size), rtol=1e-10,
-                           max_iter=500, M=lambda r: ops.sine_solve(a, c, r),
+                           max_iter=500, M=ops.sine_inverse(a, c),
                            a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
     assert len(products) <= 2
 
