@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Whole runs and per-layer costs of beamblow, before and after a
+"""Whole runs and per-stage costs of beamblow, before and after a
 change.
 
     python scripts/bench.py --before OTHER_CHECKOUT/src [--case NAME]
@@ -10,8 +10,8 @@ BENCH_<case>.json per case at the repository root.  Without
 ``--before`` only the "after" side is measured; without ``--case``
 every case runs.
 
-The end-to-end cases are the table ``END_TO_END``: each names its runs,
-and each run is one command, ``python ARGS``:
+The cases are the table ``CASES``: each names its runs, and each run is
+one command, ``python ARGS``:
 
   * ``startup``: ``python -c "import beamblow"``;
   * ``run_1d``: ``beamblow simulate`` of an empty configuration file,
@@ -23,56 +23,34 @@ and each run is one command, ``python ARGS``:
   * ``verify``: ``beamblow verify``;
   * ``tier1``: the side's tier-1 suite, ``python -m pytest -q
     --continue-on-collection-errors`` run in that side's checkout (the
-    directory above its ``src``), so each side runs its own tests.
+    directory above its ``src``), so each side runs its own tests;
+  * ``2d_forms``: this script's ``--measure N``, the exact solves of
+    the fixed forms ``lap`` (B) and ``H`` (B - L) of the 2D embedding
+    sweeps at N = 64, 96 and 128, one process per N, printing for each
+    form its set-up time (``GridOperators.form``, after the stencil
+    matrices are built; the first form's set-up also builds the sine
+    matrix when it uses one), the median microseconds per solve over
+    repeated solves of one right-hand side, and the bytes of the arrays
+    the solve function holds, which is its factor.
 
 One runner, ``measure``, times them all.  Every repetition of every run
 is a fresh process with the side's ``src`` on PYTHONPATH, timed from
 outside, so the interpreter's start-up and the import are in each
 time; the sides alternate which one runs first, so drift of the host
-falls on both alike.  Each side reports the median and quartiles of the
-wall time with every run.  A simulate run writes its artifacts in a
-scratch directory, and the runner reads the counts from its report.txt:
-``run.termination``, ``run.n_steps`` (accepted steps),
-``run.attempts``, ``run.newton_iters``, ``run.cg_iters``, ``T_num`` and
-``T_num_uncertainty``.  They must be equal on every repetition of a
-side.  With ``--before`` each simulate run adds the relative change of
+falls on both alike.  A run yields measured values and counts.  The
+measured values are the wall time ``wall_s``, the stage times of a
+simulate run's timing.txt (``timing.constants_s``, ``timing.data_s``,
+``timing.simulate_s``, ``timing.step_s``, ``timing.diagnostics_s`` and
+``timing.bounds_s``; a side whose runs write no timing.txt has none)
+and the numbers a ``--measure`` run prints; each side reports the
+median and quartiles of each, with every run.  The counts are read
+from a simulate run's report.txt (``REPORT_KEYS``) and are a form's
+``factor_bytes``; they must be equal on every repetition of a side.
+With ``--before`` each simulate run adds the relative change of
 ``T_num`` between the sides.
 
-The layer cases measure one stage in one process per side:
-
-  * ``2d_solve``: the wall time of the first ``spectra.smallest_eigen``
-    call for the clamped plate at N = 64 and 96, set-up of its solver
-    included, and then, on the same grids, the wall time of
-    ``spectra.compute_constants`` for p = 3, r = 2 (the set-up of the
-    fixed forms and the embedding sweeps, the plate eigenpair already
-    at hand), both measured first in the process; then the 2D time
-    stepper at N = 32, 64 and 128, a fixed number of steps of
-    ``dynamics.simulate`` from a clamped bump of amplitude 200,
-    reporting microseconds per implicit solve (the time in
-    ``solvers.conjugate_gradient`` per CG solve) and CG iterations per
-    solve.
-  * ``step_1d``: the default 1D run (``RunConfig()``, N = 128) for at
-    most 2000 accepted steps (the whole run when it reaches its blow
-    threshold sooner), repeated in one process after a warm-up run,
-    reporting microseconds per call of ``dynamics.step`` (whole and
-    self time), ``functionals.diagnostics`` (the step loop's
-    snapshot), ``dynamics.adapt_dt`` and ``solvers.solve_spd_banded``,
-    and per accepted step of ``dynamics.simulate``; each value is the
-    median over the repetitions, which are also listed.
-  * ``2d_forms``: the exact solves of the fixed forms ``lap`` (B) and
-    ``H`` (B - L) of the 2D embedding sweeps at N = 64, 96 and 128,
-    reporting the set-up time of each form (``GridOperators.form``,
-    after the stencil matrices are built; the first form's set-up also
-    builds the sine matrix when it uses one), microseconds per solve
-    (median, 10th and 90th percentiles over repeated solves of one
-    right-hand side) and the bytes of the arrays the solve function
-    holds, which is its factor.
-
-The counts and times of ``2d_solve`` and ``step_1d`` come from the
-benchmark's tracer (``perfbench/tracing.py``), which wraps the
-program's functions from outside, so the same script measures any
-version that has these names.  The tracer's own cost per wrapped call
-is included on both sides.  ``2d_forms`` times the program directly.
+The per-call split of a step (banded solve, CG, the step's own time) on
+the benchmark's workloads comes from ``perfbench/run.py --trace 1``.
 """
 
 import argparse
@@ -88,33 +66,26 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-STEPPER_N = (32, 64, 128)
-EIGEN_N = (64, 96)
-STEPS = 100
-STEP_1D_STEPS = 2000
-STEP_1D_REPEATS = 5
 FORMS_N = (64, 96, 128)
 FORM_SOLVES = 40
 THREADS = {name: "2" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
-# per-call layers of the 1D step loop, by tracer name
-STEP_1D_LAYERS = {"step": "dynamics.step",
-                  "snapshot": "functionals.diagnostics",
-                  "adapt_dt": "dynamics.adapt_dt",
-                  "banded_solve": "solvers.solve_spd_banded"}
 
 
 class Run(NamedTuple):
-    """One command of an end-to-end case, ``python *args`` in a fresh
-    process.  A ``config`` is the text of the run.txt that a simulate
-    run reads, and marks a run whose report.txt is read; ``in_root``
+    """One command of a case, ``python *args`` in a fresh process.  A
+    ``config`` is the text of the run.txt that a simulate run reads, and
+    marks a run whose report.txt and timing.txt are read; ``in_root``
     runs the command in the side's checkout instead of a scratch
-    directory; ``T_star`` is a reference blow-up time for ``T_num``."""
+    directory; ``T_star`` is a reference blow-up time for ``T_num``;
+    ``prints_json`` marks a command whose last line of output is a JSON
+    object of measured values and ``factor_bytes`` counts."""
 
     args: tuple[str, ...]
     config: str | None = None
     in_root: bool = False
     T_star: float | None = None
+    prints_json: bool = False
 
 
 def simulate(config: str, T_star: float | None = None) -> Run:
@@ -122,8 +93,13 @@ def simulate(config: str, T_star: float | None = None) -> Run:
                 "--out", "out"), config, T_star=T_star)
 
 
-# the end-to-end cases: each run by name, and the repetitions per side
-END_TO_END = {
+def forms(n: int) -> Run:
+    return Run((str(Path(__file__).resolve()), "--measure", str(n)),
+               prints_json=True)
+
+
+# every case: each run by name, and the repetitions per side
+CASES = {
     "startup": {"import": Run(("-c", "import beamblow"))},
     # singular time of the default 1D run: the Radau IIA run of the same
     # model (perfbench/reference.py) follows max|u|^(-1/k) = c (T* - t)
@@ -133,16 +109,18 @@ END_TO_END = {
     "tier1": {"suite": Run(("-m", "pytest", "-q",
                             "--continue-on-collection-errors"),
                            in_root=True)},
+    "2d_forms": {str(n): forms(n) for n in FORMS_N},
 }
-REPEATS = {"startup": 11, "run_1d": 11, "run_2d": 5, "verify": 5, "tier1": 5}
+REPEATS = {"startup": 11, "run_1d": 11, "run_2d": 5, "verify": 5, "tier1": 5,
+           "2d_forms": 11}
 # the keys of a simulate run's report.txt that the runner reads
 REPORT_KEYS = ("run.termination", "run.n_steps", "run.attempts",
-               "run.newton_iters", "run.cg_iters", "T_num",
-               "T_num_uncertainty")
+               "run.newton_iters", "run.linear_solves", "run.cg_iters",
+               "T_num", "T_num_uncertainty")
 
 
-def read_report(path: Path) -> dict:
-    """The ``REPORT_KEYS`` of a report.txt, numbers parsed."""
+def read_items(path: Path) -> dict:
+    """The ``key = value`` lines of an artifact, numbers parsed."""
     def value(text: str):
         for parse in (int, float):
             try:
@@ -151,14 +129,20 @@ def read_report(path: Path) -> dict:
                 pass
         return text
 
-    items = dict(line.split(" = ", 1)
-                 for line in path.read_text().splitlines())
-    return {key: value(items[key]) for key in REPORT_KEYS}
+    return {key: value(text) for key, text in
+            (line.split(" = ", 1) for line in path.read_text().splitlines())}
 
 
-def run_once(run: Run, src: Path) -> dict:
-    """The wall time of one fresh process of ``run`` on the side whose
-    package is in ``src``, with the counts of its report."""
+def read_report(path: Path) -> dict:
+    """The ``REPORT_KEYS`` of a report.txt, numbers parsed."""
+    items = read_items(path)
+    return {key: items[key] for key in REPORT_KEYS}
+
+
+def run_once(run: Run, src: Path) -> tuple[dict, dict]:
+    """One fresh process of ``run`` on the side whose package is in
+    ``src``: its measured values, the wall time first, and its
+    counts."""
     env = {**os.environ, **THREADS, "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = src.parent if run.in_root else Path(tmp)
@@ -167,14 +151,20 @@ def run_once(run: Run, src: Path) -> dict:
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, *run.args], cwd=cwd, env=env,
                               capture_output=True, text=True)
-        result = {"wall_s": time.perf_counter() - start}
+        measured, counts = {"wall_s": time.perf_counter() - start}, {}
         if proc.returncode != 0:
             raise RuntimeError(f"{run.args} on {src} exited "
                                f"{proc.returncode}:\n{proc.stdout[-2000:]}"
                                f"{proc.stderr[-2000:]}")
         if run.config is not None:
-            result.update(read_report(cwd / "out" / "report.txt"))
-    return result
+            counts = read_report(cwd / "out" / "report.txt")
+            timing = cwd / "out" / "timing.txt"
+            if timing.exists():
+                measured.update(read_items(timing))
+    if run.prints_json:
+        for key, value in json.loads(proc.stdout.splitlines()[-1]).items():
+            (counts if key.endswith("factor_bytes") else measured)[key] = value
+    return measured, counts
 
 
 def spread(values: list[float]) -> dict:
@@ -183,19 +173,28 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def relative(value, reference):
+    """(value - reference) / reference, or ``none`` when either is not a
+    number, as the ``T_num`` of a run that detected nothing."""
+    if isinstance(value, str) or isinstance(reference, str):
+        return "none"
+    return (value - reference) / reference
+
+
 def measure(runs: dict[str, Run], sides: dict[str, Path],
             repeats: int) -> dict:
     """Every run ``repeats`` times on each side, each time a fresh
     process, the sides alternating which runs first: per side and run
-    the spread of the wall time and the counts of its report."""
-    times = {side: {name: [] for name in runs} for side in sides}
+    the counts and the spread of each measured value."""
+    values = {side: {name: {} for name in runs} for side in sides}
     counts = {side: {} for side in sides}
     order = list(sides)
     for _ in range(repeats):
         for name, run in runs.items():
             for side in order:
-                result = run_once(run, sides[side])
-                times[side][name].append(result.pop("wall_s"))
+                measured, result = run_once(run, sides[side])
+                for key, value in measured.items():
+                    values[side][name].setdefault(key, []).append(value)
                 if counts[side].setdefault(name, result) != result:
                     raise RuntimeError(f"{name} on {side}: the counts "
                                        f"{result} differ from the first "
@@ -206,116 +205,18 @@ def measure(runs: dict[str, Run], sides: dict[str, Path],
         out[side] = {}
         for name, run in runs.items():
             out[side][name] = {**counts[side][name],
-                               "wall_s": spread(times[side][name])}
+                               **{key: spread(v) for key, v
+                                  in values[side][name].items()}}
             if run.T_star is not None:
-                gap = (counts[side][name]["T_num"] - run.T_star) / run.T_star
+                gap = relative(counts[side][name]["T_num"], run.T_star)
                 out[side][name].update(T_star=run.T_star, T_num_rel_gap=gap)
     simulated = [name for name, run in runs.items() if run.config is not None]
     if "before" in sides and simulated:
         out["T_num_rel_change"] = {
-            name: (counts["after"][name]["T_num"]
-                   - counts["before"][name]["T_num"])
-            / counts["before"][name]["T_num"] for name in simulated}
+            name: relative(counts["after"][name]["T_num"],
+                           counts["before"][name]["T_num"])
+            for name in simulated}
     return out
-
-
-def traced_package(src: str):
-    """beamblow from ``src`` with the benchmark's tracer installed, and
-    a function that clears the tracer's totals."""
-    sys.path.insert(0, src)
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from tracing import Tracer
-
-    import beamblow as bb
-
-    tracer = Tracer()
-    tracer.install(bb)
-    # the step loop's snapshot, which the tracer does not name
-    bb.functionals.diagnostics = tracer.wrap(
-        "functionals.diagnostics", bb.functionals.diagnostics)
-
-    def reset() -> None:
-        # the installed wrappers keep pointing at this tracer object
-        Tracer.__init__(tracer)
-
-    return bb, tracer, reset
-
-
-def measure_2d_solve(src: str) -> dict:
-    import numpy as np
-
-    bb, tracer, reset = traced_package(src)
-    params = bb.ModelParams(p=3.0, r=2.0, gamma=0.5, beta=1.0)
-    # before the stepper, whose grids and solver state would otherwise
-    # be left behind in the timings
-    eigen, constants = {}, {}
-    for n in EIGEN_N:
-        grid = bb.make_grid(2, n)
-        bb.laplacian_matrix(grid), bb.biharmonic_matrix(grid)
-        reset()
-        bb.smallest_eigen(grid, "biharmonic")
-        eigen[str(n)] = tracer.total["spectra.smallest_eigen"]
-        reset()
-        bb.compute_constants(grid, params)
-        constants[str(n)] = tracer.total["spectra.compute_constants"]
-    stepper = {}
-    for n in STEPPER_N:
-        grid = bb.make_grid(2, n)
-        x = grid.axis_coords()
-        bump = np.outer(np.sin(np.pi * x)**2, np.sin(np.pi * x)**2).ravel()
-        u0 = 200.0 * bump
-        bb.laplacian_matrix(grid), bb.biharmonic_matrix(grid)
-        reset()
-        traj = bb.simulate(grid, params, u0, np.zeros_like(u0),
-                           bb.StepControls(max_steps=STEPS), t_max=10.0,
-                           blow_threshold=1e9)
-        solves = tracer.calls["solvers.conjugate_gradient"]
-        stepper[str(n)] = {
-            "accepted_steps": traj.n_steps,
-            "solves": solves,
-            "us_per_solve": (1e6 * tracer.total["solvers.conjugate_gradient"]
-                             / max(solves, 1)),
-            "cg_iters_per_solve": tracer.cg_iters / max(solves, 1),
-        }
-
-    return {"stepper_steps": STEPS, "stepper": stepper,
-            "plate_smallest_eigen_s": eigen, "compute_constants_s": constants}
-
-
-def measure_step_1d(src: str) -> dict:
-    from dataclasses import replace
-
-    bb, tracer, reset = traced_package(src)
-    cfg = bb.RunConfig()
-    grid, params = cfg.grid(), cfg.model_params()
-    data = bb.preset(cfg.preset, grid, params, cfg.amplitude)
-    controls = replace(cfg.step_controls(), max_steps=STEP_1D_STEPS)
-
-    def run():
-        return bb.simulate(grid, params, data.u0, data.u1, controls,
-                           t_max=cfg.t_max, blow_threshold=cfg.blow_threshold)
-
-    run()  # warm-up: operators, bands and caches built outside the timing
-    reps = []
-    for _ in range(STEP_1D_REPEATS):
-        reset()
-        traj = run()
-        us = {key: 1e6 * tracer.total[name] / max(tracer.calls[name], 1)
-              for key, name in STEP_1D_LAYERS.items()}
-        us["step_self"] = (1e6 * tracer.self_time["dynamics.step"]
-                           / max(tracer.calls["dynamics.step"], 1))
-        us["simulate_per_accepted_step"] = (
-            1e6 * tracer.total["dynamics.simulate"] / max(traj.n_steps, 1))
-        reps.append(us)
-    return {
-        "grid": {"dim": cfg.dim, "N": cfg.N},
-        "accepted_steps": traj.n_steps,
-        "calls": {key: tracer.calls[name]
-                  for key, name in STEP_1D_LAYERS.items()},
-        "us_per_call": {key: statistics.median(r[key] for r in reps)
-                        for key in reps[0]},
-        "repetitions": reps,
-    }
 
 
 def closure_bytes(fn) -> int:
@@ -333,54 +234,33 @@ def closure_bytes(fn) -> int:
     return sum(size(cell.cell_contents) for cell in fn.__closure__ or ())
 
 
-def measure_2d_forms(src: str) -> dict:
-    import time
-
+def measure_forms(n: int) -> dict:
+    """Set-up time, median microseconds per solve and factor bytes of
+    the forms ``lap`` and ``H`` at 2D N = ``n``, the first work of the
+    process after the stencil matrices."""
     import numpy as np
 
-    sys.path.insert(0, src)
     import beamblow as bb
     from beamblow.operators import operators
 
+    grid = bb.make_grid(2, n)
+    ops = operators(grid)
+    ops.B, ops.L  # assembled outside the forms' set-up time
+    rhs = np.random.default_rng(n).standard_normal(grid.size)
     result = {}
-    for n in FORMS_N:
-        grid = bb.make_grid(2, n)
-        ops = operators(grid)
-        ops.B, ops.L  # assembled outside the forms' set-up time
-        rhs = np.random.default_rng(n).standard_normal(grid.size)
-        result[str(n)] = {}
-        for name in ("lap", "H"):
+    for name in ("lap", "H"):
+        start = time.perf_counter()
+        _, solve = ops.form(name)
+        result[f"{name}.setup_ms"] = 1e3 * (time.perf_counter() - start)
+        solve(rhs)
+        us = []
+        for _ in range(FORM_SOLVES):
             start = time.perf_counter()
-            _, solve = ops.form(name)
-            setup_s = time.perf_counter() - start
             solve(rhs)
-            us = []
-            for _ in range(FORM_SOLVES):
-                start = time.perf_counter()
-                solve(rhs)
-                us.append(1e6 * (time.perf_counter() - start))
-            result[str(n)][name] = {
-                "setup_ms": 1e3 * setup_s,
-                "us_per_solve": float(np.median(us)),
-                "us_p10": float(np.percentile(us, 10)),
-                "us_p90": float(np.percentile(us, 90)),
-                "factor_bytes": closure_bytes(solve),
-            }
-    return {"solves_per_form": FORM_SOLVES, "forms": result}
-
-
-# the layer cases, each measured in one process per side
-LAYER_CASES = {"2d_solve": measure_2d_solve, "step_1d": measure_step_1d,
-               "2d_forms": measure_2d_forms}
-
-
-def run_side(case: str, src: Path) -> dict:
-    env = {**os.environ, **THREADS}
-    env.pop("PYTHONPATH", None)
-    proc = subprocess.run(
-        [sys.executable, __file__, "--measure", case, str(src)],
-        env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+            us.append(1e6 * (time.perf_counter() - start))
+        result[f"{name}.us_per_solve"] = statistics.median(us)
+        result[f"{name}.factor_bytes"] = closure_bytes(solve)
+    return result
 
 
 def machine() -> dict:
@@ -399,15 +279,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--before", type=Path,
                     help="src directory of the version to compare against")
-    ap.add_argument("--case", choices=sorted(LAYER_CASES | END_TO_END),
+    ap.add_argument("--case", choices=sorted(CASES),
                     help="run only this case (default: every case)")
     ap.add_argument("--out-dir", type=Path, default=ROOT,
                     help="where BENCH_<case>.json is written")
-    ap.add_argument("--measure", nargs=2, help=argparse.SUPPRESS)
+    ap.add_argument("--measure", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.measure:
-        case, src = args.measure
-        print(json.dumps(LAYER_CASES[case](src)))
+    if args.measure is not None:
+        print(json.dumps(measure_forms(args.measure)))
         return 0
 
     import numpy
@@ -415,15 +294,10 @@ def main() -> int:
     sides = {"after": ROOT / "src"}
     if args.before is not None:
         sides = {"before": args.before.resolve(), **sides}
-    for case in [args.case] if args.case else sorted(LAYER_CASES
-                                                     | END_TO_END):
+    for case in [args.case] if args.case else sorted(CASES):
         result = {"machine": machine(), "numpy": numpy.__version__,
-                  "scipy": scipy.__version__, "blas_threads": 2}
-        if case in END_TO_END:
-            result.update(measure(END_TO_END[case], sides, REPEATS[case]))
-        else:
-            for side, src in sides.items():
-                result[side] = run_side(case, src)
+                  "scipy": scipy.__version__, "blas_threads": 2,
+                  **measure(CASES[case], sides, REPEATS[case])}
         out = args.out_dir / f"BENCH_{case}.json"
         out.write_text(json.dumps(result, indent=2) + "\n")
         print(f"{out}:\n{json.dumps(result, indent=2)}")

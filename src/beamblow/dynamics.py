@@ -43,6 +43,7 @@ step.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,6 +249,7 @@ class Trajectory:
     n_steps: int
     final_state: State
     counts: StepCounts
+    timing: dict[str, float]  # step_s and diagnostics_s, in seconds
 
     def times(self) -> np.ndarray:
         return np.array([r.t for r in self.records])
@@ -270,7 +272,8 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
     linear solve that broke down, Newton not converging) or whose
     diagnostics are not finite is rejected and retried at half the step;
     the attempts and the cause of each rejection are counted in the
-    trajectory's ``counts``.
+    trajectory's ``counts``, and the wall time of the attempts' steps
+    and diagnostics in its ``timing``.
 
     u0 and v0 are checked here, once (ValueError if either is
     mis-shaped or non-finite); the loop runs unchecked kernels.
@@ -289,6 +292,7 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
     rejected = False
     n_steps = 0
     counts = StepCounts()
+    step_s = diagnostics_s = 0.0
     snap = functionals.diagnostics(ops, u, v, params)
     dt = adapt_dt(controls, scale)
 
@@ -332,9 +336,15 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
             break
 
         counts.attempts += 1
+        start = time.perf_counter()
         try:
-            u_new, v_new = step(ops, params, u, v, dt, counts)
+            try:
+                u_new, v_new = step(ops, params, u, v, dt, counts)
+            finally:
+                stepped = time.perf_counter()
+                step_s += stepped - start
             snap_new = functionals.diagnostics(ops, u_new, v_new, params)
+            diagnostics_s += time.perf_counter() - stepped
             if not (math.isfinite(snap_new.E)
                     and math.isfinite(snap_new.dissipation_rate)):
                 raise FloatingPointError("diagnostics are not finite")
@@ -377,7 +387,8 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
 
     return Trajectory(records=records, termination=termination, note=note,
                       n_steps=n_steps, final_state=State(t=t, u=u, v=v),
-                      counts=counts)
+                      counts=counts, timing={"step_s": step_s,
+                                             "diagnostics_s": diagnostics_s})
 
 
 # default crossing ladder on ||u||_{p+1} for blow-up detection

@@ -4,8 +4,10 @@ A run takes one configuration from initial data to certificate report
 and leaves its artifacts in an output directory: config.txt (the exact
 configuration, round-trippable), u0.csv / u1.csv (initial data, one
 value per line), timeseries.csv (one diagnostics row every
-``output_every`` accepted steps) and report.txt (variational constants,
-every bound chain, verdicts, and the step counts of the run).  A
+``output_every`` accepted steps), report.txt (variational constants,
+every bound chain, verdicts, and the step counts of the run) and
+timing.txt (the wall time of each stage, kept out of report.txt so that
+the report is reproducible byte for byte).  A
 failure leaves a FAILED marker naming the exception next to whatever
 partial outputs were already written.
 
@@ -80,20 +82,28 @@ class RunArtifacts:
     traj: Trajectory
     estimate: BlowupEstimate
     report: BoundReport
+    # wall seconds of each stage: constants_s, data_s, simulate_s (with
+    # the trajectory's step_s and diagnostics_s) and bounds_s
+    timing: dict[str, float]
 
 
 def evaluate(config: RunConfig) -> RunArtifacts:
     """Run the full pipeline for one configuration, in memory:
     constants, initial data, ``simulate``, ``detect_blowup`` on the
-    ``lp1_u`` series, ``full_report`` from the run's first record."""
+    ``lp1_u`` series, ``full_report`` from the run's first record; each
+    stage is timed."""
     grid = config.grid()
     params = config.model_params()
+    marks = [time.perf_counter()]
     consts = compute_constants(grid, params, config.seed)
+    marks.append(time.perf_counter())
     data = preset(config.preset, grid, params, config.amplitude,
                   energy_R=config.energy_R)
+    marks.append(time.perf_counter())
     traj = simulate(grid, params, data.u0, data.u1, config.step_controls(),
                     t_max=config.t_max, blow_threshold=config.blow_threshold,
                     output_every=config.output_every)
+    marks.append(time.perf_counter())
     estimate = detect_blowup(traj.times(), traj.series("lp1_u"),
                              config.thresholds, params.blowup_exponent)
     first = traj.records[0]
@@ -101,9 +111,14 @@ def evaluate(config: RunConfig) -> RunArtifacts:
                          estimate, mu=config.mu, m_safety=config.M_safety,
                          alpha_override=config.alpha_override,
                          eps_override=config.eps_override)
+    marks.append(time.perf_counter())
+    constants_s, data_s, simulate_s, bounds_s = np.diff(marks).tolist()
     return RunArtifacts(config=config, grid=grid, params=params,
                         consts=consts, data=data, traj=traj,
-                        estimate=estimate, report=report)
+                        estimate=estimate, report=report,
+                        timing={"constants_s": constants_s, "data_s": data_s,
+                                "simulate_s": simulate_s, **traj.timing,
+                                "bounds_s": bounds_s})
 
 
 def _write_vector(path: Path, values: np.ndarray) -> None:
@@ -134,6 +149,8 @@ def write_artifacts(out: Path, artifacts: RunArtifacts) -> None:
     _write_vector(out / "u1.csv", artifacts.data.u1)
     _write_timeseries(out / "timeseries.csv", artifacts.traj)
     _write_report(out / "report.txt", artifacts)
+    (out / "timing.txt").write_text("".join(
+        f"timing.{k} = {fmt(v)}\n" for k, v in artifacts.timing.items()))
 
 
 def integrator_failure(traj: Trajectory) -> SolverFailure | None:

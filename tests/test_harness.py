@@ -72,6 +72,21 @@ def test_run_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_run_times_its_stages_outside_the_report(tmp_path):
+    out = tmp_path / "blow"
+    assert run(FAST_BLOWUP, out) == 0
+    lines = (out / "timing.txt").read_text().splitlines()
+    timing = dict(line.split(" = ") for line in lines)
+    assert list(timing) == [f"timing.{key}" for key in (
+        "constants_s", "data_s", "simulate_s", "step_s", "diagnostics_s",
+        "bounds_s")]
+    seconds = {key: float(value) for key, value in timing.items()}
+    assert all(math.isfinite(s) and s >= 0.0 for s in seconds.values())
+    assert (seconds["timing.step_s"] + seconds["timing.diagnostics_s"]
+            <= seconds["timing.simulate_s"])
+    assert "timing." not in (out / "report.txt").read_text()
+
+
 def test_run_detects_blowup(tmp_path):
     out = tmp_path / "blow"
     assert run(FAST_BLOWUP, out) == 0

@@ -1,7 +1,8 @@
 """Every research script imports against the current package, the
-three research scripts run end to end on a coarse grid, the end-to-end
-runner of ``scripts/bench.py`` reads a run's own counts and alternates
-the sides, every function the benchmark's tracer wraps by name exists,
+three research scripts run end to end on a coarse grid, the runner of
+``scripts/bench.py`` reads a run's own counts and stage times, spreads
+every measured value, requires the counts to agree and alternates the
+sides, every function the benchmark's tracer wraps by name exists,
 and every benchmark workload runs and passes its checks at a reduced
 size, so a renamed helper, a removed field or a changed signature fails
 here instead of at its next run."""
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMING_KEYS = ("constants_s", "data_s", "simulate_s", "step_s",
+               "diagnostics_s", "bounds_s")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
@@ -88,13 +91,85 @@ def test_bench_runner_alternates_the_side_that_runs_first(monkeypatch):
 
     def run_once(run, src):
         order.append(src.name)
-        return {"wall_s": 1.0}
+        return {"wall_s": 1.0}, {}
 
     monkeypatch.setattr(bench, "run_once", run_once)
     sides = {"before": Path("old"), "after": Path("new")}
     result = bench.measure({"a": bench.Run(("-c", "pass"))}, sides, 3)
     assert order == ["old", "new", "new", "old", "old", "new"]
     assert result["before"]["a"]["wall_s"]["runs"] == [1.0] * 3
+
+
+def test_bench_runner_spreads_every_measured_value(monkeypatch):
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    runs = iter(range(1, 4))
+
+    def run_once(run, src):
+        k = next(runs)
+        return ({"wall_s": float(k), "timing.step_s": 0.1 * k},
+                {"run.n_steps": 7})
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    result = bench.measure({"a": bench.Run(("-c", "pass"))},
+                           {"after": Path("new")}, 3)["after"]["a"]
+    assert result["run.n_steps"] == 7
+    assert result["wall_s"]["runs"] == [1.0, 2.0, 3.0]
+    assert result["timing.step_s"]["runs"] == [0.1, 0.2, 0.1 * 3]
+    assert result["timing.step_s"]["median"] == 0.2
+
+
+def test_bench_runner_requires_the_counts_to_agree(monkeypatch):
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    steps = iter((7, 8))
+    monkeypatch.setattr(bench, "run_once", lambda run, src: (
+        {"wall_s": 1.0}, {"run.n_steps": next(steps)}))
+    with pytest.raises(RuntimeError, match="counts"):
+        bench.measure({"a": bench.Run(("-c", "pass"))},
+                      {"after": Path("new")}, 2)
+
+
+def test_bench_runner_reports_none_for_a_run_without_T_num(monkeypatch):
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    T_num = {"old": 0.25, "new": "none"}
+    monkeypatch.setattr(bench, "run_once", lambda run, src: (
+        {"wall_s": 1.0}, {"T_num": T_num[src.name]}))
+    sides = {"before": Path("old"), "after": Path("new")}
+    result = bench.measure({"1d": bench.simulate("", T_star=0.2)}, sides, 1)
+    assert result["after"]["1d"]["T_num_rel_gap"] == "none"
+    assert result["before"]["1d"]["T_num_rel_gap"] == pytest.approx(0.25)
+    assert result["T_num_rel_change"] == {"1d": "none"}
+
+
+def test_bench_runner_reads_timing_txt_when_the_side_writes_it(tmp_path):
+    import beamblow as bb
+
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    text = "N = 16\nblow_threshold = 1e3\nthresholds = 10, 100, 1000\n"
+    out = tmp_path / "out"
+    assert bb.run(bb.parse_config(text), out) == 0
+    # a side whose runs write no timing.txt, as before the file existed
+    (out / "timing.txt").unlink()
+    copy = bench.Run(("-c", f"import shutil; shutil.copytree({str(out)!r}, "
+                            "'out')"), config=text)
+    measured, counts = bench.run_once(copy, ROOT / "src")
+    assert list(measured) == ["wall_s"]
+    assert counts == bench.read_report(out / "report.txt")
+    measured, _ = bench.run_once(bench.simulate(text), ROOT / "src")
+    assert sorted(measured) == sorted(
+        ["wall_s"] + [f"timing.{key}" for key in TIMING_KEYS])
+
+
+def test_bench_forms_row_keeps_factor_bytes_as_a_count():
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    result = bench.measure({"16": bench.forms(16)},
+                           {"after": ROOT / "src"}, 1)["after"]["16"]
+    for form in ("lap", "H"):
+        assert result[f"{form}.factor_bytes"] > 0
+        for key in ("setup_ms", "us_per_solve"):
+            assert result[f"{form}.{key}"]["runs"][0] > 0.0
+    assert set(result) == {"wall_s"} | {
+        f"{form}.{key}" for form in ("lap", "H")
+        for key in ("setup_ms", "us_per_solve", "factor_bytes")}
 
 
 def test_every_traced_function_exists():
