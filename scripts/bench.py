@@ -30,8 +30,12 @@ one command, ``python ARGS``:
     form its set-up time (``GridOperators.form``, after the stencil
     matrices are built; the first form's set-up also builds the sine
     matrix when it uses one), the median microseconds per solve over
-    repeated solves of one right-hand side, and the bytes of the arrays
-    the solve function holds, which is its factor.
+    repeated solves of one right-hand side, and ``factor_bytes``: the
+    bytes of the arrays the solve function holds in its closure,
+    directly or inside tuples, less the grid's sine matrix, which every
+    form shares.  So it counts what the form owns: for the capacitance
+    solve, the inverse of the capacitance matrix, the symbols of its
+    sine-diagonal part and the end rows of the sine matrix.
 
 One runner, ``measure``, times them all.  Every repetition of every run
 is a fresh process with the side's ``src`` on PYTHONPATH, timed from
@@ -219,14 +223,14 @@ def measure(runs: dict[str, Run], sides: dict[str, Path],
     return out
 
 
-def closure_bytes(fn) -> int:
+def closure_bytes(fn, shared=()) -> int:
     """Bytes of the numpy arrays held in the closure of ``fn``, directly
-    or inside tuples."""
+    or inside tuples, except the arrays in ``shared``."""
     import numpy as np
 
     def size(obj) -> int:
         if isinstance(obj, np.ndarray):
-            return obj.nbytes
+            return 0 if any(obj is s for s in shared) else obj.nbytes
         if isinstance(obj, tuple):
             return sum(size(item) for item in obj)
         return 0
@@ -259,7 +263,7 @@ def measure_forms(n: int) -> dict:
             solve(rhs)
             us.append(1e6 * (time.perf_counter() - start))
         result[f"{name}.us_per_solve"] = statistics.median(us)
-        result[f"{name}.factor_bytes"] = closure_bytes(solve)
+        result[f"{name}.factor_bytes"] = closure_bytes(solve, (ops.sine,))
     return result
 
 

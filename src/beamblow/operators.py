@@ -32,10 +32,13 @@ banded with half-bandwidth 2, and every solve, like the time step's,
 is one LAPACK ``pbsv`` call (banded Cholesky factor and solve) at O(n)
 cost without the sine matrix; no 1d factor is kept.  In 2d -L is
 diagonal in the sine basis, and B and B - L are the sine-diagonal
-Lap_h^2 - c Lap_h plus the boundary term: the Woodbury identity reduces
-their solve to two sine solves and a dense Cholesky solve of the
-4n-by-4n capacitance matrix (Buzbee & Dorr, SIAM J. Numer. Anal. 11,
-1974), factored once per form and grid.  The Newton matrix of the time
+Lap_h^2 - c Lap_h plus the boundary term.  The Woodbury identity
+(the capacitance method of Buzbee & Dorr, SIAM J. Numer. Anal. 11,
+1974) then solves them in the sine basis: one transform there and one
+back, four dense n-by-n products, with the boundary terms read off and
+put back as rank-4 products, and one matrix-vector product with the
+inverse of the 4n-by-4n capacitance matrix, formed once per form and
+grid from its Cholesky factor.  The Newton matrix of the time
 step adds a diagonal and a rank-1 term to I + a B - c L: in 1d both
 enter the banded solve, and in 2d it is solved by conjugate gradients,
 each iteration one sparse product with I + a B - c L + diag(d)
@@ -289,7 +292,7 @@ class GridOperators:
     def form(self, name: str) -> tuple[Callable, Callable]:
         """Matrix product and exact solve of the fixed quadratic form
         ``name``: ``grad`` (-L), ``lap`` (B) or ``H`` (B - L).  Each form
-        is built once, on first use, with the 2d capacitance factor of
+        is built once, on first use, with the 2d capacitance inverse of
         ``lap`` and ``H``."""
         if name not in self.forms:
             self.forms[name] = self._make_form(name)
@@ -317,21 +320,39 @@ class GridOperators:
         return A.dot, self._capacitance_solve(float(name == "H"))
 
     def _capacitance_solve(self, c: float) -> Callable:
-        """Exact solve of B - c L in 2d by the Woodbury identity.
+        """Exact solve of B - c L in 2d by the Woodbury identity, worked
+        in the sine basis.
 
         B - c L = K + U (2/h^4) U^T, where K = Lap_h^2 - c Lap_h is
         diagonal in the sine basis and U holds the 4n unit columns of
         the nodes on the first and last grid rows and grid columns (in
         that order; the corners appear twice).  With y = K^{-1} r,
 
-            x = y - K^{-1} U Cap^{-1} U^T y,  Cap = (h^4/2) I + U^T K^{-1} U,
+            x = y - K^{-1} U Cap^{-1} U^T y,  Cap = (h^4/2) I + U^T K^{-1} U.
 
-        so a solve is two ``sine_inverse`` products and one dense Cholesky
-        solve of size 4n, and the factor of Cap is the only one made.
+        A solve transforms r once, Y^ = (S R S) / k with k the symbols
+        of K, and reads the four boundary lines U^T y of y = S Y^ S off
+        the first and last rows of S in O(n^2), without forming y.  The
+        correction K^{-1} U z is a rank-4 product in the sine basis, so
+        one transform back gives x: four dense n-by-n products in all,
+        where a solve through y took eight, and one matrix-vector
+        product with Cap^{-1}.
+
         Each n-by-n block of U^T K^{-1} U is S diag(w) S between two
         lines of the same direction, and S M S between a row and a
         column, with w and M built from the first and last rows of S
-        over the symbols of K.
+        over the symbols of K.  Cap is factored once per form and grid
+        (Cholesky), and its inverse is formed in place from the factor
+        (LAPACK potri), so the set-up holds one 4n-by-4n array.  Cap is
+        well conditioned, about 0.6 N (condition number 9.8, 37 and 56
+        at N = 16, 64 and 96), so applying the inverse costs no
+        accuracy: the normwise backward error is about 2e-16.
+
+        The solve inverts the exact symbols of K, while the product
+        applies the stencil with each entry rounded to a float.  On
+        smooth fields the two operators differ by up to about
+        eps * cond(B - c L), 5.7e-11 relative at N = 64, so ``spectra``
+        puts its results on the ellipsoid of the product.
         """
         g = self.grid
         n = g.n_interior
@@ -348,20 +369,31 @@ class GridOperators:
                        + [[cross[b][a].T for b in (0, 1)] + same[a]
                           for a in (0, 1)])
         cap[np.diag_indices_from(cap)] += 0.5 * g.h**4
-        factor = sla.cho_factor(cap, overwrite_a=True, check_finite=False)
-        K_inverse = self.sine_inverse(1.0, c, shift=0.0)
+        # the transpose is Fortran-ordered, so LAPACK works in place;
+        # its lower triangle is the upper triangle of cap
+        factor, _ = sla.cho_factor(cap.T, lower=True, overwrite_a=True,
+                                   check_finite=False)
+        cap_inverse, _ = sla.lapack.dpotri(factor, lower=True,
+                                           overwrite_c=True)
+        # potri sets the lower triangle; numpy's own BLAS applies the
+        # full matrix, since calling scipy's BLAS between numpy's dense
+        # products makes the two thread pools contend
+        for j in range(len(cap_inverse) - 1):
+            cap_inverse[j, j + 1:] = cap_inverse[j + 1:, j]
 
         def solve(r: np.ndarray) -> np.ndarray:
-            y = K_inverse(r)
-            Y = y.reshape(n, n)
-            z = sla.cho_solve(factor, np.concatenate(
-                (Y[0], Y[-1], Y[:, 0], Y[:, -1])), check_finite=False)
-            Z = np.zeros((n, n))
-            Z[0] += z[:n]
-            Z[-1] += z[n:2 * n]
-            Z[:, 0] += z[2 * n:3 * n]
-            Z[:, -1] += z[3 * n:]
-            return y - K_inverse(Z.ravel())
+            Y = S @ r.reshape(n, n) @ S
+            Y *= inv
+            # the first and last rows of S Y S, then its first and last
+            # columns
+            lines = np.concatenate(((ends @ Y) @ S, (Y @ ends.T).T @ S))
+            z = cap_inverse @ lines.ravel()
+            # S (U z) S, with the rows of z on the end rows and its
+            # columns on the end columns: the outer products of the end
+            # rows of S with the transformed lines z S
+            z = z.reshape(4, n) @ S
+            Y -= inv * (np.vstack((ends, z[2:])).T @ np.vstack((z[:2], ends)))
+            return (S @ Y @ S).ravel()
 
         return solve
 

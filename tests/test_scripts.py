@@ -12,6 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,6 +171,19 @@ def test_bench_forms_row_keeps_factor_bytes_as_a_count():
     assert set(result) == {"wall_s"} | {
         f"{form}.{key}" for form in ("lap", "H")
         for key in ("setup_ms", "us_per_solve", "factor_bytes")}
+
+
+def test_closure_bytes_leave_out_shared_arrays():
+    # a form's factor_bytes count what the form owns, not the grid's
+    # sine matrix that its solve shares with every other form
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    owned, shared = np.zeros(10), np.zeros(3)
+
+    def solve():
+        return owned, (shared,)
+
+    assert bench.closure_bytes(solve) == 104
+    assert bench.closure_bytes(solve, (shared,)) == 80
 
 
 def test_every_traced_function_exists():

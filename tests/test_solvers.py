@@ -105,6 +105,26 @@ def test_form_solve_is_the_exact_inverse_of_its_product(name, dim, n):
             1e-14 * a_norm * np.linalg.norm(got))
 
 
+@pytest.mark.parametrize("n", [1, 2, 64, 96])
+@pytest.mark.parametrize("name", ["lap", "H"])
+def test_capacitance_solve_is_backward_stable(name, n):
+    # n = 1 and 2 are the grids where the four boundary lines coincide
+    # or touch; 64 and 96 are the benchmark's grids
+    g = make_grid(2, n)
+    ops = operators(g)
+    _, solve = ops.form(name)
+    A = {"lap": ops.B, "H": ops.B - ops.L}[name]
+    a_norm = float(np.abs(A).sum(axis=1).max())
+    rng = np.random.default_rng(11)
+    # a random right-hand side, and the image of a random field, whose
+    # residual carries the rounding of A @ x at the scale of ||A||
+    for b, tol in ((rng.standard_normal(g.size), 1e-15),
+                   (A @ rng.standard_normal(g.size), 1e-14)):
+        got = solve(b)
+        assert np.linalg.norm(A @ got - b) <= (
+            tol * a_norm * np.linalg.norm(got))
+
+
 def test_an_evicted_grid_releases_its_operators():
     operators.cache_clear()
     ops = weakref.ref(operators(make_grid(2, 8)))

@@ -23,6 +23,7 @@ from beamblow import (
     smallest_eigen,
     well_depth,
 )
+from beamblow.errors import ConvergenceFailure
 from beamblow.operators import operators
 
 # first clamped-beam frequency: smallest positive root of
@@ -139,6 +140,56 @@ def test_restarts_find_a_higher_maximum_than_the_eigenfield():
     assert from_eigen == pytest.approx(0.361441, rel=1e-5)
     C, _ = embedding_constant(g, 7.0, "grad", seed=0)
     assert C == pytest.approx(0.381518, rel=1e-5)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("n,tol", [(16, 1e-12), (64, 4e-12)])
+@pytest.mark.parametrize("name", ["grad", "lap", "H"])
+def test_maximizers_lie_on_the_ellipsoid_of_the_product(name, n, tol):
+    # the sweeps normalize through their solve, which inverts the exact
+    # symbols of the form, 5.7e-11 off the ellipsoid of the stencil as
+    # rounded at n = 64; the returned field lies on the latter, summed
+    # here beyond double precision, to the rounding of the double sum
+    # that puts it there (up to 1.1e-12 at n = 64)
+    g = make_grid(2, n)
+    ops = operators(g)
+    A = {"grad": -ops.L, "lap": ops.B, "H": ops.B - ops.L}[name].tocoo()
+    entries = A.data.astype(np.longdouble)
+    for q in (3.5, 7.0):
+        C, u = embedding_constant(g, q, name)
+        v = u.astype(np.longdouble)
+        quad = float(np.sum(entries * v[A.row] * v[A.col]))
+        assert abs(g.weight * quad - 1.0) <= tol
+        assert norm_lq(g, u, q) == pytest.approx(C, rel=1e-14)
+
+
+def test_embedding_constant_keeps_the_best_value_of_any_run(monkeypatch):
+    # an unconverged run's value is reached by its field on the
+    # ellipsoid, so it counts; only a constant no run converged to fails
+    g = make_grid(1, 9)
+    sweep = spectra._extremal_sweep
+    unconverged = []
+
+    def first_unconverged(grid, q, apply, solve, u0):
+        val, u, converged = sweep(grid, q, apply, solve, u0)
+        if unconverged:
+            return val, u, converged
+        unconverged.append(2.0 * val)
+        return 2.0 * val, u, False
+
+    monkeypatch.setattr(spectra, "_extremal_sweep", first_unconverged)
+    operators.cache_clear()
+    C, _ = embedding_constant(g, 5.0, "lap")
+    assert C == unconverged[0]
+
+    def never_converged(grid, q, apply, solve, u0):
+        return sweep(grid, q, apply, solve, u0)[:2] + (False,)
+
+    monkeypatch.setattr(spectra, "_extremal_sweep", never_converged)
+    operators.cache_clear()
+    with pytest.raises(ConvergenceFailure):
+        embedding_constant(g, 5.0, "lap")
 
 
 def test_embedding_constant_validates_q(grid64):
