@@ -368,8 +368,7 @@ class Thm33Chain:
 
 
 def thm33_upper(grid: Grid, snap: FunctionalSnapshot, inner_uv: float,
-                params: ModelParams, consts: VariationalConstants, *,
-                alpha_override: float | None = None,
+                params: ModelParams, *, alpha_override: float | None = None,
                 eps_override: float | None = None) -> Thm33Chain:
     """Upper bound on the blow-up time from a state of negative energy.
 
@@ -459,10 +458,6 @@ class LowerBounds(Thm35Result, Thm34Result):
     """Merged view of both lower-bound chains: the fields of
     Thm34Result, then those of Thm35Result (dataclasses collect fields
     in reverse method resolution order)."""
-
-    @classmethod
-    def from_parts(cls, r34: Thm34Result, r35: Thm35Result) -> "LowerBounds":
-        return cls(**vars(r34), **vars(r35))
 
 
 # the Theorem 3.4 integral in s = ln y: a 20-node Gauss-Legendre rule on
@@ -604,18 +599,18 @@ def full_report(grid: Grid, snap: FunctionalSnapshot, inner_uv: float,
     chain32 = thm32_upper(grid, snap, inner_uv, params, consts, mu,
                           m_safety=m_safety, alpha_override=alpha_override,
                           eps_override=eps_override)
-    chain33 = thm33_upper(grid, snap, inner_uv, params, consts,
+    chain33 = thm33_upper(grid, snap, inner_uv, params,
                           alpha_override=alpha_override,
                           eps_override=eps_override)
-    lowers = LowerBounds.from_parts(
-        thm34_lower(snap, params, consts.B_star),
-        thm35_lower(snap, params, consts.C_a, consts.C_b))
+    lowers = LowerBounds(
+        **vars(thm34_lower(snap, params, consts.B_star)),
+        **vars(thm35_lower(snap, params, consts.C_a, consts.C_b)))
 
     thm32_applicable = chain32.applicable and verdict31 == "case_ii"
     uppers = []
-    if thm32_applicable and chain32.T_upper is not None:
+    if thm32_applicable:
         uppers.append(chain32.T_upper)
-    if chain33.applicable and chain33.T_upper is not None:
+    if chain33.applicable:
         uppers.append(chain33.T_upper)
     T_upper = min(uppers) if uppers else None
 

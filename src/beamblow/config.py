@@ -14,6 +14,8 @@ cells.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
@@ -105,7 +107,7 @@ def _parse_int(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     value = float(text)
-    if not value == value:  # reject nan
+    if not math.isfinite(value):
         raise ValueError(text)
     return value
 
@@ -116,23 +118,20 @@ def _parse_optional_float(text: str) -> float | None:
     return _parse_float(text)
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, parse: Callable) -> tuple:
+    """A non-empty comma-separated list, each element read by parse."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError(text)
-    return tuple(_parse_float(p) for p in parts)
+    return tuple(parse(p) for p in parts)
 
 
 _PARSERS_BY_TYPE = {
     int: _parse_int,
     float: _parse_float,
     float | None: _parse_optional_float,
-    str: _parse_str,
-    tuple[float, ...]: _parse_float_list,
+    str: str,
+    tuple[float, ...]: lambda text: _parse_list(text, _parse_float),
 }
 
 _PARSERS = {name: _PARSERS_BY_TYPE[kind]
@@ -153,6 +152,8 @@ def _validate(cfg: RunConfig) -> None:
         cfg.step_controls()
     except ValueError as exc:
         bad(str(exc))
+    if cfg.seed < 0:
+        bad(f"seed must be non-negative, got {cfg.seed}")
     if cfg.preset not in PRESET_NAMES:
         bad(f"unknown preset {cfg.preset!r}, choose from {PRESET_NAMES}")
     if not cfg.t_max > 0:
@@ -239,10 +240,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if name == "thresholds":
             raise ConfigError(f"line {lineno}: thresholds cannot be swept")
         try:
-            parts = [p.strip() for p in value.split(",") if p.strip()]
-            if not parts:
-                raise ValueError(value)
-            axes[name] = tuple(_PARSERS[name](p) for p in parts)
+            axes[name] = _parse_list(value, _PARSERS[name])
         except (ValueError, OverflowError):
             raise ConfigError(
                 f"line {lineno}: bad value {value!r} for sweep key {name!r}") from None

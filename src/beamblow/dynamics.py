@@ -63,6 +63,9 @@ CG_RTOL = 1e-10
 # at which it stops, relative to the iterate in the max norm
 NEWTON_MAX_ITER = 8
 NEWTON_RTOL = 1e-8
+# accepted steps after which a run that has neither blown up nor reached
+# t_max ends as a solver failure
+MAX_STEPS = 2_000_000
 # the StepCounts field of each cause of a failed step attempt, matched
 # in order (a NewtonFailure is a ConvergenceFailure); OverflowError is a
 # float power that overflowed
@@ -90,7 +93,6 @@ class StepControls:
     dt_max: float = 1e-3
     dt_min: float | None = None
     residual_target: float = 1e-3
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if not self.dt_max > 0:
@@ -314,9 +316,9 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
         if t >= t_max * (1.0 - 1e-12):
             termination = "time_limit"
             break
-        if n_steps >= controls.max_steps:
+        if n_steps >= MAX_STEPS:
             termination = "solver_failure"
-            note = f"step budget of {controls.max_steps} exhausted"
+            note = f"step budget of {MAX_STEPS} exhausted"
             break
 
         dt = adapt_dt(controls, scale)

@@ -18,11 +18,9 @@ class SolverFailure(BeamblowError):
 
 class ConvergenceFailure(BeamblowError):
     """An iterative computation (eigenvalue, embedding constant, linear
-    solve) failed to reach its tolerance within the iteration budget."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    solve) failed to reach its tolerance within the iteration budget.
+    It carries only a message, which states the error reached wherever
+    the computation measures one."""
 
 
 class NewtonFailure(ConvergenceFailure):

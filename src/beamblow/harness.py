@@ -74,9 +74,6 @@ def exit_code_for(exc: BaseException) -> int:
 class RunArtifacts:
     """Everything a finished evaluation produced, still in memory."""
 
-    config: RunConfig
-    grid: Grid
-    params: ModelParams
     consts: VariationalConstants
     data: InitialData
     traj: Trajectory
@@ -113,8 +110,7 @@ def evaluate(config: RunConfig) -> RunArtifacts:
                          eps_override=config.eps_override)
     marks.append(time.perf_counter())
     constants_s, data_s, simulate_s, bounds_s = np.diff(marks).tolist()
-    return RunArtifacts(config=config, grid=grid, params=params,
-                        consts=consts, data=data, traj=traj,
+    return RunArtifacts(consts=consts, data=data, traj=traj,
                         estimate=estimate, report=report,
                         timing={"constants_s": constants_s, "data_s": data_s,
                                 "simulate_s": simulate_s, **traj.timing,

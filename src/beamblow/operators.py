@@ -186,13 +186,11 @@ class GridOperators:
 
     def sine_inverse(self, a: float, c: float, shift: float = 1.0
                      ) -> Callable[[np.ndarray], np.ndarray]:
-        """A function applying (shift I + a Lap_h^2 - c Lap_h)^{-1}
-        through the sine basis, its diagonal there computed once; the
-        operator must be definite on every mode."""
+        """A function applying (shift I + a Lap_h^2 - c Lap_h)^{-1} on a
+        2d grid through the sine basis, its diagonal there computed
+        once; the operator must be definite on every mode."""
         S, mu = self.sine, self.mu
         diag = shift + a * mu * mu - c * mu
-        if self.grid.dim == 1:
-            return lambda r: S @ ((S @ r) / diag)
         n = self.grid.n_interior
         return lambda r: (S @ ((S @ r.reshape(n, n) @ S) / diag) @ S).ravel()
 

@@ -148,7 +148,7 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
             raise ConvergenceFailure(
                 "conjugate gradient hit a curvature that is non-positive "
                 f"or not finite (p^T A p = {pAp:g}); the operator is not "
-                "SPD or not finite", residual=err)
+                "SPD or not finite")
         alpha = rz / pAp
         x += np.multiply(p, alpha, out=work)
         if k % CG_REFRESH == 0:
@@ -167,5 +167,4 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
 
     raise ConvergenceFailure(
         f"conjugate gradient stalled after {max_iter} iterations "
-        f"(backward error {err:.3e}, target {rtol:.3e})",
-        residual=err)
+        f"(backward error {err:.3e}, target {rtol:.3e})")

@@ -61,7 +61,8 @@ def _plate_inverse_iteration(grid: Grid) -> tuple[float, np.ndarray]:
     else:
         raise ConvergenceFailure(
             f"inverse iteration for biharmonic eigenpair did not settle "
-            f"in {_EIGEN_MAX_OUTER} sweeps", residual=best_res / lam)
+            f"in {_EIGEN_MAX_OUTER} sweeps (relative residual "
+            f"{best_res / lam:.3e})")
 
     x = best_x
     i = int(np.argmax(np.abs(x)))

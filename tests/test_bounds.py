@@ -189,10 +189,10 @@ def test_thm32_needs_positive_energy(grid48, params, consts48):
     assert "needs E(0) > 0" in chain32.note
 
 
-def test_thm33_on_negative_energy(grid48, params, consts48):
+def test_thm33_on_negative_energy(grid48, params):
     data = preset("negative_energy", grid48, params)
     snap, corr = state(grid48, data, params)
-    chain33 = thm33_upper(grid48, snap, corr, params, consts48)
+    chain33 = thm33_upper(grid48, snap, corr, params)
     assert chain33.applicable
     # alpha = min((p-r)/((p+1)r), (p-1)/(2(p+1)), gamma/(gamma+1))
     assert chain33.alpha == pytest.approx(0.125, rel=1e-14)
@@ -200,10 +200,9 @@ def test_thm33_on_negative_energy(grid48, params, consts48):
     assert chain33.T_upper > 0.0
 
 
-def test_thm33_needs_negative_energy(grid48, params, consts48):
+def test_thm33_needs_negative_energy(grid48, params):
     bump = preset("sine_bump", grid48, params, amplitude=0.1)
-    chain33 = thm33_upper(grid48, *state(grid48, bump, params), params,
-                          consts48)
+    chain33 = thm33_upper(grid48, *state(grid48, bump, params), params)
     assert not chain33.applicable
 
 
@@ -375,7 +374,7 @@ def test_lower_bounds_merge_both_results_in_order():
     r34 = Thm34Result(F0=1.0, varpi=2.0, K1=3.0, K2=4.0,
                       T_lower_34_truncated=5.0, T_lower_34_with_tail=6.0)
     r35 = Thm35Result(G0=7.0, C_eff=8.0, T_lower_35=9.0)
-    merged = LowerBounds.from_parts(r34, r35)
+    merged = LowerBounds(**vars(r34), **vars(r35))
     assert list(vars(merged)) == [*vars(r34), *vars(r35)]
     assert list(vars(merged).values()) == [float(k) for k in range(1, 10)]
 

@@ -57,6 +57,17 @@ dt_min = 1e-9
     ("M_safety = 1.0", "M_safety must exceed 1"),
     ("blow_threshold = 1e4", "beyond the run's reach"),
     ("extent = 0.5\nblow_threshold = 1e8", "beyond the run's reach"),
+    # non-finite numbers are malformed values, caught at their line
+    ("p = inf", "line 1: bad value"),
+    ("N = 16\nextent = inf", "line 2: bad value"),
+    ("amplitude = inf", "line 1: bad value"),
+    ("dt_max = inf", "line 1: bad value"),
+    ("dt_min = -inf", "line 1: bad value"),
+    ("beta = inf", "line 1: bad value"),
+    ("mu = inf", "line 1: bad value"),
+    ("mu = 1e400", "line 1: bad value"),
+    ("thresholds = 1e2, 1e3, inf", "line 1: bad value"),
+    ("seed = -1", "seed must be non-negative"),
 ])
 def test_parse_rejects(line, frag):
     with pytest.raises(ConfigError, match=frag):
@@ -131,6 +142,11 @@ def test_sweep_rejects():
         parse_sweep_config("sweep.thresholds = 1, 2, 3")
     with pytest.raises(ConfigError, match="duplicate sweep key"):
         parse_sweep_config("sweep.p = 3\nsweep.p = 4")
+    with pytest.raises(ConfigError, match="line 2: bad value '3, inf' for "
+                       "sweep key 'p'"):
+        parse_sweep_config("N = 16\nsweep.p = 3, inf")
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        parse_sweep_config("sweep.seed = 0, -1")
     # every cell is validated at parse time
     with pytest.raises(ConfigError, match="1 <= r < p"):
         parse_sweep_config("sweep.r = 1.0, 99.0")

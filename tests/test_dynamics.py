@@ -227,7 +227,7 @@ def test_fixed_step_overflow_ends_in_solver_failure(monkeypatch, dim,
                                                     dt_max, amplitude):
     """A fixed-step run past the blow-up overflows.  It must end as a
     solver failure: no exception escapes, and rejected attempts, which
-    do not count against max_steps, cannot repeat forever (a bound on
+    do not count against MAX_STEPS, cannot repeat forever (a bound on
     the attempts turns such a loop into a failure here)."""
     from beamblow import dynamics
 
@@ -243,8 +243,8 @@ def test_fixed_step_overflow_ends_in_solver_failure(monkeypatch, dim,
         return step(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "step", bounded_step)
-    controls = StepControls(dt_max=dt_max, residual_target=math.inf,
-                            max_steps=20_000)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 20_000)
+    controls = StepControls(dt_max=dt_max, residual_target=math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         traj = simulate(g, prm, amplitude * data.u0, data.u1, controls,
                         t_max=5.0, blow_threshold=1e300)

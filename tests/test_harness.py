@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import beamblow.cli as cli
+import beamblow.dynamics as dynamics
 import beamblow.harness as harness
 from beamblow import (
     ConfigError,
@@ -14,7 +15,6 @@ from beamblow import (
     ConvergenceFailure,
     RunConfig,
     SolverFailure,
-    StepControls,
     SweepConfig,
     parse_config,
     run,
@@ -371,8 +371,7 @@ def test_cli_simulate_and_bounds(tmp_path, capsys):
 
 def test_cli_bounds_fails_when_the_run_failed(tmp_path, capsys,
                                               monkeypatch):
-    monkeypatch.setattr(RunConfig, "step_controls",
-                        lambda self: StepControls(max_steps=3))
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 3)
     cfg = tmp_path / "run.txt"
     cfg.write_text(serialize_config(QUIET))
     assert main(["simulate", "--config", str(cfg), "--out",
@@ -473,6 +472,19 @@ def test_cli_spectra(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "constants.lam1_bih" in captured.out
     assert (out / "spectra.txt").exists()
+
+
+def test_cli_spectra_refuses_a_negative_seed(tmp_path, capsys):
+    # numpy's generator takes no negative seed; the parser refuses it
+    # before any constant is computed or any output is written
+    cfg = tmp_path / "run.txt"
+    cfg.write_text("N = 16\nseed = -1\n")
+    out = tmp_path / "spec"
+    assert main(["spectra", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_construct_refuses_an_infeasible_growth_chain(tmp_path, capsys,

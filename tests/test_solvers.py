@@ -68,7 +68,7 @@ def test_plate_minus_squared_laplacian_is_low_rank_psd_in_2d(n):
     assert np.count_nonzero(eig > tol) <= 4 * n
 
 
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("dim,n", [(2, 32)])
 @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0])
 def test_sine_solve_inverts_the_shifted_laplacian(dim, n, c):
     g = make_grid(dim, n)
