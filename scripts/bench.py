@@ -24,10 +24,10 @@ one command, ``python ARGS``:
   * ``tier1``: the side's tier-1 suite, ``python -m pytest -q
     --continue-on-collection-errors`` run in that side's checkout (the
     directory above its ``src``), so each side runs its own tests;
-  * ``2d_forms``: this script's ``--measure N``, the exact solves of
-    the fixed forms ``lap`` (B) and ``H`` (B - L) of the 2D embedding
-    sweeps at N = 64, 96 and 128, one process per N, printing for each
-    form its set-up time (``GridOperators.form``, after the stencil
+  * ``2d_forms``: this script's ``--measure 2d_forms N``, the exact
+    solves of the fixed forms ``lap`` (B) and ``H`` (B - L) of the 2D
+    embedding sweeps at N = 64, 96 and 128, one process per N, printing
+    for each form its set-up time (``GridOperators.form``, after the stencil
     matrices are built; the first form's set-up also builds the sine
     matrix when it uses one), the median microseconds per solve over
     repeated solves of one right-hand side, and ``factor_bytes``: the
@@ -35,7 +35,14 @@ one command, ``python ARGS``:
     directly or inside tuples, less the grid's sine matrix, which every
     form shares.  So it counts what the form owns: for the capacitance
     solve, the inverse of the capacitance matrix, the symbols of its
-    sine-diagonal part and the end rows of the sine matrix.
+    sine-diagonal part and the end rows of the sine matrix;
+  * ``energy_levels``: this script's ``--measure energy_levels 96``,
+    the energy-level constructions of the benchmark's ``constants_2d``
+    workload at 2D N = 96: for each of its source exponents, its ladder
+    of levels (seed 1) and its preset's level, each with the weight B
+    of the growth chain.  It prints the median milliseconds per
+    ``construct_energy_level`` and ``field_probes``, the number of
+    full-field potential evaluations the constructions make in all.
 
 One runner, ``measure``, times them all.  Every repetition of every run
 is a fresh process with the side's ``src`` on PYTHONPATH, timed from
@@ -46,10 +53,11 @@ measured values are the wall time ``wall_s``, the stage times of a
 simulate run's timing.txt (``timing.constants_s``, ``timing.data_s``,
 ``timing.simulate_s``, ``timing.step_s``, ``timing.diagnostics_s`` and
 ``timing.bounds_s``; a side whose runs write no timing.txt has none)
-and the numbers a ``--measure`` run prints; each side reports the
-median and quartiles of each, with every run.  The counts are read
-from a simulate run's report.txt (``REPORT_KEYS``) and are a form's
-``factor_bytes``; they must be equal on every repetition of a side.
+and the ``measured`` numbers a ``--measure`` run prints; each side
+reports the median and quartiles of each, with every run.  The counts
+are read from a simulate run's report.txt (``REPORT_KEYS``) and are the
+``counts`` a ``--measure`` run prints; they must be equal on every
+repetition of a side.
 With ``--before`` each simulate run adds the relative change of
 ``T_num`` between the sides.
 
@@ -83,7 +91,7 @@ class Run(NamedTuple):
     runs the command in the side's checkout instead of a scratch
     directory; ``T_star`` is a reference blow-up time for ``T_num``;
     ``prints_json`` marks a command whose last line of output is a JSON
-    object of measured values and ``factor_bytes`` counts."""
+    object with the keys ``measured`` and ``counts``."""
 
     args: tuple[str, ...]
     config: str | None = None
@@ -97,8 +105,9 @@ def simulate(config: str, T_star: float | None = None) -> Run:
                 "--out", "out"), config, T_star=T_star)
 
 
-def forms(n: int) -> Run:
-    return Run((str(Path(__file__).resolve()), "--measure", str(n)),
+def measure_run(case: str, n: int) -> Run:
+    """This script's ``--measure case n`` in a fresh process."""
+    return Run((str(Path(__file__).resolve()), "--measure", case, str(n)),
                prints_json=True)
 
 
@@ -113,10 +122,11 @@ CASES = {
     "tier1": {"suite": Run(("-m", "pytest", "-q",
                             "--continue-on-collection-errors"),
                            in_root=True)},
-    "2d_forms": {str(n): forms(n) for n in FORMS_N},
+    "2d_forms": {str(n): measure_run("2d_forms", n) for n in FORMS_N},
+    "energy_levels": {"96": measure_run("energy_levels", 96)},
 }
 REPEATS = {"startup": 11, "run_1d": 11, "run_2d": 5, "verify": 5, "tier1": 5,
-           "2d_forms": 11}
+           "2d_forms": 11, "energy_levels": 11}
 # the keys of a simulate run's report.txt that the runner reads
 REPORT_KEYS = ("run.termination", "run.n_steps", "run.attempts",
                "run.newton_iters", "run.linear_solves", "run.cg_iters",
@@ -166,8 +176,9 @@ def run_once(run: Run, src: Path) -> tuple[dict, dict]:
             if timing.exists():
                 measured.update(read_items(timing))
     if run.prints_json:
-        for key, value in json.loads(proc.stdout.splitlines()[-1]).items():
-            (counts if key.endswith("factor_bytes") else measured)[key] = value
+        printed = json.loads(proc.stdout.splitlines()[-1])
+        measured.update(printed["measured"])
+        counts.update(printed["counts"])
     return measured, counts
 
 
@@ -238,10 +249,10 @@ def closure_bytes(fn, shared=()) -> int:
     return sum(size(cell.cell_contents) for cell in fn.__closure__ or ())
 
 
-def measure_forms(n: int) -> dict:
-    """Set-up time, median microseconds per solve and factor bytes of
-    the forms ``lap`` and ``H`` at 2D N = ``n``, the first work of the
-    process after the stencil matrices."""
+def measure_forms(n: int) -> tuple[dict, dict]:
+    """Set-up time and median microseconds per solve, and factor bytes
+    as counts, of the forms ``lap`` and ``H`` at 2D N = ``n``, the first
+    work of the process after the stencil matrices."""
     import numpy as np
 
     import beamblow as bb
@@ -251,7 +262,7 @@ def measure_forms(n: int) -> dict:
     ops = operators(grid)
     ops.B, ops.L  # assembled outside the forms' set-up time
     rhs = np.random.default_rng(n).standard_normal(grid.size)
-    result = {}
+    result, counts = {}, {}
     for name in ("lap", "H"):
         start = time.perf_counter()
         _, solve = ops.form(name)
@@ -263,8 +274,49 @@ def measure_forms(n: int) -> dict:
             solve(rhs)
             us.append(1e6 * (time.perf_counter() - start))
         result[f"{name}.us_per_solve"] = statistics.median(us)
-        result[f"{name}.factor_bytes"] = closure_bytes(solve, (ops.sine,))
-    return result
+        counts[f"{name}.factor_bytes"] = closure_bytes(solve, (ops.sine,))
+    return result, counts
+
+
+def measure_energy_levels(n: int) -> tuple[dict, dict]:
+    """Median milliseconds per ``construct_energy_level`` over the
+    levels of the ``constants_2d`` workload at 2D N = ``n``, and the
+    full-field potential evaluations they make in all as a count."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from dataclasses import replace
+
+    import workloads
+
+    import beamblow as bb
+    import beamblow.scenarios as scenarios
+
+    workload = workloads.WORKLOADS["constants_2d"]
+    cfg = bb.parse_config(workloads.config_text(
+        {**workloads.CONSTANTS_2D, "N": n}))
+    grid = cfg.grid()
+    factors, preset_R = workload.ladder(1)
+    probes = [0]
+    field_J = scenarios.potential_J
+
+    def counted_J(*args):
+        probes[0] += 1
+        return field_J(*args)
+
+    scenarios.potential_J = counted_J
+    ms = []
+    for p in workload.ps:
+        params = replace(cfg, p=p).model_params()
+        consts = bb.compute_constants(grid, params)
+        B = bb.thm31_constants(params, consts.B1).B
+        for R in [f * consts.depth for f in factors] + [preset_R]:
+            start = time.perf_counter()
+            bb.construct_energy_level(grid, params, R, B)
+            ms.append(1e3 * (time.perf_counter() - start))
+    return ({"ms_per_level": statistics.median(ms)},
+            {"field_probes": probes[0]})
+
+
+MEASURES = {"2d_forms": measure_forms, "energy_levels": measure_energy_levels}
 
 
 def machine() -> dict:
@@ -287,10 +339,13 @@ def main() -> int:
                     help="run only this case (default: every case)")
     ap.add_argument("--out-dir", type=Path, default=ROOT,
                     help="where BENCH_<case>.json is written")
-    ap.add_argument("--measure", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--measure", nargs=2, metavar=("CASE", "N"),
+                    help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure is not None:
-        print(json.dumps(measure_forms(args.measure)))
+        case, n = args.measure
+        values, counts = MEASURES[case](int(n))
+        print(json.dumps({"measured": values, "counts": counts}))
         return 0
 
     import numpy

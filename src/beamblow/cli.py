@@ -123,7 +123,7 @@ def _cmd_construct(args) -> int:
         f"energy_gap = {fmt(snap.E - config.energy_R)}",
         f"inner_u0_u1 = {fmt(corr)}",
         f"B = {fmt(B)}",
-        f"correlation_margin = {fmt(corr - B * snap.E)}",
+        f"correlation_margin = {fmt(corr - B * config.energy_R)}",
     ]
     print("\n".join(lines))
     out.mkdir(parents=True, exist_ok=True)

@@ -207,7 +207,7 @@ def _parse_items(items) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             overrides[key] = _PARSERS[key](value)
-        except (ValueError, OverflowError):
+        except ValueError:
             raise ConfigError(
                 f"line {lineno}: bad value {value!r} for key {key!r}") from None
     cfg = RunConfig(**overrides)
@@ -241,7 +241,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ConfigError(f"line {lineno}: thresholds cannot be swept")
         try:
             axes[name] = _parse_list(value, _PARSERS[name])
-        except (ValueError, OverflowError):
+        except ValueError:
             raise ConfigError(
                 f"line {lineno}: bad value {value!r} for sweep key {name!r}") from None
     base = _parse_items(base_items)

@@ -6,8 +6,16 @@ which are sine modes known in closed form.
 The radial amplitude r1 is pushed out until the single-mode energy
 chi(r1) drops below the requested level R while the correlation
 inner(u0, u1) = r1^2 clears B*R; the second mode then tops the energy
-up to R exactly.  Every amplitude search is a geometric walk, then
-bisection to adjacent floats, so the construction is bit-for-bit
+up to R.  The search for r1 (a geometric walk, then bisection to
+adjacent floats) runs on chi as a closed form in r1, from the three
+norms of v1; the fields only confirm the result, and r2 and J(u0) come
+from the fields, so E(0) lands on R to the rounding of the field
+energy.  Near its crossing, chi on the fields is rounding noise about
+1e-12 relative wide: regula falsi (Illinois) on the fields was tried
+and stopped 50 to 4000 ulps from the closed-form crossing after 13 to
+24 field evaluations, where the confirmation takes 1 to 6.  The zero-potential
+amplitude of ``negative_energy`` is still bisected on the fields.
+Every search is deterministic, so the data are bit-for-bit
 reproducible.
 """
 
@@ -19,7 +27,7 @@ import numpy as np
 
 from .bounds import _boundary, _walk, thm31_constants
 from .errors import ConstructionFailure
-from .functionals import ModelParams, potential_J
+from .functionals import ModelParams, _parts, _power, potential_J
 from .mesh import Grid, inner, norm_l2
 from .operators import operators
 from .spectra import smallest_eigen
@@ -66,12 +74,23 @@ def chi(r1: float, grid: Grid, v1: np.ndarray, params: ModelParams) -> float:
 
 def construct_energy_level(grid: Grid, params: ModelParams, R: float,
                            B: float) -> InitialData:
-    """Blow-up data with E(0) = R exactly and inner(u0, u1) > B*R.
+    """Blow-up data with E(0) = R, to the rounding of the field energy,
+    and inner(u0, u1) > B*R.
 
-    Doubles r1 from 1 until chi(r1) < R and r1^2 > B*R both hold, then
-    bisects inside the final power-of-two bracket down to adjacent
-    floats, keeping the admissible end.  The second-mode amplitude r2
-    solves the quadratic that lands the assembled energy on R.
+    r1 is the first admissible amplitude, chi(r1) < R and
+    r1^2 ||v1||^2 > B*R, of a doubling walk from 1 and a bisection of
+    its last power-of-two bracket down to adjacent floats.  The search
+    runs on chi in closed form,
+        chi(r1) = r1^2/2 (||v1||^2 + G1 + Bq1)
+                  + beta/(2(gamma+1)) (r1^2 G1)^(gamma+1)
+                  - r1^(p+1) F1/(p+1),
+    with G1, Bq1 and F1 the parts of v1, taken once from the field.
+    The fields then confirm r1: u0 = r1 v1 must pass both tests, and
+    with the second-mode amplitude r2, which solves the quadratic that
+    lands the field energy on R, inner(u0, u1) must exceed B*R, which
+    the rounding of r1 r2 inner(v1, v2) breaks at large R.  Until they
+    pass, r1 moves outward by a relative step that doubles from 2^-44;
+    past 2^-20 the construction fails.
     """
     if B <= 0.0:
         raise ConstructionFailure("energy weight B must be positive")
@@ -79,9 +98,15 @@ def construct_energy_level(grid: Grid, params: ModelParams, R: float,
     l2_v1_sq = norm_l2(grid, v1) ** 2
     l2_v2_sq = norm_l2(grid, v2) ** 2
     cross = inner(grid, v1, v2)
+    G1, Bq1, F1 = _parts(grid, v1, params)
+    p1, g1 = params.p + 1.0, params.gamma + 1.0
 
     def admissible(r1: float) -> bool:
-        return chi(r1, grid, v1, params) < R and r1 * r1 * l2_v1_sq > B * R
+        r_sq = r1 * r1
+        chi_r1 = (0.5 * r_sq * (l2_v1_sq + G1 + Bq1)
+                  + params.beta / (2.0 * g1) * _power(r_sq * G1, g1)
+                  - _power(r1, p1) * F1 / p1)
+        return chi_r1 < R and r_sq * l2_v1_sq > B * R
 
     hi, found = _walk(admissible, 1.0, 2.0, 61)
     if not found:
@@ -89,16 +114,37 @@ def construct_energy_level(grid: Grid, params: ModelParams, R: float,
             f"no admissible amplitude below 2^60 for R = {R}")
     r1 = _boundary(admissible, hi, 0.5 * hi)
 
-    u0 = r1 * v1
-    J0 = potential_J(grid, u0, params)
-    # E(0) = ||r1 v1 + r2 v2||^2 / 2 + J(u0) = R, solved for r2 > 0
-    b_lin = 2.0 * r1 * cross
-    c_const = r1**2 * l2_v1_sq - 2.0 * (R - J0)
-    disc = b_lin**2 - 4.0 * l2_v2_sq * c_const
-    if disc <= 0.0:
-        raise ConstructionFailure("second-mode amplitude has no real solution")
-    r2 = (-b_lin + np.sqrt(disc)) / (2.0 * l2_v2_sq)
-    return InitialData(u0=u0, u1=r1 * v1 + r2 * v2)
+    def confirmed(r1: float) -> InitialData | None:
+        """The data at r1, or None when the fields miss a test; the
+        test that costs nothing first."""
+        if not r1 * r1 * l2_v1_sq > B * R:
+            return None
+        u0 = r1 * v1
+        J0 = potential_J(grid, u0, params)
+        if not 0.5 * r1**2 * l2_v1_sq + J0 < R:  # chi(r1), sharing J0
+            return None
+        # E(0) = ||r1 v1 + r2 v2||^2 / 2 + J(u0) = R, solved for r2 > 0
+        b_lin = 2.0 * r1 * cross
+        c_const = r1**2 * l2_v1_sq - 2.0 * (R - J0)
+        disc = b_lin**2 - 4.0 * l2_v2_sq * c_const
+        if not disc > 0.0:
+            return None
+        r2 = (-b_lin + np.sqrt(disc)) / (2.0 * l2_v2_sq)
+        u1 = r1 * v1 + r2 * v2
+        if not inner(grid, u0, u1) > B * R:
+            return None
+        return InitialData(u0=u0, u1=u1)
+
+    step = 2.0**-44
+    while step <= 2.0**-20:
+        data = confirmed(r1)
+        if data is not None:
+            return data
+        r1 *= 1.0 + step
+        step *= 2.0
+    raise ConstructionFailure(
+        f"the fields at r1 = {r1} still miss chi < R or inner(u0, u1) > "
+        f"B*R for R = {R}")
 
 
 def _negative_energy_amplitude(grid: Grid, params: ModelParams,

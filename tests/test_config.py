@@ -68,6 +68,8 @@ dt_min = 1e-9
     ("mu = 1e400", "line 1: bad value"),
     ("thresholds = 1e2, 1e3, inf", "line 1: bad value"),
     ("seed = -1", "seed must be non-negative"),
+    # int() of a literal over the digit limit raises ValueError
+    ("seed = " + "9" * 5000, "line 1: bad value"),
 ])
 def test_parse_rejects(line, frag):
     with pytest.raises(ConfigError, match=frag):

@@ -514,6 +514,7 @@ def test_cli_construct(tmp_path, capsys):
     assert "energy_R = -5" in text
     items = dict(line.split(" = ", 1) for line in text.splitlines() if line)
     assert abs(float(items["E0"]) + 5.0) < 1e-9
+    assert float(items["correlation_margin"]) > 0.0
     assert (out / "u0.csv").exists() and (out / "u1.csv").exists()
 
 

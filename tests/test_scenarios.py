@@ -6,8 +6,10 @@ import pytest
 import beamblow.scenarios as scenarios
 from beamblow import (
     ConstructionFailure,
+    ModelParams,
     PRESET_NAMES,
     chi,
+    compute_constants,
     construct_energy_level,
     eigen_pair_basis,
     inner,
@@ -117,7 +119,69 @@ def test_construct_energy_level_probe_count(grid48, params, consts48,
     B = thm31_constants(params, consts48.B1).B
     calls = counted_J(monkeypatch)
     construct_energy_level(grid48, params, 3.0 * consts48.depth, B)
-    assert len(calls) == 61
+    assert len(calls) == 2
+
+
+def amplitude_of(grid, u0):
+    """The float r1 with r1 * v1 == u0 exactly, v1 the first mode."""
+    v1, _ = eigen_pair_basis(grid)
+    k = int(np.argmax(np.abs(v1)))
+    r = u0[k] / v1[k]
+    for _ in range(4):
+        r = np.nextafter(r, -np.inf)
+    for _ in range(9):
+        if np.array_equal(r * v1, u0):
+            return float(r), v1
+        r = np.nextafter(r, np.inf)
+    raise AssertionError("u0 is no multiple of v1")
+
+
+@pytest.mark.parametrize("n,p,r1_magnitude", [(48, 3.0, None),
+                                              (128, 2.2, 1.29e7)])
+def test_construct_energy_level_amplitude_sits_at_the_field_changeover(
+        n, p, r1_magnitude):
+    # the amplitude is searched on the closed form of chi; on the field
+    # it must still be the first admissible one to 1e-9
+    grid = make_grid(1, n)
+    params = ModelParams(p=p, r=2.0, gamma=0.5, beta=1.0)
+    consts = compute_constants(grid, params)
+    B = thm31_constants(params, consts.B1).B
+    R = 3.0 * consts.depth
+    r1, v1 = amplitude_of(grid, construct_energy_level(grid, params, R,
+                                                       B).u0)
+
+    def admissible(r):
+        return (chi(r, grid, v1, params) < R
+                and r * r * norm_l2(grid, v1) ** 2 > B * R)
+
+    assert admissible(r1)
+    assert not admissible(r1 * (1.0 - 1e-9))
+    if r1_magnitude is not None:
+        assert r1 == pytest.approx(r1_magnitude, rel=1e-2)
+
+
+def test_construct_energy_level_keeps_the_correlation_at_a_large_level():
+    # at R = 1e6 the first admissible r1 clears B*R by one rounding of
+    # r1^2 ||v1||^2, less than the rounding of r1 r2 inner(v1, v2)
+    grid = make_grid(1, 128)
+    params = ModelParams(p=6.0, r=2.0, gamma=0.5, beta=1.0)
+    B = scenarios.growth_weight(grid, params)
+    data = construct_energy_level(grid, params, 1e6, B)
+    assert inner(grid, data.u0, data.u1) > B * 1e6
+
+
+def test_construct_energy_level_fails_when_the_field_never_admits(
+        grid48, params, consts48, monkeypatch):
+    B = thm31_constants(params, consts48.B1).B
+    calls = []
+
+    def J(*args):
+        calls.append(args)
+        return np.inf
+    monkeypatch.setattr(scenarios, "potential_J", J)
+    with pytest.raises(ConstructionFailure, match="still miss"):
+        construct_energy_level(grid48, params, 3.0 * consts48.depth, B)
+    assert len(calls) == 25
 
 
 def test_negative_energy_probe_count(params, monkeypatch):

@@ -162,7 +162,7 @@ def test_bench_runner_reads_timing_txt_when_the_side_writes_it(tmp_path):
 
 def test_bench_forms_row_keeps_factor_bytes_as_a_count():
     bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
-    result = bench.measure({"16": bench.forms(16)},
+    result = bench.measure({"16": bench.measure_run("2d_forms", 16)},
                            {"after": ROOT / "src"}, 1)["after"]["16"]
     for form in ("lap", "H"):
         assert result[f"{form}.factor_bytes"] > 0
@@ -171,6 +171,17 @@ def test_bench_forms_row_keeps_factor_bytes_as_a_count():
     assert set(result) == {"wall_s"} | {
         f"{form}.{key}" for form in ("lap", "H")
         for key in ("setup_ms", "us_per_solve", "factor_bytes")}
+
+
+def test_bench_energy_levels_row_keeps_the_field_probes_as_a_count():
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    result = bench.measure({"16": bench.measure_run("energy_levels", 16)},
+                           {"after": ROOT / "src"}, 2)["after"]["16"]
+    assert set(result) == {"wall_s", "ms_per_level", "field_probes"}
+    # 3 source exponents times 7 levels, at least one probe each
+    assert result["field_probes"] >= 21
+    assert len(result["ms_per_level"]["runs"]) == 2
+    assert min(result["ms_per_level"]["runs"]) > 0.0
 
 
 def test_closure_bytes_leave_out_shared_arrays():
