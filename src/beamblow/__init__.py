@@ -22,13 +22,14 @@ from .errors import (BeamblowError, ConfigError, ConstructionFailure,
                      ConvergenceFailure, NewtonFailure, SolverFailure)
 from .functionals import (FunctionalSnapshot, ModelParams, classify,
                           kirchhoff, lemma21_verdict, nehari_from_parts,
-                          potential_J, potential_from_parts, snapshot)
+                          potential_J, potential_from_parts, ray_energy,
+                          snapshot)
 from .harness import (RunArtifacts, SuiteResult, VerifyReport, evaluate,
                       run, sweep, verify, write_artifacts)
 from .mesh import (Grid, biharmonic_matrix, grad_norm_sq, inner, lap_norm_sq,
                    laplacian_matrix, make_grid, max_norm, norm_l2, norm_lq)
-from .scenarios import (InitialData, PRESET_NAMES, chi,
-                        construct_energy_level, eigen_pair_basis, preset)
+from .scenarios import (InitialData, PRESET_NAMES, construct_energy_level,
+                        eigen_pair_basis, preset)
 from .spectra import (VariationalConstants, compute_constants,
                       embedding_constant, smallest_eigen, well_depth)
 

@@ -116,11 +116,15 @@ def _cmd_construct(args) -> int:
     B = growth_weight(grid, params)
     data = construct_energy_level(grid, params, config.energy_R, B)
     snap = snapshot(grid, data.u0, data.u1, params)
+    # the sum of the magnitudes of E(0)'s terms, which its rounding scales
+    G, g1, p1 = snap.grad_u_sq, params.gamma + 1.0, params.p + 1.0
+    terms = (0.5 * (snap.l2_v**2 + G + snap.lap_u_sq)
+             + params.beta / (2.0 * g1) * G**g1 + snap.lp1_u**p1 / p1)
     corr = inner(grid, data.u0, data.u1)
     lines = [
         f"energy_R = {fmt(config.energy_R)}",
         f"E0 = {fmt(snap.E)}",
-        f"energy_gap = {fmt(snap.E - config.energy_R)}",
+        f"energy_gap_over_terms = {fmt((snap.E - config.energy_R) / terms)}",
         f"inner_u0_u1 = {fmt(corr)}",
         f"B = {fmt(B)}",
         f"correlation_margin = {fmt(corr - B * config.energy_R)}",

@@ -407,17 +407,15 @@ class ThresholdCrossing:
 class BlowupEstimate:
     """Numerical blow-up time from the blow-up law.
 
-    ``detected`` means the top threshold was crossed.  ``coarse`` marks
-    estimates that fall back to the last crossing time because the tail
-    held fewer than five samples or did not grow at its end; those
-    carry infinite uncertainty.
+    ``detected`` means the top threshold was crossed.  An estimate that
+    falls back to the last crossing time (a tail of fewer than five
+    samples, or one that stopped growing) has infinite uncertainty.
     """
 
     detected: bool
     T_num: float | None
     uncertainty: float
     crossings: tuple[ThresholdCrossing, ...]
-    coarse: bool
 
 
 def detect_blowup(times: np.ndarray, values: np.ndarray,
@@ -433,7 +431,7 @@ def detect_blowup(times: np.ndarray, values: np.ndarray,
     first crossing of the lowest threshold onward) meets zero; the
     reported uncertainty is the gap between T_num and the top observed
     crossing.  A tail of fewer than five samples, or one whose last
-    sample does not grow, gives the coarse estimate.  Blow-up counts as
+    sample does not grow, falls back to the top crossing.  Blow-up counts as
     detected only if the highest threshold was crossed.
     """
     times = np.asarray(times, dtype=float)
@@ -469,8 +467,7 @@ def detect_blowup(times: np.ndarray, values: np.ndarray,
     detected = bool(crossings) and crossings[-1].threshold == thresholds[-1]
     if not crossings:
         return BlowupEstimate(detected=False, T_num=None,
-                              uncertainty=np.inf, crossings=crossings,
-                              coarse=True)
+                              uncertainty=np.inf, crossings=crossings)
 
     i0 = int(np.nonzero(values >= thresholds[0])[0][0])
     keep = values[i0:] > 0
@@ -482,12 +479,10 @@ def detect_blowup(times: np.ndarray, values: np.ndarray,
     if len(t_tail) < 5 or not y[0] > y[1]:
         return BlowupEstimate(detected=detected,
                               T_num=crossings[-1].t_cross,
-                              uncertainty=np.inf, crossings=crossings,
-                              coarse=True)
+                              uncertainty=np.inf, crossings=crossings)
 
     (t0, t1), (y0, y1) = t_tail[-2:], y
     T_num = float(t1 + y1 * (t1 - t0) / (y0 - y1))
     uncertainty = abs(T_num - crossings[-1].t_cross)
     return BlowupEstimate(detected=detected, T_num=T_num,
-                          uncertainty=uncertainty, crossings=crossings,
-                          coarse=False)
+                          uncertainty=uncertainty, crossings=crossings)

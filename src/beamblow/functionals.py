@@ -108,6 +108,23 @@ def potential_from_parts(G: float, Bq: float, F: float,
             - F / (params.p + 1.0))
 
 
+def ray_energy(grid: Grid, u: np.ndarray, params: ModelParams,
+               m: float = 0.0):
+    """s -> E(s u, s w), ||w||^2 = m, from the parts of u (checked once):
+    s^2/2 (m + G + Bq) + beta/(2(gamma+1)) (s^2 G)^(gamma+1)
+    - s^(p+1) F/(p+1), inf where a power overflows.  At m = 0 it is
+    s -> J(s u), for searches along a ray that never touch the field."""
+    G, Bq, F = _parts(grid, u, params)
+    p1, g1 = params.p + 1.0, params.gamma + 1.0
+    stiff = params.beta / (2.0 * g1)
+
+    def energy(s: float) -> float:
+        s_sq = s * s
+        return (0.5 * s_sq * (m + G + Bq) + stiff * _power(s_sq * G, g1)
+                - _power(s, p1) * F / p1)
+    return energy
+
+
 def nehari_from_parts(G: float, Bq: float, F: float,
                       params: ModelParams) -> float:
     return G + Bq + params.beta * _power(G, params.gamma + 1.0) - F

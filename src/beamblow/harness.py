@@ -341,10 +341,7 @@ def _suite_lemma21(n_fields: int = 200) -> tuple[bool, str]:
     taper = np.sin(np.pi * grid.axis_coords() / grid.extent)**2
     for _ in range(n_fields):
         u = rng.standard_normal(grid.size) * taper
-
-        def J_at(s: float) -> float:
-            return functionals.potential_J(grid, s * u, params)
-
+        J_at = functionals.ray_energy(grid, u, params)
         # walk down the ray into the well, then test a random point of it
         s_hi, _ = _walk(lambda s: J_at(s) <= depth, 1.0, 0.7, 200)
         # and up the ray: through the barrier, onto the outer branch

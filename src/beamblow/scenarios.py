@@ -4,19 +4,18 @@ The two-mode construction builds data u0 = r1 v1, u1 = r1 v1 + r2 v2
 on the first two Dirichlet eigenfields of the (negative) Laplacian,
 which are sine modes known in closed form.
 The radial amplitude r1 is pushed out until the single-mode energy
-chi(r1) drops below the requested level R while the correlation
+E(r1 v1, r1 v1) drops below the requested level R while the correlation
 inner(u0, u1) = r1^2 clears B*R; the second mode then tops the energy
-up to R.  The search for r1 (a geometric walk, then bisection to
-adjacent floats) runs on chi as a closed form in r1, from the three
-norms of v1; the fields only confirm the result, and r2 and J(u0) come
-from the fields, so E(0) lands on R to the rounding of the field
-energy.  Near its crossing, chi on the fields is rounding noise about
-1e-12 relative wide: regula falsi (Illinois) on the fields was tried
-and stopped 50 to 4000 ulps from the closed-form crossing after 13 to
-24 field evaluations, where the confirmation takes 1 to 6.  The zero-potential
-amplitude of ``negative_energy`` is still bisected on the fields.
-Every search is deterministic, so the data are bit-for-bit
-reproducible.
+up to R.  Every amplitude search here (a geometric walk, then bisection
+to adjacent floats) runs on ``functionals.ray_energy``, the energy
+along a ray in closed form; the fields only confirm the result, and in
+the construction r2 and J(u0) come from the fields, so E(0) lands on R
+to the rounding of the field energy.  Near its crossing, the
+single-mode energy on the fields is rounding noise about 1e-12 relative
+wide: regula falsi (Illinois) on the fields was tried and stopped 50 to
+4000 ulps from the closed-form crossing after 13 to 24 field
+evaluations, where the confirmation takes 1 to 6.  Every search is
+deterministic, so the data are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .bounds import _boundary, _walk, thm31_constants
 from .errors import ConstructionFailure
-from .functionals import ModelParams, _parts, _power, potential_J
+from .functionals import ModelParams, potential_J, ray_energy
 from .mesh import Grid, inner, norm_l2
 from .operators import operators
 from .spectra import smallest_eigen
@@ -60,31 +59,17 @@ def eigen_pair_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return v1, v2
 
 
-def chi(r1: float, grid: Grid, v1: np.ndarray, params: ModelParams) -> float:
-    """Single-mode energy of the pair (r1 v1, r1 v1).
-
-    Equals r1^2/2 (||v1||^2 + ||grad v1||^2 + ||lap v1||^2)
-    + beta r1^{2(gamma+1)}/(2(gamma+1)) ||grad v1||^{2(gamma+1)}
-    - r1^{p+1}/(p+1) ||v1||_{p+1}^{p+1}, evaluated through the same
-    discrete norms as the energy functional so that assembled data
-    reproduce the requested level without cancellation error.
-    """
-    return 0.5 * r1**2 * norm_l2(grid, v1) ** 2 + potential_J(grid, r1 * v1, params)
-
-
 def construct_energy_level(grid: Grid, params: ModelParams, R: float,
                            B: float) -> InitialData:
     """Blow-up data with E(0) = R, to the rounding of the field energy,
     and inner(u0, u1) > B*R.
 
-    r1 is the first admissible amplitude, chi(r1) < R and
+    r1 is the first admissible amplitude, E(r1 v1, r1 v1) < R and
     r1^2 ||v1||^2 > B*R, of a doubling walk from 1 and a bisection of
     its last power-of-two bracket down to adjacent floats.  The search
-    runs on chi in closed form,
-        chi(r1) = r1^2/2 (||v1||^2 + G1 + Bq1)
-                  + beta/(2(gamma+1)) (r1^2 G1)^(gamma+1)
-                  - r1^(p+1) F1/(p+1),
-    with G1, Bq1 and F1 the parts of v1, taken once from the field.
+    runs on ``ray_energy(grid, v1, params, ||v1||^2)``, the single-mode
+    energy in closed form from the parts of v1, taken once from the
+    field.
     The fields then confirm r1: u0 = r1 v1 must pass both tests, and
     with the second-mode amplitude r2, which solves the quadratic that
     lands the field energy on R, inner(u0, u1) must exceed B*R, which
@@ -98,15 +83,10 @@ def construct_energy_level(grid: Grid, params: ModelParams, R: float,
     l2_v1_sq = norm_l2(grid, v1) ** 2
     l2_v2_sq = norm_l2(grid, v2) ** 2
     cross = inner(grid, v1, v2)
-    G1, Bq1, F1 = _parts(grid, v1, params)
-    p1, g1 = params.p + 1.0, params.gamma + 1.0
+    single_mode = ray_energy(grid, v1, params, l2_v1_sq)
 
     def admissible(r1: float) -> bool:
-        r_sq = r1 * r1
-        chi_r1 = (0.5 * r_sq * (l2_v1_sq + G1 + Bq1)
-                  + params.beta / (2.0 * g1) * _power(r_sq * G1, g1)
-                  - _power(r1, p1) * F1 / p1)
-        return chi_r1 < R and r_sq * l2_v1_sq > B * R
+        return single_mode(r1) < R and r1 * r1 * l2_v1_sq > B * R
 
     hi, found = _walk(admissible, 1.0, 2.0, 61)
     if not found:
@@ -121,7 +101,7 @@ def construct_energy_level(grid: Grid, params: ModelParams, R: float,
             return None
         u0 = r1 * v1
         J0 = potential_J(grid, u0, params)
-        if not 0.5 * r1**2 * l2_v1_sq + J0 < R:  # chi(r1), sharing J0
+        if not 0.5 * r1**2 * l2_v1_sq + J0 < R:  # E(u0, u0), sharing J0
             return None
         # E(0) = ||r1 v1 + r2 v2||^2 / 2 + J(u0) = R, solved for r2 > 0
         b_lin = 2.0 * r1 * cross
@@ -143,17 +123,15 @@ def construct_energy_level(grid: Grid, params: ModelParams, R: float,
         r1 *= 1.0 + step
         step *= 2.0
     raise ConstructionFailure(
-        f"the fields at r1 = {r1} still miss chi < R or inner(u0, u1) > "
-        f"B*R for R = {R}")
+        f"the fields at r1 = {r1} still miss E(u0, u0) < R or "
+        f"inner(u0, u1) > B*R for R = {R}")
 
 
 def _negative_energy_amplitude(grid: Grid, params: ModelParams,
                                phi: np.ndarray) -> float:
-    """Amplitude at which the potential energy of a*phi crosses zero."""
-
-    def J_of(a: float) -> float:
-        return potential_J(grid, a * phi, params)
-
+    """Amplitude at which the potential energy of a*phi crosses zero,
+    searched on J(a phi) in closed form."""
+    J_of = ray_energy(grid, phi, params)
     hi, found = _walk(lambda a: J_of(a) < 0.0, 1.0, 2.0, 80)
     if not found:
         raise ConstructionFailure("potential energy never turns negative")

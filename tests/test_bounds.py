@@ -348,7 +348,7 @@ def test_full_report_reads_everything_from_a_record(grid48, params,
 
 def _detected_at(T_num: float) -> BlowupEstimate:
     return BlowupEstimate(detected=True, T_num=T_num, uncertainty=0.0,
-                          crossings=(), coarse=False)
+                          crossings=())
 
 
 def test_full_report_sandwich_fails_outside_the_bounds(grid48, params,

@@ -14,8 +14,10 @@ from beamblow import (
     lap_norm_sq,
     lemma21_verdict,
     make_grid,
+    norm_l2,
     norm_lq,
     potential_J,
+    ray_energy,
     snapshot,
 )
 
@@ -116,6 +118,35 @@ def test_scaling_identity(a):
           - potential_J(node, np.array([a - ds]), prm)) / (2 * ds)
     assert dJ * a == pytest.approx(
         snapshot(node, np.array([a]), np.zeros(1), prm).I, rel=1e-5)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 48), (1, 128), (2, 16)])
+@pytest.mark.parametrize("m", [0.0, 2.7])
+def test_ray_energy_is_the_field_energy_along_the_ray(dim, n, m, params):
+    # E(s u, s w) with ||w||^2 = m, to 1e-13 of the sum of the
+    # magnitudes of its terms, over seven decades of s
+    grid = make_grid(dim, n)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(grid.size)
+    w = rng.standard_normal(grid.size)
+    w *= math.sqrt(m) / norm_l2(grid, w)
+    energy = ray_energy(grid, u, params, m)
+    g1, p1 = params.gamma + 1.0, params.p + 1.0
+    for s in np.logspace(-3.0, 4.0, 15):
+        snap = snapshot(grid, s * u, s * w, params)
+        G = snap.grad_u_sq
+        terms = (0.5 * (snap.l2_v ** 2 + G + snap.lap_u_sq)
+                 + params.beta / (2.0 * g1) * G ** g1 + snap.lp1_u ** p1 / p1)
+        assert abs(energy(s) - snap.E) <= 1e-13 * terms
+
+
+def test_ray_energy_overflow_is_infinite_not_raised(grid64, params):
+    # s^(p+1) overflows a float power at s = 1e80: the energy comes out
+    # as -inf, like the field's, instead of raising OverflowError
+    mode = np.sin(np.pi * (1 + np.arange(grid64.size)) * grid64.h)
+    with np.errstate(over="ignore"):
+        J_field = potential_J(grid64, 1e80 * mode, params)
+    assert ray_energy(grid64, mode, params)(1e80) == -math.inf == J_field
 
 
 def test_classify_labels(grid64, params, consts64):

@@ -326,6 +326,18 @@ def test_verify_line_format(verify_report):
     assert lines[-1] == "all suites passed"
 
 
+def test_lemma21_suite_walks_without_field_potentials(monkeypatch):
+    # the walks along each ray run on the closed form; only the
+    # snapshots of the tested points touch the fields
+    calls = []
+    real = harness.functionals.potential_J
+    monkeypatch.setattr(harness.functionals, "potential_J",
+                        lambda *args: calls.append(args) or real(*args))
+    passed, _ = harness._suite_lemma21()
+    assert passed
+    assert calls == []
+
+
 def test_verify_negative_control(monkeypatch):
     # One off-diagonal entry of the Laplacian is corrupted; the other
     # suites are stubbed to pass so the aggregate verdict hangs on the
@@ -516,6 +528,20 @@ def test_cli_construct(tmp_path, capsys):
     assert abs(float(items["E0"]) + 5.0) < 1e-9
     assert float(items["correlation_margin"]) > 0.0
     assert (out / "u0.csv").exists() and (out / "u1.csv").exists()
+
+
+def test_cli_construct_gap_is_relative_to_the_energy_terms(tmp_path):
+    # at R = 1e6 the energy's terms are near 1e22, so E0 - R is large in
+    # absolute terms while the data meet R to the rounding of the terms
+    cfg = tmp_path / "run.txt"
+    cfg.write_text(serialize_config(replace(QUIET, N=128, p=6.0)))
+    out = tmp_path / "con"
+    assert main(["construct", "--config", str(cfg), "--out", str(out),
+                 "--energy", "1e6"]) == 0
+    items = dict(line.split(" = ", 1)
+                 for line in (out / "construct.txt").read_text().splitlines())
+    assert "energy_gap" not in items
+    assert abs(float(items["energy_gap_over_terms"])) <= 1e-15
 
 
 class _SeedSeen(Exception):

@@ -8,7 +8,6 @@ from beamblow import (
     ConstructionFailure,
     ModelParams,
     PRESET_NAMES,
-    chi,
     compute_constants,
     construct_energy_level,
     eigen_pair_basis,
@@ -18,6 +17,7 @@ from beamblow import (
     norm_l2,
     potential_J,
     preset,
+    ray_energy,
     snapshot,
     thm31_constants,
 )
@@ -53,14 +53,21 @@ def test_eigen_pair_basis_lies_in_the_first_two_eigenspaces(dim, n):
     assert abs(inner(g, v1, v2)) < 1e-14
 
 
-def test_chi_closed_form(grid64, params):
+def single_mode_energy(r1, grid, v1, params):
+    """E(r1 v1, r1 v1) on the fields."""
+    return 0.5 * r1**2 * norm_l2(grid, v1) ** 2 + potential_J(grid, r1 * v1,
+                                                               params)
+
+
+def test_single_mode_energy_is_the_energy_of_the_pair(grid64, params):
     v1, _ = eigen_pair_basis(grid64)
     r1 = 2.5
-    expect = 0.5 * r1**2 * norm_l2(grid64, v1) ** 2 + potential_J(grid64, r1 * v1, params)
-    assert chi(r1, grid64, v1, params) == pytest.approx(expect, rel=1e-13)
-    # chi equals the full energy of the pair (r1 v1, r1 v1)
-    assert chi(r1, grid64, v1, params) == pytest.approx(
+    field = single_mode_energy(r1, grid64, v1, params)
+    assert field == pytest.approx(
         snapshot(grid64, r1 * v1, r1 * v1, params).E, rel=1e-12)
+    # and the closed form the construction searches on
+    closed = ray_energy(grid64, v1, params, norm_l2(grid64, v1) ** 2)
+    assert closed(r1) == pytest.approx(field, rel=1e-13)
 
 
 def test_preset_names(grid48, params):
@@ -140,8 +147,9 @@ def amplitude_of(grid, u0):
                                               (128, 2.2, 1.29e7)])
 def test_construct_energy_level_amplitude_sits_at_the_field_changeover(
         n, p, r1_magnitude):
-    # the amplitude is searched on the closed form of chi; on the field
-    # it must still be the first admissible one to 1e-9
+    # the amplitude is searched on the single-mode energy in closed
+    # form; on the fields it must still be the first admissible one to
+    # 1e-9
     grid = make_grid(1, n)
     params = ModelParams(p=p, r=2.0, gamma=0.5, beta=1.0)
     consts = compute_constants(grid, params)
@@ -151,7 +159,7 @@ def test_construct_energy_level_amplitude_sits_at_the_field_changeover(
                                                        B).u0)
 
     def admissible(r):
-        return (chi(r, grid, v1, params) < R
+        return (single_mode_energy(r, grid, v1, params) < R
                 and r * r * norm_l2(grid, v1) ** 2 > B * R)
 
     assert admissible(r1)
@@ -188,7 +196,7 @@ def test_negative_energy_probe_count(params, monkeypatch):
     grid = make_grid(1, 128)
     calls = counted_J(monkeypatch)
     preset("negative_energy", grid, params)
-    assert len(calls) == 62
+    assert len(calls) == 1
 
 
 def test_construct_rejects_bad_weight(grid48, params):
