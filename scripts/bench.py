@@ -42,7 +42,14 @@ one command, ``python ARGS``:
     of levels (seed 1) and its preset's level, each with the weight B
     of the growth chain.  It prints the median milliseconds per
     ``construct_energy_level`` and ``field_probes``, the number of
-    full-field potential evaluations the constructions make in all.
+    full-field potential evaluations the constructions make in all;
+  * ``constants``: this script's ``--measure constants 96``, the
+    variational constants of the benchmark's ``constants_2d`` workload,
+    ``compute_constants`` for each of its source exponents at 2D N = 96
+    (seed 0), the first work of the process.  It prints the median
+    milliseconds per ``compute_constants`` and ``sweeps``, the number of
+    extremal sweeps (one exact solve each) its embedding constants make
+    in all.
 
 One runner, ``measure``, times them all.  Every repetition of every run
 is a fresh process with the side's ``src`` on PYTHONPATH, timed from
@@ -124,9 +131,10 @@ CASES = {
                            in_root=True)},
     "2d_forms": {str(n): measure_run("2d_forms", n) for n in FORMS_N},
     "energy_levels": {"96": measure_run("energy_levels", 96)},
+    "constants": {"96": measure_run("constants", 96)},
 }
 REPEATS = {"startup": 11, "run_1d": 11, "run_2d": 5, "verify": 5, "tier1": 5,
-           "2d_forms": 11, "energy_levels": 11}
+           "2d_forms": 11, "energy_levels": 11, "constants": 11}
 # the keys of a simulate run's report.txt that the runner reads
 REPORT_KEYS = ("run.termination", "run.n_steps", "run.attempts",
                "run.newton_iters", "run.linear_solves", "run.cg_iters",
@@ -316,7 +324,42 @@ def measure_energy_levels(n: int) -> tuple[dict, dict]:
             {"field_probes": probes[0]})
 
 
-MEASURES = {"2d_forms": measure_forms, "energy_levels": measure_energy_levels}
+def measure_constants(n: int) -> tuple[dict, dict]:
+    """Median milliseconds per ``compute_constants`` over the source
+    exponents of the ``constants_2d`` workload at 2D N = ``n``, and the
+    extremal sweeps of its embedding constants in all as a count."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from dataclasses import replace
+
+    import workloads
+
+    import beamblow as bb
+    import beamblow.spectra as spectra
+
+    cfg = bb.parse_config(workloads.config_text(
+        {**workloads.CONSTANTS_2D, "N": n}))
+    grid = cfg.grid()
+    sweeps = [0]
+    sweep = spectra._extremal_sweep
+
+    def counted(grid, q, apply, solve, *args):
+        def counted_solve(x):
+            sweeps[0] += 1
+            return solve(x)
+        return sweep(grid, q, apply, counted_solve, *args)
+
+    spectra._extremal_sweep = counted
+    ms = []
+    for p in workloads.CONSTANTS_P:
+        params = replace(cfg, p=p).model_params()
+        start = time.perf_counter()
+        bb.compute_constants(grid, params)
+        ms.append(1e3 * (time.perf_counter() - start))
+    return {"ms_per_constants": statistics.median(ms)}, {"sweeps": sweeps[0]}
+
+
+MEASURES = {"2d_forms": measure_forms, "energy_levels": measure_energy_levels,
+            "constants": measure_constants}
 
 
 def machine() -> dict:

@@ -14,7 +14,8 @@ partial outputs were already written.
 Sweeps evaluate a cartesian grid of configurations, optionally across
 processes, and produce one CSV row per cell in a deterministic order
 (sorted parameter keys, lexicographic cell order) regardless of the
-worker count.  Failures are recorded in-row, never raised.
+worker count.  Failures are recorded in-row, with the exception's type
+and message, never raised.
 
 verify() runs the internal consistency suites and is what the command
 line exposes so an installation can check itself in about a second.
@@ -22,6 +23,8 @@ line exposes so an installation can check itself in about a second.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 import time
@@ -63,6 +66,11 @@ _FAILURES = {
 def _failure(exc: BaseException) -> tuple[int, str]:
     return next((_FAILURES[cls] for cls in type(exc).__mro__
                  if cls in _FAILURES), (1, "error"))
+
+
+def _describe(exc: BaseException) -> str:
+    """``type: message`` of a failure, on one line for a sweep row."""
+    return " ".join(f"{type(exc).__name__}: {exc}".splitlines())
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -188,22 +196,27 @@ def run(config: RunConfig, output_dir: str | Path) -> int:
     return run_with_artifacts(config, output_dir)[0]
 
 
-def _sweep_cell(config: RunConfig) -> tuple[str, dict | None]:
-    """Evaluate one sweep cell; never raises."""
+def _sweep_cell(config: RunConfig) -> tuple[str, str, dict | None]:
+    """Evaluate one sweep cell: its status token, the failure's
+    ``type: message`` (empty when ok) and its summary row (None when
+    the evaluation raised); never raises."""
     try:
         artifacts = evaluate(config)
     except Exception as exc:
-        return _failure(exc)[1], None
+        return _failure(exc)[1], _describe(exc), None
+    row = summary_row(artifacts.report)
     failure = integrator_failure(artifacts.traj)
-    status = "ok" if failure is None else _failure(failure)[1]
-    return status, summary_row(artifacts.report)
+    if failure is None:
+        return "ok", "", row
+    return _failure(failure)[1], _describe(failure), row
 
 
 def sweep(config: SweepConfig, jobs: int = 1) -> str:
     """Evaluate every cell of a sweep and return the result table.
 
     One CSV row per cell: the swept parameter values (sorted by key),
-    the per-run summary columns, and a status token.  Rows keep the
+    the per-run summary columns, a status token, and the failure's
+    ``type: message`` (CSV-quoted, empty for an ok cell).  Rows keep the
     lexicographic cell order no matter how many workers ran them, and a
     failed cell yields a row of ``none`` values instead of an error.
     ``jobs`` caps the worker processes, which never outnumber the cells
@@ -221,17 +234,17 @@ def sweep(config: SweepConfig, jobs: int = 1) -> str:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
 
-    header = list(keys) + list(SUMMARY_COLUMNS) + ["status"]
-    lines = [",".join(header)]
-    for cell, (status, row) in zip(cells, results):
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(keys + list(SUMMARY_COLUMNS) + ["status", "message"])
+    for cell, (status, message, row) in zip(cells, results):
         values = [fmt(getattr(cell, key)) for key in keys]
         if row is None:
             values += ["none"] * len(SUMMARY_COLUMNS)
         else:
             values += row.values()
-        values.append(status)
-        lines.append(",".join(values))
-    return "\n".join(lines) + "\n"
+        writer.writerow(values + [status, message])
+    return table.getvalue()
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,14 @@ holds exactly for the semi-discrete flow:
     mode, in closed form) and of the clamped plate operator (inverse
     iteration with the exact solve of the plate form, stopped on its
     residual);
-  * best constants of the discrete embeddings ||u||_q <= C * Q(u)^{1/2}
-    for the quadratic forms Q built from the gradient, the Laplacian,
-    or their sum (extremal fixed-point sweeps from the eigenfield and
+  * best-of-ascent estimates, from below, of the constants of the
+    discrete embeddings ||u||_q <= C * Q(u)^{1/2} for the quadratic
+    forms Q built from the gradient, the Laplacian, or their sum
+    (extremal fixed-point sweeps from the eigenfield and then from
     seeded random starts, each stopped, like the inverse iteration, at
-    its first sweep that does not improve on the best one);
+    its first sweep that does not improve on the best one, and a random
+    start also as soon as it comes within _BASIN_RTOL of a maximizer an
+    earlier start converged to);
   * the mountain-pass level d of the potential well.
 """
 
@@ -34,9 +37,11 @@ _OPERATORS = ("laplacian", "biharmonic")
 # inverse iteration: sweep budget
 _EIGEN_MAX_OUTER = 500
 # extremal sweeps: random starts besides the eigenfield, sweep budget,
-# and the stop at the first sweep gaining less than _SWEEP_FTOL*max(1, value)
+# the stop at the first sweep gaining less than _SWEEP_FTOL*max(1, value),
+# and the stop within _BASIN_RTOL (relative, up to sign) of a known maximizer
 _SWEEP_RESTARTS, _SWEEP_MAX_ITER = 4, 2000
 _SWEEP_FTOL = 1e-11
+_BASIN_RTOL = 1e-2
 
 
 def _plate_inverse_iteration(grid: Grid) -> tuple[float, np.ndarray]:
@@ -92,8 +97,8 @@ def smallest_eigen(grid: Grid,
     return lam, x.copy()
 
 
-def _extremal_sweep(grid: Grid, q: float, apply, solve,
-                    u0: np.ndarray) -> tuple[float, np.ndarray, bool]:
+def _extremal_sweep(grid: Grid, q: float, apply, solve, u0: np.ndarray,
+                    known=()) -> tuple[float, np.ndarray, str]:
     """Maximize ||u||_q on the ellipsoid Q(u) = weight * u^T A u = 1.
 
     Fixed-point sweeps on the stationarity condition
@@ -115,9 +120,17 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
     So, like the plate iteration, the sweep stops at the first sweep
     that gains less than _SWEEP_FTOL * max(1, value), which is an
     absolute tolerance for values below 1, and returns the best value
-    with the field that reaches it.
+    with the field that reaches it.  It also stops after any sweep that
+    leaves its field within _BASIN_RTOL of a maximizer b in ``known``,
+    min(||u - b||, ||u + b||) < _BASIN_RTOL * ||b||: the ascent has
+    joined that maximizer's basin and would only find it again.
+
+    Returns the value, the field, and why the sweep stopped:
+    ``"converged"``, ``"joined"`` a known basin, or ``"unconverged"``
+    when the budget ran out or the solve left the ellipsoid.
     """
     w = grid.weight
+    basins = [(b, _BASIN_RTOL * np.linalg.norm(b)) for b in known]
 
     def on_ellipsoid(v: np.ndarray, quad: float):
         """v scaled to the ellipsoid, given quad = v^T A v, with the
@@ -132,9 +145,9 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
 
     start = on_ellipsoid(u0, float(u0 @ apply(u0)))
     if start is None:
-        return -np.inf, u0, False
+        return -np.inf, u0, "unconverged"
     u, a, val = start
-    converged = False
+    stop = "unconverged"
     for _ in range(_SWEEP_MAX_ITER):
         g = np.copysign(a, u)
         y = solve(g)
@@ -145,23 +158,32 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve,
         if gain > 0.0:
             u, a, val = new
         if not gain >= _SWEEP_FTOL * max(1.0, val):
-            converged = True
+            stop = "converged"
+            break
+        if any(min(np.linalg.norm(u - b), np.linalg.norm(u + b)) < tol
+               for b, tol in basins):
+            stop = "joined"
             break
     u, _, val = on_ellipsoid(u, float(u @ apply(u)))
-    return val, u, converged
+    return val, u, stop
 
 
 def embedding_constant(grid: Grid, q: float, denominator: str, *,
                        seed: int = 0) -> tuple[float, np.ndarray]:
-    """Best constant C in ||u||_q <= C * Q(u)^{1/2} and its maximizer.
+    """Best-of-ascent estimate C in ||u||_q <= C * Q(u)^{1/2} and its
+    maximizer.
 
-    Runs the extremal fixed-point sweep from several seeded random
-    starts plus the smallest eigenfield of the quadratic form, and
-    keeps the best value over all runs, converged or not: every run's
-    value is reached by its field on the ellipsoid, so an unconverged
-    run still gives a lower estimate of the best constant.  Raises
-    ConvergenceFailure only when no run converged.  Results are kept
-    on the grid's operator object by (q, denominator, seed).
+    Runs the extremal fixed-point sweep from the smallest eigenfield of
+    the quadratic form and then from several seeded random starts, and
+    keeps the best value over all runs.  Each converged field joins the
+    known maximizers, and a later random start stops once it enters the
+    basin of one of them (``_extremal_sweep``); a start that heads for
+    another maximizer runs on to its own convergence.  Every run's
+    value, converged or not, is reached by its field on the ellipsoid,
+    so it is a lower estimate of the best constant and competes.  The
+    result is the best local maximum found, not a bound from above.
+    Raises ConvergenceFailure only when no run converged.  Results are
+    kept on the grid's operator object by (q, denominator, seed).
     """
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -173,17 +195,18 @@ def embedding_constant(grid: Grid, q: float, denominator: str, *,
     apply, solve = operators(grid).form(denominator)
     rng = np.random.default_rng(seed)
 
-    starts = [rng.standard_normal(grid.size) for _ in range(_SWEEP_RESTARTS)]
-    starts.append(smallest_eigen(
-        grid, "laplacian" if denominator == "grad" else "biharmonic")[1])
+    starts = [smallest_eigen(
+        grid, "laplacian" if denominator == "grad" else "biharmonic")[1]]
+    starts += [rng.standard_normal(grid.size) for _ in range(_SWEEP_RESTARTS)]
 
-    best_val, best_u, any_ok = -np.inf, None, False
+    best_val, best_u, maximizers = -np.inf, None, []
     for u0 in starts:
-        val, u, ok = _extremal_sweep(grid, q, apply, solve, u0)
-        any_ok = any_ok or ok
+        val, u, stop = _extremal_sweep(grid, q, apply, solve, u0, maximizers)
+        if stop == "converged":
+            maximizers.append(u)
         if val > best_val:
             best_val, best_u = val, u
-    if not any_ok:
+    if not maximizers:
         raise ConvergenceFailure(
             f"no extremal sweep for embedding constant (q={q}, "
             f"denominator={denominator}) converged within "

@@ -177,12 +177,12 @@ def test_sweep_rows(small_sweep_text):
     csv = sweep(sw)
     lines = csv.splitlines()
     header = lines[0].split(",")
-    assert header == ["p", "r", *harness.SUMMARY_COLUMNS, "status"]
+    assert header == ["p", "r", *harness.SUMMARY_COLUMNS, "status", "message"]
     assert len(lines) == 5
     cells = [line.split(",") for line in lines[1:]]
     assert [(c[0], c[1]) for c in cells] == [
         ("3", "1"), ("3", "2"), ("4", "1"), ("4", "2")]
-    assert all(c[-1] == "ok" for c in cells)
+    assert all(c[-2:] == ["ok", ""] for c in cells)
     # quiet runs never detect blow-up: T_num column is none
     t_num_col = header.index("T_num")
     assert all(c[t_num_col] == "none" for c in cells)
@@ -253,7 +253,8 @@ def test_sweep_cell_status_tokens(monkeypatch, exc, status):
         raise exc
 
     monkeypatch.setattr(harness, "evaluate", fail)
-    assert harness._sweep_cell(QUIET) == (status, None)
+    assert harness._sweep_cell(QUIET) == (
+        status, f"{type(exc).__name__}: x", None)
 
 
 def test_cli_sweep(tmp_path, capsys, small_sweep_text):
@@ -283,7 +284,7 @@ def test_sweep_prints_integer_axes_exactly(monkeypatch):
     sw = SweepConfig(base=QUIET, axes={"seed": (big,)})
     row = sweep(sw).splitlines()[1].split(",")
     assert row[0] == str(big)
-    assert row[-1] == "construction_failure"
+    assert row[-2:] == ["construction_failure", "ConstructionFailure: x"]
 
 
 def test_sweep_keeps_failures_in_row(monkeypatch):
@@ -301,10 +302,30 @@ def test_sweep_keeps_failures_in_row(monkeypatch):
     lines = sweep(sw).splitlines()
     assert len(lines) == 3
     ok_row, bad_row = lines[1], lines[2]
-    assert ok_row.endswith(",ok")
-    assert bad_row.endswith(",convergence_failure")
+    assert ok_row.endswith(",ok,")
+    assert bad_row.endswith(",convergence_failure,ConvergenceFailure: stalled")
     # failed cell still fills every column
     assert len(bad_row.split(",")) == len(lines[0].split(","))
+
+
+def test_sweep_row_keeps_the_failure_message(monkeypatch):
+    # the message column is CSV-quoted, so commas and quotes in an
+    # exception's text stay in one field, and a line break becomes a
+    # space, so each cell stays one line of the table
+    import csv
+
+    def fail(config):
+        raise ConvergenceFailure('no sweep converged (q=5.0, "lap")\nstop')
+
+    monkeypatch.setattr(harness, "evaluate", fail)
+    sw = SweepConfig(base=QUIET, axes={"p": (3.0,)})
+    table = sweep(sw)
+    assert len(table.splitlines()) == 2
+    header, row = csv.reader(table.splitlines())
+    assert len(row) == len(header)
+    assert dict(zip(header, row))["message"] == (
+        'ConvergenceFailure: no sweep converged (q=5.0, "lap") stop')
+    assert row[header.index("status")] == "convergence_failure"
 
 
 @pytest.fixture(scope="module")

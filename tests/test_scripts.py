@@ -184,6 +184,18 @@ def test_bench_energy_levels_row_keeps_the_field_probes_as_a_count():
     assert min(result["ms_per_level"]["runs"]) > 0.0
 
 
+def test_bench_constants_row_keeps_the_sweeps_as_a_count():
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    result = bench.measure({"16": bench.measure_run("constants", 16)},
+                           {"after": ROOT / "src"}, 2)["after"]["16"]
+    assert set(result) == {"wall_s", "ms_per_constants", "sweeps"}
+    # 3 source exponents, 4 constants each, one shared: 11 embedding
+    # constants of at least one sweep from each of five starts
+    assert result["sweeps"] >= 55
+    assert len(result["ms_per_constants"]["runs"]) == 2
+    assert min(result["ms_per_constants"]["runs"]) > 0.0
+
+
 def test_closure_bytes_leave_out_shared_arrays():
     # a form's factor_bytes count what the form owns, not the grid's
     # sine matrix that its solve shares with every other form

@@ -142,6 +142,52 @@ def test_restarts_find_a_higher_maximum_than_the_eigenfield():
     assert C == pytest.approx(0.381518, rel=1e-5)
 
 
+@pytest.mark.parametrize("n,q,values", [
+    (16, 9.0, (0.4008297635173375, 0.4082015984474008,
+               0.41341181805983723, 0.40002381102264567)),
+    (8, 13.0, (0.5065977487115313, 0.4371103149699759,
+               0.5065977487115313, 0.4926244351854204)),
+])
+def test_restarts_keep_their_seeded_maxima(n, q, values):
+    # where the gradient form has several maxima the constant depends on
+    # the seed; random starts that head for another maximizer than a
+    # known one are not stopped, so each seed keeps its maximum
+    g = make_grid(2, n)
+    for seed, value in enumerate(values):
+        C, _ = embedding_constant(g, q, "grad", seed=seed)
+        assert C == pytest.approx(value, rel=1e-13)
+
+
+def test_random_starts_stop_in_the_eigenfield_basin(monkeypatch):
+    # every random start at 2d N=32 ends on the eigenfield's maximizer;
+    # stopped once within _BASIN_RTOL of it, the five starts make 31
+    # solves instead of 67, and the value is the one they all ran to
+    sweep = spectra._extremal_sweep
+    solves = []
+
+    def counted(grid, q, apply, solve, *args):
+        def counted_solve(x):
+            solves.append(1)
+            return solve(x)
+        return sweep(grid, q, apply, counted_solve, *args)
+
+    monkeypatch.setattr(spectra, "_extremal_sweep", counted)
+    operators.cache_clear()
+    g = make_grid(2, 32)
+    C, u = embedding_constant(g, 4.0, "H")
+    assert len(solves) == 31
+    assert C == 0.03759472212469694
+
+    # a start 1e-3 off the maximizer joins its basin at once
+    apply, solve = operators(g).form("H")
+    kick = np.random.default_rng(3).standard_normal(g.size)
+    u0 = u + 1e-3 * np.linalg.norm(u) / np.linalg.norm(kick) * kick
+    solves.clear()
+    val, _, stop = spectra._extremal_sweep(g, 4.0, apply, solve, u0, [u])
+    assert stop == "joined" and len(solves) <= 2
+    assert val == pytest.approx(C, rel=1e-6)
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="long double is no wider than double here")
 @pytest.mark.parametrize("n,tol", [(16, 1e-12), (64, 4e-12)])
@@ -171,20 +217,20 @@ def test_embedding_constant_keeps_the_best_value_of_any_run(monkeypatch):
     sweep = spectra._extremal_sweep
     unconverged = []
 
-    def first_unconverged(grid, q, apply, solve, u0):
-        val, u, converged = sweep(grid, q, apply, solve, u0)
+    def first_unconverged(grid, q, apply, solve, u0, known):
+        val, u, stop = sweep(grid, q, apply, solve, u0, known)
         if unconverged:
-            return val, u, converged
+            return val, u, stop
         unconverged.append(2.0 * val)
-        return 2.0 * val, u, False
+        return 2.0 * val, u, "unconverged"
 
     monkeypatch.setattr(spectra, "_extremal_sweep", first_unconverged)
     operators.cache_clear()
     C, _ = embedding_constant(g, 5.0, "lap")
     assert C == unconverged[0]
 
-    def never_converged(grid, q, apply, solve, u0):
-        return sweep(grid, q, apply, solve, u0)[:2] + (False,)
+    def never_converged(grid, q, apply, solve, u0, known):
+        return sweep(grid, q, apply, solve, u0, known)[:2] + ("unconverged",)
 
     monkeypatch.setattr(spectra, "_extremal_sweep", never_converged)
     operators.cache_clear()
