@@ -98,7 +98,7 @@ def smallest_eigen(grid: Grid,
 
 
 def _extremal_sweep(grid: Grid, q: float, apply, solve, u0: np.ndarray,
-                    known=()) -> tuple[float, np.ndarray, str]:
+                    known=()) -> tuple[float, np.ndarray, bool]:
     """Maximize ||u||_q on the ellipsoid Q(u) = weight * u^T A u = 1.
 
     Fixed-point sweeps on the stationarity condition
@@ -125,9 +125,9 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve, u0: np.ndarray,
     min(||u - b||, ||u + b||) < _BASIN_RTOL * ||b||: the ascent has
     joined that maximizer's basin and would only find it again.
 
-    Returns the value, the field, and why the sweep stopped:
-    ``"converged"``, ``"joined"`` a known basin, or ``"unconverged"``
-    when the budget ran out or the solve left the ellipsoid.
+    Returns the value, the field, and whether the sweep converged; a
+    sweep that joined a known basin, ran out of budget or left the
+    ellipsoid did not.
     """
     w = grid.weight
     basins = [(b, _BASIN_RTOL * np.linalg.norm(b)) for b in known]
@@ -145,9 +145,9 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve, u0: np.ndarray,
 
     start = on_ellipsoid(u0, float(u0 @ apply(u0)))
     if start is None:
-        return -np.inf, u0, "unconverged"
+        return -np.inf, u0, False
     u, a, val = start
-    stop = "unconverged"
+    converged = False
     for _ in range(_SWEEP_MAX_ITER):
         g = np.copysign(a, u)
         y = solve(g)
@@ -158,14 +158,13 @@ def _extremal_sweep(grid: Grid, q: float, apply, solve, u0: np.ndarray,
         if gain > 0.0:
             u, a, val = new
         if not gain >= _SWEEP_FTOL * max(1.0, val):
-            stop = "converged"
+            converged = True
             break
         if any(min(np.linalg.norm(u - b), np.linalg.norm(u + b)) < tol
                for b, tol in basins):
-            stop = "joined"
             break
     u, _, val = on_ellipsoid(u, float(u @ apply(u)))
-    return val, u, stop
+    return val, u, converged
 
 
 def embedding_constant(grid: Grid, q: float, denominator: str, *,
@@ -201,8 +200,9 @@ def embedding_constant(grid: Grid, q: float, denominator: str, *,
 
     best_val, best_u, maximizers = -np.inf, None, []
     for u0 in starts:
-        val, u, stop = _extremal_sweep(grid, q, apply, solve, u0, maximizers)
-        if stop == "converged":
+        val, u, converged = _extremal_sweep(grid, q, apply, solve, u0,
+                                            maximizers)
+        if converged:
             maximizers.append(u)
         if val > best_val:
             best_val, best_u = val, u

@@ -176,16 +176,22 @@ def test_random_starts_stop_in_the_eigenfield_basin(monkeypatch):
     g = make_grid(2, 32)
     C, u = embedding_constant(g, 4.0, "H")
     assert len(solves) == 31
-    assert C == 0.03759472212469694
+    assert C == pytest.approx(0.03759472212469694, rel=1e-13)
 
-    # a start 1e-3 off the maximizer joins its basin at once
+    # a start 1e-3 off the maximizer joins its basin at once: it stops
+    # unconverged within 2 solves, before the gain test would stop it
     apply, solve = operators(g).form("H")
     kick = np.random.default_rng(3).standard_normal(g.size)
     u0 = u + 1e-3 * np.linalg.norm(u) / np.linalg.norm(kick) * kick
     solves.clear()
-    val, _, stop = spectra._extremal_sweep(g, 4.0, apply, solve, u0, [u])
-    assert stop == "joined" and len(solves) <= 2
+    val, _, converged = spectra._extremal_sweep(g, 4.0, apply, solve, u0,
+                                                [u])
+    assert not converged and len(solves) <= 2
     assert val == pytest.approx(C, rel=1e-6)
+    joined = len(solves)
+    solves.clear()
+    assert spectra._extremal_sweep(g, 4.0, apply, solve, u0)[2]
+    assert len(solves) > joined
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -218,11 +224,11 @@ def test_embedding_constant_keeps_the_best_value_of_any_run(monkeypatch):
     unconverged = []
 
     def first_unconverged(grid, q, apply, solve, u0, known):
-        val, u, stop = sweep(grid, q, apply, solve, u0, known)
+        val, u, converged = sweep(grid, q, apply, solve, u0, known)
         if unconverged:
-            return val, u, stop
+            return val, u, converged
         unconverged.append(2.0 * val)
-        return 2.0 * val, u, "unconverged"
+        return 2.0 * val, u, False
 
     monkeypatch.setattr(spectra, "_extremal_sweep", first_unconverged)
     operators.cache_clear()
@@ -230,7 +236,7 @@ def test_embedding_constant_keeps_the_best_value_of_any_run(monkeypatch):
     assert C == unconverged[0]
 
     def never_converged(grid, q, apply, solve, u0, known):
-        return sweep(grid, q, apply, solve, u0, known)[:2] + ("unconverged",)
+        return sweep(grid, q, apply, solve, u0, known)[:2] + (False,)
 
     monkeypatch.setattr(spectra, "_extremal_sweep", never_converged)
     operators.cache_clear()
