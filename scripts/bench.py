@@ -5,7 +5,8 @@ change.
     python scripts/bench.py --before OTHER_CHECKOUT/src [--case NAME]
 
 measures the ``src`` tree next to this script ("after") and the tree
-given by ``--before``, with two BLAS threads, and writes one
+given by ``--before``, with two BLAS threads unless a run says
+otherwise, and writes one
 BENCH_<case>.json per case at the repository root.  Without
 ``--before`` only the "after" side is measured; without ``--case``
 every case runs.
@@ -20,6 +21,13 @@ one command, ``python ARGS``:
     T* = 0.2493837 of a Radau IIA run of the same model;
   * ``run_2d``: ``beamblow simulate`` of ``dim = 2`` at N = 32, 64 and
     128, otherwise the defaults;
+  * ``run_2d_pr``: ``beamblow simulate`` at 2D N = 32 with p = 3 and
+    r = 1.0, 1.2 and 1.5, otherwise the defaults, runs whose damping
+    exponent keeps the blow-up exponent k at 1;
+  * ``step_2d``: this script's ``--measure step_2d 128``, the default 2D
+    run at N = 128 in process, on one BLAS thread (run ``128@1``) and
+    on two (``128@2``), printing the median and the 99th percentile of
+    the microseconds per step attempt and the attempts as a count;
   * ``verify``: ``beamblow verify``;
   * ``tier1``: the side's tier-1 suite, ``python -m pytest -q
     --continue-on-collection-errors`` run in that side's checkout (the
@@ -87,8 +95,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 FORMS_N = (64, 96, 128)
 FORM_SOLVES = 40
-THREADS = {name: "2" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                                  "MKL_NUM_THREADS")}
+# the variables that set the BLAS threads of a run's process
+THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class Run(NamedTuple):
@@ -98,13 +106,15 @@ class Run(NamedTuple):
     runs the command in the side's checkout instead of a scratch
     directory; ``T_star`` is a reference blow-up time for ``T_num``;
     ``prints_json`` marks a command whose last line of output is a JSON
-    object with the keys ``measured`` and ``counts``."""
+    object with the keys ``measured`` and ``counts``; ``threads`` is the
+    number of BLAS threads the process may use."""
 
     args: tuple[str, ...]
     config: str | None = None
     in_root: bool = False
     T_star: float | None = None
     prints_json: bool = False
+    threads: int = 2
 
 
 def simulate(config: str, T_star: float | None = None) -> Run:
@@ -112,10 +122,10 @@ def simulate(config: str, T_star: float | None = None) -> Run:
                 "--out", "out"), config, T_star=T_star)
 
 
-def measure_run(case: str, n: int) -> Run:
+def measure_run(case: str, n: int, threads: int = 2) -> Run:
     """This script's ``--measure case n`` in a fresh process."""
     return Run((str(Path(__file__).resolve()), "--measure", case, str(n)),
-               prints_json=True)
+               prints_json=True, threads=threads)
 
 
 # every case: each run by name, and the repetitions per side
@@ -125,6 +135,9 @@ CASES = {
     # model (perfbench/reference.py) follows max|u|^(-1/k) = c (T* - t)
     "run_1d": {"default": simulate("", T_star=0.2493837)},
     "run_2d": {str(n): simulate(f"dim = 2\nN = {n}\n") for n in (32, 64, 128)},
+    "run_2d_pr": {f"p3_r{r}": simulate(f"dim = 2\nN = 32\np = 3\nr = {r}\n")
+                  for r in ("1.0", "1.2", "1.5")},
+    "step_2d": {f"128@{t}": measure_run("step_2d", 128, t) for t in (1, 2)},
     "verify": {"verify": Run(("-m", "beamblow.cli", "verify"))},
     "tier1": {"suite": Run(("-m", "pytest", "-q",
                             "--continue-on-collection-errors"),
@@ -133,12 +146,14 @@ CASES = {
     "energy_levels": {"96": measure_run("energy_levels", 96)},
     "constants": {"96": measure_run("constants", 96)},
 }
-REPEATS = {"startup": 11, "run_1d": 11, "run_2d": 5, "verify": 5, "tier1": 5,
-           "2d_forms": 11, "energy_levels": 11, "constants": 11}
-# the keys of a simulate run's report.txt that the runner reads
+REPEATS = {"startup": 11, "run_1d": 11, "run_2d": 5, "run_2d_pr": 5,
+           "step_2d": 3, "verify": 5, "tier1": 5, "2d_forms": 11,
+           "energy_levels": 11, "constants": 11}
+# the keys of a simulate run's report.txt that the runner reads; a side
+# whose report lacks one has none
 REPORT_KEYS = ("run.termination", "run.n_steps", "run.attempts",
                "run.newton_iters", "run.linear_solves", "run.cg_iters",
-               "T_num", "T_num_uncertainty")
+               "run.diagonal_solves", "T_num", "T_num_uncertainty")
 
 
 def read_items(path: Path) -> dict:
@@ -158,14 +173,15 @@ def read_items(path: Path) -> dict:
 def read_report(path: Path) -> dict:
     """The ``REPORT_KEYS`` of a report.txt, numbers parsed."""
     items = read_items(path)
-    return {key: items[key] for key in REPORT_KEYS}
+    return {key: items[key] for key in REPORT_KEYS if key in items}
 
 
 def run_once(run: Run, src: Path) -> tuple[dict, dict]:
     """One fresh process of ``run`` on the side whose package is in
     ``src``: its measured values, the wall time first, and its
     counts."""
-    env = {**os.environ, **THREADS, "PYTHONPATH": str(src)}
+    env = {**os.environ, **dict.fromkeys(THREADS, str(run.threads)),
+           "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = src.parent if run.in_root else Path(tmp)
         if run.config is not None:
@@ -358,8 +374,35 @@ def measure_constants(n: int) -> tuple[dict, dict]:
     return {"ms_per_constants": statistics.median(ms)}, {"sweeps": sweeps[0]}
 
 
+def measure_step(n: int) -> tuple[dict, dict]:
+    """Median and 99th percentile microseconds per step attempt of the
+    default 2D run at N = ``n``, with its artifacts, and the attempts
+    as a count."""
+    import numpy as np
+
+    import beamblow as bb
+    import beamblow.dynamics as dynamics
+
+    us = []
+    step = dynamics.step
+
+    def timed(*args):
+        start = time.perf_counter()
+        try:
+            return step(*args)
+        finally:
+            us.append(1e6 * (time.perf_counter() - start))
+
+    dynamics.step = timed
+    with tempfile.TemporaryDirectory() as tmp:
+        bb.harness.run(bb.parse_config(f"dim = 2\nN = {n}\n"), Path(tmp))
+    return ({"step_us_p50": float(np.percentile(us, 50)),
+             "step_us_p99": float(np.percentile(us, 99))},
+            {"attempts": len(us)})
+
+
 MEASURES = {"2d_forms": measure_forms, "energy_levels": measure_energy_levels,
-            "constants": measure_constants}
+            "constants": measure_constants, "step_2d": measure_step}
 
 
 def machine() -> dict:
@@ -398,7 +441,9 @@ def main() -> int:
         sides = {"before": args.before.resolve(), **sides}
     for case in [args.case] if args.case else sorted(CASES):
         result = {"machine": machine(), "numpy": numpy.__version__,
-                  "scipy": scipy.__version__, "blas_threads": 2,
+                  "scipy": scipy.__version__,
+                  "blas_threads": {name: run.threads
+                                   for name, run in CASES[case].items()},
                   **measure(CASES[case], sides, REPEATS[case])}
         out = args.out_dir / f"BENCH_{case}.json"
         out.write_text(json.dumps(result, indent=2) + "\n")

@@ -112,9 +112,10 @@ class StepCounts:
     Every attempt is accepted or rejected for one cause: a non-finite
     state or diagnostics, a linear solve that broke down, Newton not
     converging, or the energy test.  ``newton_iters`` counts Newton
-    corrections, ``linear_solves`` the solves begun for them and
+    corrections, ``linear_solves`` the solves begun for them,
     ``cg_iters`` the conjugate-gradient iterations of those solves (0 in
-    1d, where each is one banded call), over all attempts."""
+    1d, where each is one banded call) and ``diagonal_solves`` the 2d
+    solves preconditioned by the diagonal, over all attempts."""
 
     attempts: int = 0
     rejected_nonfinite: int = 0
@@ -124,6 +125,7 @@ class StepCounts:
     newton_iters: int = 0
     linear_solves: int = 0
     cg_iters: int = 0
+    diagonal_solves: int = 0
 
 
 @dataclass

@@ -19,8 +19,13 @@ class SolverFailure(BeamblowError):
 class ConvergenceFailure(BeamblowError):
     """An iterative computation (eigenvalue, embedding constant, linear
     solve) failed to reach its tolerance within the iteration budget.
-    It carries only a message, which states the error reached wherever
-    the computation measures one."""
+    Its message states the error reached wherever the computation
+    measures one; ``iterations`` holds the iterations a conjugate
+    gradient solve made before it failed, and is 0 for the others."""
+
+    def __init__(self, message: str, iterations: int = 0):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class NewtonFailure(ConvergenceFailure):

@@ -16,12 +16,13 @@ clamped fourth difference is its square plus a corner term,
 
     B1 = L1^2 + (2/h^4) (e_1 e_1^T + e_n e_n^T),
 
-so on the square ``B`` is the squared Laplacian plus a positive
-semidefinite boundary term of rank at most 4n.  Hence every operator
-s I + a Lap_h^2 - c Lap_h is diagonal in the sine basis and is applied
-or inverted with four dense matrix products, and with s = 1 it lies
-below I + a B - c L, which makes it a preconditioner whose error is
-confined to the boundary (Bjorstad, SIAM J. Numer. Anal. 20, 1983).
+so on the square ``B`` is the squared Laplacian plus a diagonal
+boundary term, (2/h^4) times the number of boundary lines next to each
+node (``edges``).  Hence every operator s I + a Lap_h^2 - c Lap_h is
+diagonal in the sine basis and is applied or inverted with four dense
+matrix products, and with s = 1 it lies below I + a B - c L, which
+makes it a preconditioner whose error is confined to the boundary
+(Bjorstad, SIAM J. Numer. Anal. 20, 1983).
 
 Both 1d stencils are written down once, as constant diagonals in DIA
 storage (``_stencil_1d``); the CSR matrices and the banded storage of
@@ -40,9 +41,14 @@ put back as rank-4 products, and one matrix-vector product with the
 inverse of the 4n-by-4n capacitance matrix, formed once per form and
 grid from its Cholesky factor.  The Newton matrix of the time
 step adds a diagonal and a rank-1 term to I + a B - c L: in 1d both
-enter the banded solve, and in 2d it is solved by conjugate gradients,
-each iteration one sparse product with I + a B - c L + diag(d)
-assembled on the pattern of B, plus the rank-1 term.
+enter the banded solve, and in 2d it is solved by conjugate gradients.
+While the plate dominates the diagonal, they are preconditioned by the
+sine-basis inverse of I + a Lap_h^2 - c Lap_h, and an iteration makes no
+sparse product: it applies the diagonal rest and the rank-1 term to a
+vector (``solve``).  Once the damping dominates, they are preconditioned
+by the exact diagonal, each iteration one sparse product with
+I + a B - c L + diag(d) assembled on the pattern of B, plus the rank-1
+term.
 """
 
 from __future__ import annotations
@@ -55,8 +61,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .solvers import (cg_iterations, conjugate_gradient,
-                      operator_norm_estimate, solve_spd_banded)
+from .errors import ConvergenceFailure
+from .solvers import (conjugate_gradient, operator_norm_estimate,
+                      solve_spd_banded)
 
 if TYPE_CHECKING:
     from .dynamics import StepCounts
@@ -242,6 +249,19 @@ class GridOperators:
             return A.dot
         return lambda x: A @ x + (rho * (w @ x)) * w
 
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The number of boundary lines next to each node of a 2d grid
+        (0 inside, 1 along an edge, 2 at a corner, 4 when n = 1), so
+        that B - Lap_h^2 = (2/h^4) diag(edges): each 1d fourth
+        difference differs from the squared Laplacian only at its ends
+        (``_stencil_1d``)."""
+        n = self.grid.n_interior
+        ends = np.zeros(n)
+        ends[0] += 1.0
+        ends[-1] += 1.0
+        return (ends[:, None] + ends[None, :]).ravel()
+
     def solve(self, a: float, c: float, d: np.ndarray, rho: float,
               w: np.ndarray, rhs: np.ndarray, rtol: float,
               counts: StepCounts) -> np.ndarray:
@@ -250,42 +270,62 @@ class GridOperators:
 
         In 1d one banded Cholesky call takes the band with d on its
         diagonal against the two right-hand sides rhs and w, and the
-        Sherman-Morrison formula adds the rank-1 term.  In 2d conjugate
-        gradients from zero apply ``newton_product``, and the iterations
-        they make, converged or not, are added to ``counts.cg_iters``.
-        They are preconditioned by ``sine_inverse`` between two diagonal
-        scalings by (1 + d+/k)^{-1/2}, where k is the interior diagonal
-        of the sine operator and d+ the positive part of d: while d is
-        small against k that is ``sine_inverse`` itself, and where d
-        dominates, as the damping does near blow-up, it restores the
-        diagonal that ``sine_inverse`` misses.  No factorization is ever
-        made."""
+        Sherman-Morrison formula adds the rank-1 term.  In 2d the matrix
+        is K + diag(e) + rho w w^T, with K = I + a Lap_h^2 - c Lap_h
+        diagonal in the sine basis and e = (2a/h^4) edges + d, and
+        conjugate gradients from zero solve it, the iterations they
+        make, converged or not, added to ``counts.cg_iters``.  While
+        the plate dominates, max(d) <= a ||B|| + c ||L||, they are
+        preconditioned by ``sine_inverse``, the inverse of K, and an
+        iteration applies only diag(e) and the rank-1 term
+        (``conjugate_gradient``'s ``rest``); K is applied through the
+        sine basis to the initial residual and at the refreshes.  Once
+        the damping dominates, as it does near blow-up, K^{-1} misses
+        what matters and CG is preconditioned by the exact diagonal
+        1 + (a/h^4)(20 + edges) + 4c/h^2 + d, applying ``newton_product``;
+        these solves are counted in ``counts.diagonal_solves``.  No
+        factorization is ever made."""
         if self.grid.dim == 1:
             eye_band, B_band, L_band = self.bands
             ab = eye_band + a * B_band - c * L_band
             ab[2] += d
             x, y = solve_spd_banded(ab, np.column_stack((rhs, w))).T
             return x - (rho * (w @ x) / (1.0 + rho * (w @ y))) * y
-        apply = self.newton_product(a, c, d, rho, w)
-        products = 0
-
-        def counted(x: np.ndarray) -> np.ndarray:
-            nonlocal products
-            products += 1
-            return apply(x)
-
         h = self.grid.h
-        k = 1.0 + 20.0 * a / h**4 + 4.0 * c / h**2
-        s = 1.0 / np.sqrt(1.0 + np.maximum(d, 0.0) / k)
-        sine_inverse = self.sine_inverse(a, c)
+        a_norm = (1.0 + a * self.norm_B + c * self.norm_L + np.abs(d)
+                  + rho * np.abs(w) * np.abs(w).sum())
+        if d.max() <= a * self.norm_B + c * self.norm_L:
+            S, mu, n = self.sine, self.mu, self.grid.n_interior
+            symbols = 1.0 + a * mu * mu - c * mu
+            e = (2.0 * a / h**4) * self.edges + d
+
+            def rest(x: np.ndarray) -> np.ndarray:
+                if rho == 0.0:
+                    return e * x
+                return e * x + (rho * (w @ x)) * w
+
+            def apply(x: np.ndarray) -> np.ndarray:
+                Kx = (S @ ((S @ x.reshape(n, n) @ S) * symbols) @ S).ravel()
+                return Kx + rest(x)
+
+            M = self.sine_inverse(a, c)
+        else:
+            rest = None
+            apply = self.newton_product(a, c, d, rho, w)
+            # the diagonal of B is (20 + edges)/h^4, that of L -4/h^2
+            diagonal = (1.0 + 4.0 * c / h**2
+                        + (a / h**4) * (20.0 + self.edges) + d)
+            M = lambda r: r / diagonal
+            counts.diagonal_solves += 1
         try:
-            return conjugate_gradient(
-                counted, rhs, x0=np.zeros_like(rhs), rtol=rtol, max_iter=500,
-                M=lambda r: s * sine_inverse(s * r),
-                a_norm=(1.0 + a * self.norm_B + c * self.norm_L + np.abs(d)
-                        + rho * np.abs(w) * np.abs(w).sum()))
-        finally:
-            counts.cg_iters += cg_iterations(products)
+            x, iterations = conjugate_gradient(
+                apply, rhs, x0=np.zeros_like(rhs), rtol=rtol, max_iter=500,
+                M=M, a_norm=a_norm, rest=rest)
+        except ConvergenceFailure as failure:
+            counts.cg_iters += failure.iterations
+            raise
+        counts.cg_iters += iterations
+        return x
 
     def form(self, name: str) -> tuple[Callable, Callable]:
         """Matrix product and exact solve of the fixed quadratic form

@@ -5,8 +5,8 @@ banded Cholesky call (``solve_spd_banded``) per solve in 1d and by a
 capacitance (Woodbury) solve on the sine basis in 2d (see
 ``operators``).  The 1d time step makes the same banded call.  The one
 iterative solve is the Newton correction of the 2d time integrator:
-conjugate gradients preconditioned by a sine-basis solve, with a
-row-wise backward-error stopping rule
+conjugate gradients, preconditioned by a sine-basis solve or by the
+diagonal, with a row-wise backward-error stopping rule
 
     |r_i| <= rtol * (|b_i| + ||A_i||_1 * ||x||_inf)   for every row i
 
@@ -18,6 +18,12 @@ target).  Unlike a normwise test against ||A|| it keeps every row
 accurate when the row norms spread over many decades, as the step's
 damping diagonal does near blow-up: there a normwise test lets the
 rows of small norm carry errors of order one.
+
+When the preconditioner is the exact inverse of a part of the operator,
+as the sine-basis solve is of the plate part, ``conjugate_gradient``
+takes the rest of the operator and carries the product of that part
+with the search direction along the recurrence, so an iteration applies
+only the rest.
 """
 
 from __future__ import annotations
@@ -94,27 +100,29 @@ def ilu_preconditioner(A: sp.spmatrix, drop_tol: float = 1e-5,
 CG_REFRESH = 50
 
 
-def cg_iterations(products: int) -> int:
-    """The iterations of a ``conjugate_gradient`` call that applied its
-    operator ``products`` times: once for the initial residual, once per
-    iteration and once more per true-residual refresh."""
-    m = max(products - 1, 0)
-    return m - m // (CG_REFRESH + 1)
-
-
 def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
                        b: np.ndarray, x0: np.ndarray, *, rtol: float,
                        max_iter: int, M: Callable[[np.ndarray], np.ndarray],
-                       a_norm: float | np.ndarray) -> np.ndarray:
-    """Preconditioned CG from x0 with row-wise backward-error stopping.
+                       a_norm: float | np.ndarray,
+                       rest: Callable[[np.ndarray], np.ndarray] | None = None
+                       ) -> tuple[np.ndarray, int]:
+    """Preconditioned CG from x0 with row-wise backward-error stopping;
+    returns the solution and the iterations made.
 
     ``A`` and ``M`` are functions applying the operator and the
     preconditioner; ``a_norm`` bounds the 1-norms of the operator's rows
     in the stopping rule: an array with one bound per row, or one number
     for every row.
 
-    Raises ConvergenceFailure (with the final relative backward error in
-    ``residual``) if the budget runs out, or at once on a curvature
+    ``rest``, when given, applies the part of the operator that ``M``
+    does not invert, A = M^{-1} + rest.  Since M^{-1} z = r, the product
+    M^{-1} p of each new search direction p = z + beta p follows as
+    r + beta M^{-1} p, and an iteration applies ``rest`` instead of
+    ``A``; ``A`` itself is applied only to the initial residual and at
+    the refreshes.
+
+    Raises ConvergenceFailure (with the iterations made in
+    ``iterations``) if the budget runs out, or at once on a curvature
     ``p^T A p`` that is not positive, NaN included.  The recurrence
     residual is replaced by the true residual every CG_REFRESH
     iterations to stop rounding drift from masking stagnation.  The
@@ -136,19 +144,25 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
     r = b - A(x)
     z = M(r)
     p = z.copy()
+    # M^{-1} p, carried along when the iterations apply only ``rest``
+    Mp = None if rest is None else r.copy()
     rz = float(np.dot(r, z))
     err = backward_error(r)
     if err <= rtol:
-        return x
+        return x, 0
 
     for k in range(1, max_iter + 1):
-        Ap = A(p)
+        if rest is None:
+            Ap = A(p)
+        else:
+            Ap = rest(p)
+            Ap += Mp
         pAp = float(np.dot(p, Ap))
         if not pAp > 0.0:
             raise ConvergenceFailure(
                 "conjugate gradient hit a curvature that is non-positive "
                 f"or not finite (p^T A p = {pAp:g}); the operator is not "
-                "SPD or not finite")
+                "SPD or not finite", iterations=k)
         alpha = rz / pAp
         x += np.multiply(p, alpha, out=work)
         if k % CG_REFRESH == 0:
@@ -157,14 +171,18 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
             r -= np.multiply(Ap, alpha, out=work)
         err = backward_error(r)
         if err <= rtol:
-            return x
+            return x, k
         z = M(r)
         rz_next = float(np.dot(r, z))
         beta = rz_next / rz
         rz = rz_next
         p *= beta
         p += z
+        if Mp is not None:
+            Mp *= beta
+            Mp += r
 
     raise ConvergenceFailure(
         f"conjugate gradient stalled after {max_iter} iterations "
-        f"(backward error {err:.3e}, target {rtol:.3e})")
+        f"(backward error {err:.3e}, target {rtol:.3e})",
+        iterations=max_iter)

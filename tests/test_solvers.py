@@ -14,7 +14,7 @@ from beamblow import make_grid
 from beamblow.dynamics import StepCounts, coefficients
 from beamblow.errors import ConvergenceFailure
 from beamblow.operators import FORMS, GRIDS_KEPT, operators
-from beamblow.solvers import (CG_REFRESH, cg_iterations, conjugate_gradient,
+from beamblow.solvers import (CG_REFRESH, conjugate_gradient,
                               operator_norm_estimate, solve_spd_banded)
 
 
@@ -66,6 +66,15 @@ def test_plate_minus_squared_laplacian_is_low_rank_psd_in_2d(n):
     tol = 1e-10 * eig[-1]
     assert eig[0] > -tol
     assert np.count_nonzero(eig > tol) <= 4 * n
+    # the term is diagonal: 2/h^4 per boundary line next to the node
+    edges = np.diag(E) * ops.grid.h**4 / 2.0
+    assert np.max(np.abs(E - np.diag(np.diag(E)))) <= 1e-12 * eig[-1]
+    assert np.allclose(edges, ops.edges, rtol=0.0, atol=1e-12)
+    assert sorted(set(ops.edges)) == [0.0, 1.0, 2.0]
+    # so the diagonal of B, which the 2d step's Jacobi path inverts, is
+    # (20 + edges)/h^4
+    assert np.allclose(ops.B.diagonal() * ops.grid.h**4, 20.0 + ops.edges,
+                       rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32)])
@@ -146,10 +155,10 @@ def test_sine_preconditioned_cg_solves_the_2d_step_system(n, dt):
     rhs = rng.standard_normal(g.size)
     A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()
     # raises ConvergenceFailure if rtol is not met within max_iter
-    x = conjugate_gradient(A.dot, rhs, np.zeros(g.size),
-                           rtol=1e-10, max_iter=30,
-                           M=ops.sine_inverse(a, c),
-                           a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
+    x, _ = conjugate_gradient(A.dot, rhs, np.zeros(g.size),
+                              rtol=1e-10, max_iter=30,
+                              M=ops.sine_inverse(a, c),
+                              a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
     ref = spla.spsolve(A, rhs)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -177,9 +186,11 @@ def test_cg_fails_fast_on_a_non_finite_operator():
     assert len(products) <= 2
 
 
-def test_cg_iterations_are_read_off_the_operator_products():
+def test_cg_reports_the_iterations_it_made():
     # an unpreconditioned Laplacian solve passes two true-residual
-    # refreshes; a converged CG applies M once per iteration
+    # refreshes; a converged CG applies M once per iteration.  Handed
+    # the part of A that M = I does not invert, it applies A only to the
+    # initial residual and at the refreshes, and reaches the same x
     ops = operators(make_grid(2, 32))
     A = -ops.L
     products, preconditions = [], []
@@ -193,11 +204,70 @@ def test_cg_iterations_are_read_off_the_operator_products():
         return r.copy()
 
     rhs = np.random.default_rng(23).standard_normal(A.shape[0])
-    conjugate_gradient(apply, rhs, np.zeros_like(rhs), rtol=1e-10,
-                       max_iter=500, M=identity,
-                       a_norm=operator_norm_estimate(A))
-    assert len(preconditions) > 2 * CG_REFRESH
-    assert cg_iterations(len(products)) == len(preconditions)
+    cg = dict(x0=np.zeros_like(rhs), rtol=1e-10, max_iter=500, M=identity,
+              a_norm=operator_norm_estimate(A))
+    x, iterations = conjugate_gradient(apply, rhs, **cg)
+    assert iterations > 2 * CG_REFRESH
+    assert iterations == len(preconditions)
+    assert len(products) == 1 + iterations + iterations // CG_REFRESH
+
+    products.clear()
+    y, iterations_rest = conjugate_gradient(
+        apply, rhs, rest=lambda p: A @ p - p, **cg)
+    assert abs(iterations_rest - iterations) <= 2
+    assert len(products) == 1 + iterations_rest // CG_REFRESH
+    assert np.linalg.norm(y - x) <= 1e-8 * np.linalg.norm(x)
+
+    with pytest.raises(ConvergenceFailure, match="stalled") as failure:
+        conjugate_gradient(apply, rhs, **{**cg, "max_iter": 7})
+    assert failure.value.iterations == 7
+
+
+@pytest.mark.parametrize("dt,sign,rank_one", [
+    (1e-3, 1.0, False), (1e-3, 1.0, True), (1e-3, -1.0, False),
+    (1e-3, -1.0, True), (1e-2, 1.0, True)])
+def test_step_solve_on_the_sine_path_matches_a_direct_solve(dt, sign,
+                                                             rank_one):
+    # d below the switch, max(d) <= a ||B|| + c ||L||, positive up to the
+    # switch or negative down to -0.9; the larger step's plate and
+    # damping need more than CG_REFRESH iterations, so a refresh runs
+    g = make_grid(2, 24)
+    ops = operators(g)
+    a, c = coefficients(dt, mbar=5.0)
+    rng = np.random.default_rng(13)
+    top = a * ops.norm_B + c * ops.norm_L
+    d = top * rng.uniform(0.0, 1.0, g.size) if sign > 0 else (
+        -rng.uniform(0.0, 0.9, g.size))
+    w = rng.standard_normal(g.size)
+    rho = 1.0 / (w @ w) if rank_one else 0.0
+    rhs = rng.standard_normal(g.size)
+    counts = StepCounts()
+    x = ops.solve(a, c, d, rho, w, rhs, 1e-12, counts)
+    A = (sp.identity(g.size) + a * ops.B - c * ops.L).toarray()
+    ref = np.linalg.solve(A + np.diag(d) + rho * np.outer(w, w), rhs)
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert counts.diagonal_solves == 0
+    assert counts.cg_iters > 0
+    if dt == 1e-2:
+        assert counts.cg_iters > CG_REFRESH
+
+
+def test_step_solve_takes_the_diagonal_once_the_damping_dominates():
+    # just above the switch the diagonal preconditions CG, and the
+    # solve still matches a direct one
+    g = make_grid(2, 16)
+    ops = operators(g)
+    a, c = coefficients(1e-3, mbar=5.0)
+    rng = np.random.default_rng(29)
+    d = rng.uniform(0.0, 1.0, g.size)
+    d[7] = 1.01 * (a * ops.norm_B + c * ops.norm_L)
+    rhs = rng.standard_normal(g.size)
+    counts = StepCounts()
+    x = ops.solve(a, c, d, 0.0, rhs, rhs, 1e-12, counts)
+    A = (sp.identity(g.size) + a * ops.B - c * ops.L).toarray() + np.diag(d)
+    assert counts.diagonal_solves == 1
+    assert np.linalg.norm(x - np.linalg.solve(A, rhs)) <= (
+        1e-9 * np.linalg.norm(rhs))
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 24)])
