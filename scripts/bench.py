@@ -152,6 +152,8 @@ REPEATS = {"startup": 11, "run_1d": 11, "run_2d": 5, "run_2d_pr": 5,
 # the keys of a simulate run's report.txt that the runner reads; a side
 # whose report lacks one has none
 REPORT_KEYS = ("run.termination", "run.n_steps", "run.attempts",
+               "run.rejected_nonfinite", "run.rejected_solver",
+               "run.rejected_newton", "run.rejected_energy",
                "run.newton_iters", "run.linear_solves", "run.cg_iters",
                "run.diagonal_solves", "T_num", "T_num_uncertainty")
 

@@ -41,14 +41,15 @@ put back as rank-4 products, and one matrix-vector product with the
 inverse of the 4n-by-4n capacitance matrix, formed once per form and
 grid from its Cholesky factor.  The Newton matrix of the time
 step adds a diagonal and a rank-1 term to I + a B - c L: in 1d both
-enter the banded solve, and in 2d it is solved by conjugate gradients.
-While the plate dominates the diagonal, they are preconditioned by the
-sine-basis inverse of I + a Lap_h^2 - c Lap_h, and an iteration makes no
-sparse product: it applies the diagonal rest and the rank-1 term to a
-vector (``solve``).  Once the damping dominates, they are preconditioned
-by the exact diagonal, each iteration one sparse product with
-I + a B - c L + diag(d) assembled on the pattern of B, plus the rank-1
-term.
+enter the banded solve, and in 2d it is solved by conjugate gradients
+from zero.  While the plate dominates the diagonal, they are
+preconditioned by the sine-basis inverse of I + a Lap_h^2 - c Lap_h,
+and an iteration makes no sparse product: it applies the diagonal rest
+and the rank-1 term to a vector (``solve``).  Once the damping
+dominates, each iteration makes one sparse product with
+I + a B - c L + diag(d) assembled on the pattern of B
+(``newton_matrix``), plus the same rank-1 term, and CG is
+preconditioned by that matrix's own diagonal.
 """
 
 from __future__ import annotations
@@ -204,36 +205,20 @@ class GridOperators:
     @cached_property
     def newton_pattern(self) -> tuple[np.ndarray, np.ndarray]:
         """The 2d Newton matrix's fixed parts on the CSR pattern of
-        ``B``: the entries of ``L`` scattered into an array shaped like
-        ``B.data`` (zero where L has no entry), and the positions of the
-        diagonal in ``B.data``.  The 13-point pattern of B holds the
-        5-point pattern of L and the diagonal, so I + a B - c L + diag(d)
-        is one array on that pattern; the positions are found by a
-        vectorised search of the sorted (row, column) keys, built in
-        place to keep the peak memory of the set-up low."""
-        B, L = self.B, self.L
-        size = B.shape[0]
+        ``B``: the entries of ``L`` at B's (row, column) pairs, an array
+        aligned with ``B.data`` (zero where L has no entry), and the
+        positions of the diagonal in ``B.data``.  The 13-point pattern of
+        B holds the 5-point pattern of L and the diagonal, so
+        I + a B - c L + diag(d) is one array on that pattern."""
+        B = self.B
+        rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+        L_on_B = np.asarray(self.L[rows, B.indices]).ravel()
+        return L_on_B, np.flatnonzero(rows == B.indices)
 
-        def keys(A: sp.csr_matrix) -> np.ndarray:
-            keys = np.repeat(np.arange(size), np.diff(A.indptr))
-            keys *= size
-            keys += A.indices
-            return keys
-
-        B_keys = keys(B)
-        L_at = np.searchsorted(B_keys, keys(L))
-        diagonal = np.searchsorted(B_keys, np.arange(size) * (size + 1))
-        del B_keys
-        L_on_B = np.zeros_like(B.data)
-        L_on_B[L_at] = L.data
-        return L_on_B, diagonal
-
-    def newton_product(self, a: float, c: float, d: np.ndarray, rho: float,
-                       w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """A function applying the 2d Newton matrix
-        I + a B - c L + diag(d) + rho w w^T: one sparse product with the
-        first four terms assembled on the pattern of ``B``, plus the
-        rank-1 term."""
+    def newton_matrix(self, a: float, c: float, d: np.ndarray
+                      ) -> sp.csr_matrix:
+        """The 2d Newton matrix without its rank-1 term,
+        I + a B - c L + diag(d), assembled on the pattern of ``B``."""
         B = self.B
         L_on_B, diagonal = self.newton_pattern
         # a (B - (c/a) L) written into one new array: a second temporary
@@ -244,10 +229,7 @@ class GridOperators:
         data += B.data
         data *= a
         data[diagonal] += 1.0 + d
-        A = sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
-        if rho == 0.0:
-            return A.dot
-        return lambda x: A @ x + (rho * (w @ x)) * w
+        return sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -273,36 +255,38 @@ class GridOperators:
         Sherman-Morrison formula adds the rank-1 term.  In 2d the matrix
         is K + diag(e) + rho w w^T, with K = I + a Lap_h^2 - c Lap_h
         diagonal in the sine basis and e = (2a/h^4) edges + d, and
-        conjugate gradients from zero solve it, the iterations they
-        make, converged or not, added to ``counts.cg_iters``.  While
-        the plate dominates, max(d) <= a ||B|| + c ||L||, they are
-        preconditioned by ``sine_inverse``, the inverse of K, and an
-        iteration applies only diag(e) and the rank-1 term
-        (``conjugate_gradient``'s ``rest``); K is applied through the
-        sine basis to the initial residual and at the refreshes.  Once
-        the damping dominates, as it does near blow-up, K^{-1} misses
-        what matters and CG is preconditioned by the exact diagonal
-        1 + (a/h^4)(20 + edges) + 4c/h^2 + d, applying ``newton_product``;
-        these solves are counted in ``counts.diagonal_solves``.  No
-        factorization is ever made."""
+        conjugate gradients solve it from zero, starting at r = rhs
+        with no product; the iterations they make, converged or not,
+        are added to ``counts.cg_iters``.  While the plate dominates,
+        max(d) <= a ||B|| + c ||L||, they are preconditioned by
+        ``sine_inverse``, the inverse of K, and an iteration applies
+        only diag(e) and the rank-1 term (``conjugate_gradient``'s
+        ``rest``); K is applied through the sine basis only at the
+        refreshes.  Once the damping dominates, as it does near
+        blow-up, K^{-1} misses what matters: an iteration applies
+        ``newton_matrix`` and the same rank-1 term, and CG is
+        preconditioned by the diagonal of that matrix; these solves
+        are counted in ``counts.diagonal_solves``.  No factorization is
+        ever made."""
         if self.grid.dim == 1:
             eye_band, B_band, L_band = self.bands
             ab = eye_band + a * B_band - c * L_band
             ab[2] += d
             x, y = solve_spd_banded(ab, np.column_stack((rhs, w))).T
             return x - (rho * (w @ x) / (1.0 + rho * (w @ y))) * y
-        h = self.grid.h
         a_norm = (1.0 + a * self.norm_B + c * self.norm_L + np.abs(d)
                   + rho * np.abs(w) * np.abs(w).sum())
+
+        def rank1(x: np.ndarray) -> np.ndarray:
+            return (rho * (w @ x)) * w
+
         if d.max() <= a * self.norm_B + c * self.norm_L:
             S, mu, n = self.sine, self.mu, self.grid.n_interior
             symbols = 1.0 + a * mu * mu - c * mu
-            e = (2.0 * a / h**4) * self.edges + d
+            e = (2.0 * a / self.grid.h**4) * self.edges + d
 
             def rest(x: np.ndarray) -> np.ndarray:
-                if rho == 0.0:
-                    return e * x
-                return e * x + (rho * (w @ x)) * w
+                return e * x + rank1(x)
 
             def apply(x: np.ndarray) -> np.ndarray:
                 Kx = (S @ ((S @ x.reshape(n, n) @ S) * symbols) @ S).ravel()
@@ -311,16 +295,15 @@ class GridOperators:
             M = self.sine_inverse(a, c)
         else:
             rest = None
-            apply = self.newton_product(a, c, d, rho, w)
-            # the diagonal of B is (20 + edges)/h^4, that of L -4/h^2
-            diagonal = (1.0 + 4.0 * c / h**2
-                        + (a / h**4) * (20.0 + self.edges) + d)
+            A = self.newton_matrix(a, c, d)
+            apply = lambda x: A @ x + rank1(x)
+            diagonal = A.diagonal()
             M = lambda r: r / diagonal
             counts.diagonal_solves += 1
         try:
             x, iterations = conjugate_gradient(
-                apply, rhs, x0=np.zeros_like(rhs), rtol=rtol, max_iter=500,
-                M=M, a_norm=a_norm, rest=rest)
+                apply, rhs, rtol=rtol, max_iter=500, M=M, a_norm=a_norm,
+                rest=rest)
         except ConvergenceFailure as failure:
             counts.cg_iters += failure.iterations
             raise

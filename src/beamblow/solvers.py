@@ -101,13 +101,15 @@ CG_REFRESH = 50
 
 
 def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
-                       b: np.ndarray, x0: np.ndarray, *, rtol: float,
-                       max_iter: int, M: Callable[[np.ndarray], np.ndarray],
+                       b: np.ndarray, x0: np.ndarray | None = None, *,
+                       rtol: float, max_iter: int,
+                       M: Callable[[np.ndarray], np.ndarray],
                        a_norm: float | np.ndarray,
                        rest: Callable[[np.ndarray], np.ndarray] | None = None
                        ) -> tuple[np.ndarray, int]:
     """Preconditioned CG from x0 with row-wise backward-error stopping;
-    returns the solution and the iterations made.
+    returns the solution and the iterations made.  With ``x0`` None it
+    starts from zero at r = b, without applying the operator.
 
     ``A`` and ``M`` are functions applying the operator and the
     preconditioner; ``a_norm`` bounds the 1-norms of the operator's rows
@@ -118,8 +120,8 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
     does not invert, A = M^{-1} + rest.  Since M^{-1} z = r, the product
     M^{-1} p of each new search direction p = z + beta p follows as
     r + beta M^{-1} p, and an iteration applies ``rest`` instead of
-    ``A``; ``A`` itself is applied only to the initial residual and at
-    the refreshes.
+    ``A``; ``A`` itself is applied only at the refreshes, and to x0
+    when one is given.
 
     Raises ConvergenceFailure (with the iterations made in
     ``iterations``) if the budget runs out, or at once on a curvature
@@ -129,7 +131,12 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
     updates and the stopping test write into buffers made once per
     call.
     """
-    x = np.array(x0, dtype=float)
+    if x0 is None:
+        x = np.zeros(b.shape)
+        r = np.array(b, dtype=float)
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A(x)
     b_abs = np.abs(b)
     denom = np.empty_like(x)
     work = np.empty_like(x)
@@ -141,7 +148,6 @@ def conjugate_gradient(A: Callable[[np.ndarray], np.ndarray],
         np.abs(res_vec, out=work)
         return float(np.divide(work, denom, out=work).max())
 
-    r = b - A(x)
     z = M(r)
     p = z.copy()
     # M^{-1} p, carried along when the iterations apply only ``rest``

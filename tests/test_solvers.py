@@ -71,8 +71,7 @@ def test_plate_minus_squared_laplacian_is_low_rank_psd_in_2d(n):
     assert np.max(np.abs(E - np.diag(np.diag(E)))) <= 1e-12 * eig[-1]
     assert np.allclose(edges, ops.edges, rtol=0.0, atol=1e-12)
     assert sorted(set(ops.edges)) == [0.0, 1.0, 2.0]
-    # so the diagonal of B, which the 2d step's Jacobi path inverts, is
-    # (20 + edges)/h^4
+    # so the diagonal of B is (20 + edges)/h^4
     assert np.allclose(ops.B.diagonal() * ops.grid.h**4, 20.0 + ops.edges,
                        rtol=1e-14, atol=0.0)
 
@@ -179,7 +178,7 @@ def test_cg_fails_fast_on_a_non_finite_operator():
 
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
             ConvergenceFailure, match="not finite"):
-        apply = ops.newton_product(a, c, np.zeros(g.size), 0.0, rhs)
+        apply = ops.newton_matrix(a, c, np.zeros(g.size)).dot
         conjugate_gradient(counted, rhs, np.zeros(g.size), rtol=1e-10,
                            max_iter=500, M=ops.sine_inverse(a, c),
                            a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
@@ -190,7 +189,9 @@ def test_cg_reports_the_iterations_it_made():
     # an unpreconditioned Laplacian solve passes two true-residual
     # refreshes; a converged CG applies M once per iteration.  Handed
     # the part of A that M = I does not invert, it applies A only to the
-    # initial residual and at the refreshes, and reaches the same x
+    # initial residual and at the refreshes, and reaches the same x.
+    # Started at zero with no x0, it makes no product for the initial
+    # residual and reaches the same x bit for bit
     ops = operators(make_grid(2, 32))
     A = -ops.L
     products, preconditions = [], []
@@ -212,11 +213,27 @@ def test_cg_reports_the_iterations_it_made():
     assert len(products) == 1 + iterations + iterations // CG_REFRESH
 
     products.clear()
-    y, iterations_rest = conjugate_gradient(
-        apply, rhs, rest=lambda p: A @ p - p, **cg)
+    x_none, iterations_none = conjugate_gradient(
+        apply, rhs, **{**cg, "x0": None})
+    assert iterations_none == iterations
+    assert x_none.tobytes() == x.tobytes()
+    assert len(products) == iterations + iterations // CG_REFRESH
+
+    def rest(p):
+        return A @ p - p
+
+    products.clear()
+    y, iterations_rest = conjugate_gradient(apply, rhs, rest=rest, **cg)
     assert abs(iterations_rest - iterations) <= 2
     assert len(products) == 1 + iterations_rest // CG_REFRESH
     assert np.linalg.norm(y - x) <= 1e-8 * np.linalg.norm(x)
+
+    products.clear()
+    y_none, iterations_none = conjugate_gradient(
+        apply, rhs, rest=rest, **{**cg, "x0": None})
+    assert iterations_none == iterations_rest
+    assert y_none.tobytes() == y.tobytes()
+    assert len(products) == iterations_rest // CG_REFRESH
 
     with pytest.raises(ConvergenceFailure, match="stalled") as failure:
         conjugate_gradient(apply, rhs, **{**cg, "max_iter": 7})
@@ -292,25 +309,39 @@ def test_step_solve_matches_a_direct_solve(dim, n):
     assert (counts.cg_iters > 0) == (dim == 2)
 
 
-@pytest.mark.parametrize("n", [8, 24])
-@pytest.mark.parametrize("rank_one", [False, True])
-def test_newton_product_is_the_explicit_newton_matrix(n, rank_one):
-    # every entry of the one-product Newton matrix, read off its columns,
-    # equals I + a B - c L + diag(d) + rho w w^T assembled term by term
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 24])
+def test_newton_matrix_is_the_explicit_newton_matrix(n, monkeypatch):
+    # every entry of the assembled Newton matrix equals
+    # I + a B - c L + diag(d) built term by term, and the Jacobi path
+    # inverts its diagonal: the dense diagonal in the assembly's order of
+    # operations, bit for bit.  n <= 3 puts nodes on two or four
+    # boundary lines at once
     g = make_grid(2, n)
     ops = operators(g)
     a, c = coefficients(1e-3, mbar=5.0)
     rng = np.random.default_rng(19)
     d = rng.choice((-1.0, 1.0), g.size) * 10.0**rng.uniform(-3.0, 3.0, g.size)
-    w = rng.standard_normal(g.size)
-    rho = 1.0 / (w @ w) if rank_one else 0.0
-    A = ((sp.identity(g.size) + a * ops.B - c * ops.L).toarray()
-         + np.diag(d) + rho * np.outer(w, w))
-    apply = ops.newton_product(a, c, d, rho, w)
-    got = np.column_stack([apply(e) for e in np.eye(g.size)])
-    assert np.max(np.abs(got - A)) <= 1e-14 * np.max(np.abs(A))
+    # past the switch, so that ``solve`` takes the Jacobi path
+    d[0] = 1e3 + a * ops.norm_B + c * ops.norm_L
+    B, L = ops.B.toarray(), ops.L.toarray()
+    A = np.eye(g.size) + a * B - c * L + np.diag(d)
+    got = ops.newton_matrix(a, c, d)
+    assert np.max(np.abs(got.toarray() - A)) <= 1e-14 * np.max(np.abs(A))
     x = rng.standard_normal(g.size)
-    assert np.linalg.norm(apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
+    assert np.linalg.norm(got @ x - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
+
+    preconditioners = []
+
+    def record(apply, rhs, **kwargs):
+        preconditioners.append(kwargs["M"])
+        return np.zeros_like(rhs), 0
+
+    monkeypatch.setattr("beamblow.operators.conjugate_gradient", record)
+    counts = StepCounts()
+    ops.solve(a, c, d, 0.0, x, x, 1e-12, counts)
+    assert counts.diagonal_solves == 1
+    diagonal = (np.diag(L) * (-c / a) + np.diag(B)) * a + (1.0 + d)
+    assert np.array_equal(preconditioners[0](np.ones(g.size)), 1.0 / diagonal)
 
 
 @pytest.mark.parametrize("dt,mbar", [(1e-3, 1.0), (1e-4, 30.0),
