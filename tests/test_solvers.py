@@ -344,6 +344,42 @@ def test_newton_matrix_is_the_explicit_newton_matrix(n, monkeypatch):
     assert np.array_equal(preconditioners[0](np.ones(g.size)), 1.0 / diagonal)
 
 
+@pytest.mark.parametrize("n", [8, 24])
+@pytest.mark.parametrize("rank_one", [False, True])
+def test_newton_product_is_the_explicit_newton_matrix(n, rank_one,
+                                                      monkeypatch):
+    # every entry of the one-product Newton matrix that a Jacobi-path CG
+    # iteration applies, read off its columns, equals
+    # I + a B - c L + diag(d) + rho w w^T assembled term by term
+    g = make_grid(2, n)
+    ops = operators(g)
+    a, c = coefficients(1e-3, mbar=5.0)
+    rng = np.random.default_rng(19)
+    d = rng.choice((-1.0, 1.0), g.size) * 10.0**rng.uniform(-3.0, 3.0, g.size)
+    d[0] = 1e3 + a * ops.norm_B + c * ops.norm_L
+    w = rng.standard_normal(g.size)
+    rho = 1.0 / (w @ w) if rank_one else 0.0
+    A = ((sp.identity(g.size) + a * ops.B - c * ops.L).toarray()
+         + np.diag(d) + rho * np.outer(w, w))
+
+    products = []
+
+    def record(apply, rhs, **kwargs):
+        assert kwargs["rest"] is None
+        products.append(apply)
+        return np.zeros_like(rhs), 0
+
+    monkeypatch.setattr("beamblow.operators.conjugate_gradient", record)
+    counts = StepCounts()
+    ops.solve(a, c, d, rho, w, w, 1e-12, counts)
+    assert counts.diagonal_solves == 1
+    apply = products[0]
+    got = np.column_stack([apply(e) for e in np.eye(g.size)])
+    assert np.max(np.abs(got - A)) <= 1e-14 * np.max(np.abs(A))
+    x = rng.standard_normal(g.size)
+    assert np.linalg.norm(apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
+
+
 @pytest.mark.parametrize("dt,mbar", [(1e-3, 1.0), (1e-4, 30.0),
                                      (1e-6, 1e4), (2.5e-2, 0.0)])
 def test_banded_solve_equals_solveh_banded_bit_for_bit(dt, mbar):
