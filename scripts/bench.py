@@ -5,8 +5,8 @@ change.
     python scripts/bench.py --before OTHER_CHECKOUT/src [--case NAME]
 
 measures the ``src`` tree next to this script ("after") and the tree
-given by ``--before``, with two BLAS threads unless a run says
-otherwise, and writes one
+given by ``--before`` in ten alternating pairs per case (``PAIRS``),
+with two BLAS threads unless a run says otherwise, and writes one
 BENCH_<case>.json per case at the repository root.  Without
 ``--before`` only the "after" side is measured; without ``--case``
 every case runs.
@@ -64,17 +64,18 @@ is a fresh process with the side's ``src`` on PYTHONPATH, timed from
 outside, so the interpreter's start-up and the import are in each
 time; the sides alternate which one runs first, so drift of the host
 falls on both alike.  A run yields measured values and counts.  The
-measured values are the wall time ``wall_s``, the stage times of a
-simulate run's timing.txt (``timing.constants_s``, ``timing.data_s``,
-``timing.simulate_s``, ``timing.step_s``, ``timing.diagnostics_s`` and
-``timing.bounds_s``; a side whose runs write no timing.txt has none)
-and the ``measured`` numbers a ``--measure`` run prints; each side
-reports the median and quartiles of each, with every run.  The counts
-are read from a simulate run's report.txt (``REPORT_KEYS``) and are the
-``counts`` a ``--measure`` run prints; they must be equal on every
-repetition of a side.
-With ``--before`` each simulate run adds the relative change of
-``T_num`` between the sides.
+measured values are the wall time ``wall_s``, every ``timing.*`` stage
+time of a simulate run's timing.txt (a side whose runs write no
+timing.txt has none) and the ``measured`` numbers a ``--measure`` run
+prints; each side reports the median and quartiles of each, with every
+run.  The counts are every ``run.*`` key of a simulate run's report.txt
+with ``T_num`` and ``T_num_uncertainty``, and the ``counts`` a
+``--measure`` run prints; they must be equal on every repetition of a
+side.  With ``--before`` each simulate run adds the relative change of
+``T_num``, and each measured value of the after side adds ``won`` and
+``lost``: the pairs of repetitions (by index) in which it was lower,
+and higher; a tie counts for neither, and a value the before side
+lacks has neither key.
 
 The per-call split of a step (banded solve, CG, the step's own time) on
 the benchmark's workloads comes from ``perfbench/run.py --trace 1``.
@@ -105,15 +106,13 @@ class Run(NamedTuple):
     marks a run whose report.txt and timing.txt are read; ``in_root``
     runs the command in the side's checkout instead of a scratch
     directory; ``T_star`` is a reference blow-up time for ``T_num``;
-    ``prints_json`` marks a command whose last line of output is a JSON
-    object with the keys ``measured`` and ``counts``; ``threads`` is the
-    number of BLAS threads the process may use."""
+    ``threads`` is the number of BLAS threads the process may use.  A
+    ``--measure`` command prints ``measured`` and ``counts`` as JSON."""
 
     args: tuple[str, ...]
     config: str | None = None
     in_root: bool = False
     T_star: float | None = None
-    prints_json: bool = False
     threads: int = 2
 
 
@@ -125,10 +124,10 @@ def simulate(config: str, T_star: float | None = None) -> Run:
 def measure_run(case: str, n: int, threads: int = 2) -> Run:
     """This script's ``--measure case n`` in a fresh process."""
     return Run((str(Path(__file__).resolve()), "--measure", case, str(n)),
-               prints_json=True, threads=threads)
+               threads=threads)
 
 
-# every case: each run by name, and the repetitions per side
+# every case: each run by name
 CASES = {
     "startup": {"import": Run(("-c", "import beamblow"))},
     # singular time of the default 1D run: the Radau IIA run of the same
@@ -146,16 +145,7 @@ CASES = {
     "energy_levels": {"96": measure_run("energy_levels", 96)},
     "constants": {"96": measure_run("constants", 96)},
 }
-REPEATS = {"startup": 11, "run_1d": 11, "run_2d": 5, "run_2d_pr": 5,
-           "step_2d": 3, "verify": 5, "tier1": 5, "2d_forms": 11,
-           "energy_levels": 11, "constants": 11}
-# the keys of a simulate run's report.txt that the runner reads; a side
-# whose report lacks one has none
-REPORT_KEYS = ("run.termination", "run.n_steps", "run.attempts",
-               "run.rejected_nonfinite", "run.rejected_solver",
-               "run.rejected_newton", "run.rejected_energy",
-               "run.newton_iters", "run.linear_solves", "run.cg_iters",
-               "run.diagonal_solves", "T_num", "T_num_uncertainty")
+PAIRS = 10  # alternating before/after pairs per case
 
 
 def read_items(path: Path) -> dict:
@@ -173,9 +163,10 @@ def read_items(path: Path) -> dict:
 
 
 def read_report(path: Path) -> dict:
-    """The ``REPORT_KEYS`` of a report.txt, numbers parsed."""
-    items = read_items(path)
-    return {key: items[key] for key in REPORT_KEYS if key in items}
+    """Every ``run.*`` key, ``T_num`` and ``T_num_uncertainty`` of a
+    report.txt, numbers parsed."""
+    return {key: value for key, value in read_items(path).items()
+            if key.startswith("run.") or key in ("T_num", "T_num_uncertainty")}
 
 
 def run_once(run: Run, src: Path) -> tuple[dict, dict]:
@@ -201,7 +192,7 @@ def run_once(run: Run, src: Path) -> tuple[dict, dict]:
             timing = cwd / "out" / "timing.txt"
             if timing.exists():
                 measured.update(read_items(timing))
-    if run.prints_json:
+    if "--measure" in run.args:
         printed = json.loads(proc.stdout.splitlines()[-1])
         measured.update(printed["measured"])
         counts.update(printed["counts"])
@@ -226,7 +217,8 @@ def measure(runs: dict[str, Run], sides: dict[str, Path],
             repeats: int) -> dict:
     """Every run ``repeats`` times on each side, each time a fresh
     process, the sides alternating which runs first: per side and run
-    the counts and the spread of each measured value."""
+    the counts and the spread of each measured value, on the after side
+    with its pair wins and losses against a ``before`` side."""
     values = {side: {name: {} for name in runs} for side in sides}
     counts = {side: {} for side in sides}
     order = list(sides)
@@ -248,6 +240,13 @@ def measure(runs: dict[str, Run], sides: dict[str, Path],
             out[side][name] = {**counts[side][name],
                                **{key: spread(v) for key, v
                                   in values[side][name].items()}}
+            if side == "after" and "before" in sides:
+                before = values["before"][name]
+                for key in values[side][name].keys() & before.keys():
+                    pairs = list(zip(values[side][name][key], before[key]))
+                    out[side][name][key].update(
+                        won=sum(a < b for a, b in pairs),
+                        lost=sum(a > b for a, b in pairs))
             if run.T_star is not None:
                 gap = relative(counts[side][name]["T_num"], run.T_star)
                 out[side][name].update(T_star=run.T_star, T_num_rel_gap=gap)
@@ -446,7 +445,7 @@ def main() -> int:
                   "scipy": scipy.__version__,
                   "blas_threads": {name: run.threads
                                    for name, run in CASES[case].items()},
-                  **measure(CASES[case], sides, REPEATS[case])}
+                  **measure(CASES[case], sides, PAIRS)}
         out = args.out_dir / f"BENCH_{case}.json"
         out.write_text(json.dumps(result, indent=2) + "\n")
         print(f"{out}:\n{json.dumps(result, indent=2)}")

@@ -26,6 +26,10 @@ from . import mesh
 from .mesh import Grid
 from .operators import GridOperators, operators
 
+# the relative band around I = 0 (and, for `lemma21_verdict`, around
+# lambda* and the well depth) inside which no side is asserted
+NEHARI_BAND = 1e-9
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -184,14 +188,15 @@ def diagnostics(ops: GridOperators, u: np.ndarray, v: np.ndarray,
 
 
 def classify(grid: Grid, u: np.ndarray, params: ModelParams,
-             depth: float, rtol: float = 1e-9) -> str:
+             depth: float) -> str:
     """Place a displacement field relative to the potential well.
 
     Returns one of ``stable_W`` (J < d and I > 0), ``unstable_V``
-    (J < d and I < 0), ``near_nehari`` (I within a relative band of
-    zero while J < d) or ``indeterminate`` (J >= d, where the sign of
-    I carries no stability information, or J not a number, as for a
-    field whose norms overflow).
+    (J < d and I < 0), ``near_nehari`` (I within ``NEHARI_BAND`` of
+    zero, relative to the field's scale, while J < d) or
+    ``indeterminate`` (J >= d, where the sign of I carries no stability
+    information, or J not a number, as for a field whose norms
+    overflow).
     """
     G, Bq, F = _parts(grid, u, params)
     J = potential_from_parts(G, Bq, F, params)
@@ -199,32 +204,31 @@ def classify(grid: Grid, u: np.ndarray, params: ModelParams,
     scale = G + Bq + F
     if not J < depth:
         return "indeterminate"
-    if abs(I) <= rtol * max(scale, 1.0):
+    if abs(I) <= NEHARI_BAND * max(scale, 1.0):
         return "near_nehari"
     return "stable_W" if I > 0 else "unstable_V"
 
 
 def lemma21_verdict(H_norm: float, I_val: float, J_val: float,
-                    lam_star: float, depth: float, scale: float,
-                    band: float = 1e-9) -> str:
+                    lam_star: float, depth: float, scale: float) -> str:
     """Consistency verdict for the potential-well dichotomy.
 
     For states with J <= d the dichotomy is an equivalence: I < 0
     exactly when the graph norm exceeds lambda*.  Both failure modes
     (small norm with negative I, large norm with positive I) are
-    therefore violations.  Comparisons within a relative ``band`` of
-    the dividing values are reported as ``near_boundary`` rather than
+    therefore violations.  Comparisons within ``NEHARI_BAND``, relative,
+    of the dividing values are reported as ``near_boundary`` rather than
     asserted either way.
 
     Returns ``outside_well``, ``near_boundary``, ``violation``,
     ``consistent_interior`` (H below lambda*, I positive) or
     ``consistent_exterior`` (I negative, H above lambda*).
     """
-    tol_I = band * max(scale, 1.0)
-    if J_val > depth + band * max(abs(depth), 1.0):
+    tol_I = NEHARI_BAND * max(scale, 1.0)
+    if J_val > depth + NEHARI_BAND * max(abs(depth), 1.0):
         return "outside_well"
-    small_H = H_norm <= lam_star * (1.0 - band)
-    large_H = H_norm >= lam_star * (1.0 + band)
+    small_H = H_norm <= lam_star * (1.0 - NEHARI_BAND)
+    large_H = H_norm >= lam_star * (1.0 + NEHARI_BAND)
     neg_I = I_val < -tol_I
     pos_I = I_val > tol_I
     if small_H and neg_I:

@@ -200,6 +200,40 @@ def test_thm33_on_negative_energy(grid48, params):
     assert chain33.T_upper > 0.0
 
 
+def test_thm33_caps_eps_to_keep_L0_positive(grid48, params):
+    # u1 = -c u0 makes inner(u0, u1) + ||grad u0||^2/2 negative: at c = 12
+    # the damping-absorption cap on eps still binds, at c = 25 the cap
+    # H0^(1-alpha)/(-correlation) takes over and L(0) is half of H0^(1-alpha)
+    u0 = preset("negative_energy", grid48, params).u0
+    chains = {}
+    for c in (12.0, 25.0):
+        snap = snapshot(grid48, u0, -c * u0, params)
+        corr = inner(grid48, u0, -c * u0)
+        chain = thm33_upper(grid48, snap, corr, params)
+        correlation = corr + 0.5 * snap.grad_u_sq
+        damping_cap = ((1.0 - chain.alpha) * (params.r + 1.0) * chain.delta
+                       / params.r)
+        L0_cap = chain.H0 ** (1.0 - chain.alpha) / (-correlation)
+        assert snap.E < 0.0 and correlation < 0.0
+        chains[c] = chain, damping_cap, L0_cap
+    chain, damping_cap, L0_cap = chains[12.0]
+    assert damping_cap < L0_cap
+    assert chain.eps == pytest.approx(0.5 * damping_cap, rel=1e-14)
+    chain, damping_cap, L0_cap = chains[25.0]
+    assert L0_cap < damping_cap
+    assert chain.eps == pytest.approx(0.5 * L0_cap, rel=1e-14)
+    assert chain.L0 == pytest.approx(0.5 * chain.H0 ** (1.0 - chain.alpha),
+                                     rel=1e-12)
+    assert chain.applicable and math.isfinite(chain.T_upper)
+    traj = simulate(grid48, params, u0, -25.0 * u0, StepControls(),
+                    t_max=10.0, blow_threshold=1e6)
+    estimate = detect_blowup(traj.times(), traj.series("lp1_u"),
+                             (1e1, 1e2, 1e3, 1e4, 1e5),
+                             params.blowup_exponent)
+    assert estimate.detected
+    assert 0.0 < estimate.T_num < chain.T_upper
+
+
 def test_thm33_needs_negative_energy(grid48, params):
     bump = preset("sine_bump", grid48, params, amplitude=0.1)
     chain33 = thm33_upper(grid48, *state(grid48, bump, params), params)

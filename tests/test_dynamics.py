@@ -160,6 +160,26 @@ def test_record_layout(grid64, params):
     assert traj.n_steps >= len(traj.records) - 1
 
 
+def test_closing_record_of_a_partial_output_block(grid64, params):
+    # 20 steps at output_every = 7: records at steps 0, 7 and 14, and
+    # the closing record of the last six steps at step 20
+    data = preset("sine_bump", grid64, params, amplitude=0.5)
+    runs = {every: simulate(grid64, params, data.u0, data.u1,
+                            StepControls(dt_max=1e-3), t_max=0.02,
+                            output_every=every) for every in (1, 7)}
+    traj = runs[7]
+    assert traj.n_steps == 20
+    assert len(traj.records) == 4
+    assert traj.records[-1].t == traj.final_state.t
+    # each record carries the residual since the one before, so the
+    # sums telescope to the same whole-run defect
+    scale = abs(traj.records[0].snap.E)
+    assert (sum(rec.energy_residual for rec in traj.records)
+            == pytest.approx(sum(rec.energy_residual
+                                 for rec in runs[1].records),
+                             rel=0.0, abs=1e-14 * scale))
+
+
 def test_energy_identity_second_order(grid48, params):
     # the accumulated defect |Delta E + integral of dissipation| drops
     # by about 4 per step halving

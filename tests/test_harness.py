@@ -328,6 +328,25 @@ def test_sweep_row_keeps_the_failure_message(monkeypatch):
     assert row[header.index("status")] == "convergence_failure"
 
 
+def test_sweep_row_of_a_run_that_ends_in_solver_failure():
+    # the one attempt, clipped to t_max, fails at dt_min: the run ends
+    # without raising, so its row keeps the report's summary values
+    import csv
+
+    base = RunConfig(N=32, dt_max=0.1, dt_min=0.1, t_max=0.05)
+    table = sweep(SweepConfig(base=base, axes={"N": (32,)}))
+    header, row = csv.reader(table.splitlines())
+    cell = dict(zip(header, row))
+    assert cell["status"] == "solver_failure"
+    assert cell["message"] == (
+        "SolverFailure: adapted step collapsed to dt_min = 0.1 at t = 0, "
+        "where the step clipped to t_max failed")
+    summary = harness.summary_row(harness.evaluate(base).report)
+    assert {key: cell[key] for key in summary} == summary
+    assert float(cell["E0"]) < 0.0
+    assert cell["thm31_verdict"] == "case_i"
+
+
 @pytest.fixture(scope="module")
 def verify_report():
     return verify()

@@ -1,11 +1,12 @@
 """Every research script imports against the current package, the
 three research scripts run end to end on a coarse grid, the runner of
 ``scripts/bench.py`` reads a run's own counts and stage times, spreads
-every measured value, requires the counts to agree and alternates the
-sides, every function the benchmark's tracer wraps by name exists,
-and every benchmark workload runs and passes its checks at a reduced
-size, so a renamed helper, a removed field or a changed signature fails
-here instead of at its next run."""
+every measured value, requires the counts to agree, alternates the
+sides and counts the after side's pair wins, every function the
+benchmark's tracer wraps by name exists, and every benchmark workload
+runs and passes its checks at a reduced size, so a renamed helper, a
+removed field or a changed signature fails here instead of at its next
+run."""
 
 import importlib
 import importlib.util
@@ -80,7 +81,13 @@ def test_bench_runner_reads_the_counts_of_the_run(tmp_path):
     assert bb.run(bb.parse_config(text), tmp_path) == 0
     own = bench.read_report(tmp_path / "report.txt")
     tiny = result["after"]["tiny"]
-    assert {key: tiny[key] for key in bench.REPORT_KEYS} == own
+    # every run.* line of the report is a count, with T_num and its
+    # uncertainty, so a counter added to the report needs no edit here
+    keys = [line.split(" = ", 1)[0] for line in
+            (tmp_path / "report.txt").read_text().splitlines()]
+    assert set(own) == ({key for key in keys if key.startswith("run.")}
+                        | {"T_num", "T_num_uncertainty"})
+    assert {key: tiny[key] for key in own} == own
     assert own["run.termination"] == "blowup_threshold"
     assert own["run.n_steps"] > 0
     assert tiny["wall_s"]["runs"] == [tiny["wall_s"]["median"]]
@@ -99,6 +106,34 @@ def test_bench_runner_alternates_the_side_that_runs_first(monkeypatch):
     result = bench.measure({"a": bench.Run(("-c", "pass"))}, sides, 3)
     assert order == ["old", "new", "new", "old", "old", "new"]
     assert result["before"]["a"]["wall_s"]["runs"] == [1.0] * 3
+
+
+def test_bench_runner_counts_the_pair_wins_of_the_after_side(monkeypatch):
+    bench = _load(ROOT / "scripts" / "bench.py", "script_bench")
+    # (after, before) by index: (3, 2) lost, (2, 2) a tie, (1, 3) and
+    # (1, 4) won
+    walls = {"old": iter((2.0, 2.0, 3.0, 4.0)),
+             "new": iter((3.0, 2.0, 1.0, 1.0))}
+
+    def run_once(run, src):
+        measured = {"wall_s": next(walls[src.name])}
+        if src.name == "new":
+            measured["timing.step_s"] = 0.5  # the before side has none
+        return measured, {}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    sides = {"before": Path("old"), "after": Path("new")}
+    result = bench.measure({"a": bench.Run(("-c", "pass"))}, sides, 4)
+    after = result["after"]["a"]
+    assert after["wall_s"]["runs"] == [3.0, 2.0, 1.0, 1.0]
+    assert (after["wall_s"]["won"], after["wall_s"]["lost"]) == (2, 1)
+    assert "won" not in after["timing.step_s"]
+    assert "lost" not in after["timing.step_s"]
+    assert "won" not in result["before"]["a"]["wall_s"]
+    walls["new"] = iter((1.0, 2.0))
+    alone = bench.measure({"a": bench.Run(("-c", "pass"))},
+                          {"after": Path("new")}, 2)["after"]["a"]
+    assert set(alone["wall_s"]) == {"median", "q1", "q3", "runs"}
 
 
 def test_bench_runner_spreads_every_measured_value(monkeypatch):
