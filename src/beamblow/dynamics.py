@@ -144,12 +144,14 @@ def _force(ops: GridOperators, params: ModelParams, y: np.ndarray,
            x: np.ndarray) -> tuple:
     """F(y, x) with the pieces of its Jacobian: (F, L y, G, M(G),
     |x|^{r-1}, |y|^{p-1}), where G = ||grad y||^2."""
-    Ly = ops.L @ y
+    Ly = ops.laplacian(y)
     G = max(ops.grid.weight * float(y @ -Ly), 0.0)
     m = functionals.kirchhoff(params, G)
     damp = np.abs(x)**(params.r - 1.0)
     grow = np.abs(y)**(params.p - 1.0)
-    F = -(ops.B @ y) + m * Ly + ops.L @ x - damp * x + grow * y
+    # -B y + L x = L (x - L y) - (2/h^4) edges y: two Laplacian products
+    F = (ops.laplacian(x - Ly) + m * Ly - ops.edge_term * y - damp * x
+         + grow * y)
     return F, Ly, G, m, damp, grow
 
 

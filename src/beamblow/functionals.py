@@ -12,7 +12,7 @@ F = ||u||_{p+1}^{p+1}; the functionals of interest are
 
 and the exact dissipation identity E'(t) = -||v||_{r+1}^{r+1}
 - ||grad v||^2, which holds for the spatial discretization because all
-norms are built from the operator matrices.
+norms are the quadratic forms of the operators.
 """
 
 from __future__ import annotations

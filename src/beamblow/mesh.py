@@ -8,13 +8,14 @@ which the fourth-order stencil encodes through mirror ghost values
 spacing inside).
 
 All integral quantities are quadrature sums weighted by h^dim, and the
-gradient/Laplacian seminorms are defined through the operator matrices
-themselves so that summation by parts is exact:
+gradient/Laplacian seminorms are sums of squares, which lose nothing to
+cancellation and equal the operators' forms by summation by parts:
 
-    grad_norm_sq(u) = h^dim * u^T (-L u)
-    lap_norm_sq(u)  = h^dim * u^T (B u)
+    grad_norm_sq(u) = h^dim sum over edges (difference/h)^2 = h^dim u^T (-L u)
+    lap_norm_sq(u) = h^dim (|L u|^2 + (2/h^4) sum edges u^2) = h^dim u^T (B u)
 
-with L the Dirichlet Laplacian and B the clamped biharmonic matrix.
+with L the Dirichlet Laplacian, B the clamped biharmonic operator and
+the edges to the boundary (where u is zero) included.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .operators import GridOperators, operators
+from .operators import GridOperators, MatrixFree, operators
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,15 @@ def make_grid(dim: int, n_interior: int, extent: float = 1.0) -> Grid:
                 h=h, weight=h**dim)
 
 
-def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """Dirichlet Laplacian on the interior nodes (negative definite)."""
-    return operators(grid).L
+def laplacian_matrix(grid: Grid) -> MatrixFree:
+    """Dirichlet Laplacian (negative definite), matrix-free."""
+    return MatrixFree(operators(grid).laplacian, grid.size)
 
 
-def biharmonic_matrix(grid: Grid) -> sp.csr_matrix:
-    """Clamped biharmonic operator (symmetric positive definite); in 2d
-    the 13-point clamped plate stencil."""
-    return operators(grid).B
+def biharmonic_matrix(grid: Grid) -> MatrixFree:
+    """Clamped biharmonic operator (symmetric positive definite),
+    matrix-free; in 2d the 13-point clamped plate stencil."""
+    return MatrixFree(operators(grid).biharmonic, grid.size)
 
 
 def check_field(grid: Grid, u) -> np.ndarray:
@@ -117,21 +117,28 @@ def max_norm(u: np.ndarray) -> float:
 
 def grad_form(ops: GridOperators, u: np.ndarray) -> float:
     """``grad_norm_sq`` on the grid of ``ops`` without checking u."""
-    return ops.grid.weight * float(u @ (-(ops.L @ u)))
+    g, e, U = ops.grid, u[ops.boundary], u.reshape(ops.grid.shape)
+    d = U[1:] - U[:-1]
+    total = float(e @ e) + float(np.vdot(d, d))
+    if g.dim == 2:
+        d = U[:, 1:] - U[:, :-1]
+        total += float(np.vdot(d, d))
+    return g.weight * total / g.h**2
 
 
 def lap_form(ops: GridOperators, u: np.ndarray) -> float:
     """``lap_norm_sq`` on the grid of ``ops`` without checking u."""
-    return ops.grid.weight * float(u @ (ops.B @ u))
+    g, Lu, e = ops.grid, ops.laplacian(u), u[ops.boundary]
+    return g.weight * (float(Lu @ Lu) + 2.0 / g.h**4 * float(e @ e))
 
 
 def grad_norm_sq(grid: Grid, u: np.ndarray) -> float:
-    """Squared H^1_0 seminorm, computed through the Laplacian so the
-    discrete Green identity (grad u, grad u) = -(lap u, u) is exact."""
+    """Squared H^1_0 seminorm, the discrete Green identity
+    (grad u, grad u) = -(lap u, u) holding by summation by parts."""
     return grad_form(operators(grid), check_field(grid, u))
 
 
 def lap_norm_sq(grid: Grid, u: np.ndarray) -> float:
-    """Squared L2 norm of the Laplacian, computed through the clamped
-    biharmonic matrix so that (lap u, lap u) = (bih u, u) exactly."""
+    """Squared L2 norm of the Laplacian with its clamped boundary term,
+    so that (lap u, lap u) = (bih u, u)."""
     return lap_form(operators(grid), check_field(grid, u))

@@ -1,37 +1,35 @@
 """Per-grid operators and the solves built on their structure.
 
 One ``GridOperators`` object per grid owns everything derived from the
-grid alone: the Dirichlet Laplacian ``L`` and the clamped biharmonic
-``B`` with their infinity norms, the banded storage of the 1d stencils,
-the orthonormal sine basis that diagonalizes ``L`` and its closed-form
-eigenpairs, the Newton solve of the time step, the fixed quadratic
-forms of the embedding sweeps with their exact solves, and the costly
-results of ``spectra`` (the plate eigenpair and the embedding
-constants) once they are computed.  Every member is built on first use,
-so asking for ``L`` does not pay for the sine basis.
+grid alone: the products with the Dirichlet Laplacian ``L`` and the
+clamped biharmonic ``B`` with their infinity norms, the banded storage
+of the 1d stencils, the orthonormal sine basis that diagonalizes ``L``
+and its closed-form eigenpairs, the Newton solve of the time step, the
+fixed quadratic forms of the embedding sweeps with their exact solves,
+and the costly results of ``spectra`` (the plate eigenpair and the
+embedding constants) once they are computed.  Every member is built on
+first use, so a product does not pay for the sine basis.
 
-The sine basis is what makes the 2d solves cheap.  With the orthonormal
-matrix S (S = S^T = S^{-1}) the 1d Laplacian is S diag(mu) S, and the
-clamped fourth difference is its square plus a corner term,
+No matrix is assembled.  With the orthonormal sine matrix S (S = S^T =
+S^{-1}) the 1d Laplacian is S diag(mu) S, and the clamped fourth
+difference is its square plus a corner term,
 
     B1 = L1^2 + (2/h^4) (e_1 e_1^T + e_n e_n^T),
 
 so on the square ``B`` is the squared Laplacian plus a diagonal
 boundary term, (2/h^4) times the number of boundary lines next to each
-node (``edges``).  Hence every operator s I + a Lap_h^2 - c Lap_h is
-diagonal in the sine basis and is applied or inverted with four dense
-matrix products, and with s = 1 it lies below I + a B - c L, which
-makes it a preconditioner whose error is confined to the boundary
-(Bjorstad, SIAM J. Numer. Anal. 20, 1983).
-
-Both 1d stencils are written down once, as constant diagonals in DIA
-storage (``_stencil_1d``); the CSR matrices and the banded storage of
-the 1d solves are both read off them.
+node (``edges``): B u = L (L u) + (2/h^4) edges u.  Every operator
+s I + a Lap_h^2 - c Lap_h is diagonal in the sine basis and is applied
+or inverted with four dense matrix products, and with s = 1 it lies
+below I + a B - c L, which makes it a preconditioner whose error is
+confined to the boundary (Bjorstad, SIAM J. Numer. Anal. 20, 1983).
 
 The fixed forms -L, B and B - L have exact solves.  In 1d they are
 banded with half-bandwidth 2, and every solve, like the time step's,
 is one LAPACK ``pbsv`` call (banded Cholesky factor and solve) at O(n)
-cost without the sine matrix; no 1d factor is kept.  In 2d -L is
+cost on the stencils' constant diagonals (``_bands_1d``); no 1d factor
+is kept, and LAPACK is imported when the operators of a 1d grid are
+built, so that a 2d grid needs numpy alone.  In 2d -L is
 diagonal in the sine basis, and B and B - L are the sine-diagonal
 Lap_h^2 - c Lap_h plus the boundary term.  The Woodbury identity
 (the capacitance method of Buzbee & Dorr, SIAM J. Numer. Anal. 11,
@@ -44,12 +42,11 @@ step adds a diagonal and a rank-1 term to I + a B - c L: in 1d both
 enter the banded solve, and in 2d it is solved by conjugate gradients
 from zero.  While the plate dominates the diagonal, they are
 preconditioned by the sine-basis inverse of I + a Lap_h^2 - c Lap_h,
-and an iteration makes no sparse product: it applies the diagonal rest
-and the rank-1 term to a vector (``solve``).  Once the damping
-dominates, each iteration makes one sparse product with
-I + a B - c L + diag(d) assembled on the pattern of B
-(``newton_matrix``), plus the same rank-1 term, and CG is
-preconditioned by that matrix's own diagonal.
+and an iteration makes no stencil product: it applies the diagonal
+rest and the rank-1 term to a vector (``solve``).  Once the damping
+dominates, each iteration applies the matrix as L (a L x - c x) plus a
+diagonal and the same rank-1 term, and CG is preconditioned by the
+diagonal.
 """
 
 from __future__ import annotations
@@ -59,12 +56,9 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import ConvergenceFailure
-from .solvers import (conjugate_gradient, operator_norm_estimate,
-                      solve_spd_banded)
+from .solvers import conjugate_gradient, lapack, solve_spd_banded
 
 if TYPE_CHECKING:
     from .dynamics import StepCounts
@@ -74,25 +68,54 @@ if TYPE_CHECKING:
 FORMS = ("grad", "lap", "H")
 
 
-def _stencil_1d(n: int, h: float, order: int) -> sp.dia_matrix:
+def _bands_1d(n: int, h: float, order: int) -> np.ndarray:
     """The 1d Dirichlet Laplacian L1 (order 2: diagonals 1, -2, 1 over
-    h^2) or clamped fourth difference B1 (order 4) on n interior nodes.
-
-    The physical boundary nodes carry zero and drop out, and a second
-    neighbour one node outside the boundary folds back onto the first
-    interior node (mirror ghost), so B1 = L1^2 + (2/h^4)(e_1 e_1^T +
-    e_n e_n^T): diagonals 1, -4, 6, -4, 1 over h^4 with 7 at both ends
-    (8 when n = 1).
-    """
+    h^2) or clamped fourth difference B1 (order 4) on n nodes, in upper
+    banded storage (row 2 - k the k-th superdiagonal) as LAPACK's pbsv
+    reads it.  A second neighbour outside the boundary folds back onto
+    the first interior node (mirror ghost), so B1 = L1^2 + (2/h^4)(e_1
+    e_1^T + e_n e_n^T): 1, -4, 6, -4, 1 over h^4 with 7 at both ends (8
+    when n = 1), each entry its value divided by h^order."""
     c = {2: (0.0, 1.0, -2.0), 4: (1.0, -4.0, 6.0)}[order]
-    rows = np.repeat(np.array(c + c[1::-1])[:, None], n, axis=1)
+    rows = np.repeat(np.array(c)[:, None], n, axis=1)
     if order == 4:
         rows[2, 0] += 1.0
         rows[2, -1] += 1.0
-    # the rows of the offsets 2, 1, 0 are the upper banded storage that
-    # LAPACK's pbsv reads; dividing the rows, not the matrix (which
-    # multiplies by 1/h^order), keeps each entry its value over h^order
-    return sp.dia_matrix((rows / h**order, (2, 1, 0, -1, -2)), shape=(n, n))
+    return rows / h**order
+
+
+def _band_rows(band: np.ndarray) -> np.ndarray:
+    """Row i of the symmetric banded ``band`` at columns i-2 .. i+2."""
+    n = band.shape[1]
+    rows = np.zeros((n, 5))
+    for k in (0, 1, 2):
+        rows[:n - k, 2 + k] = rows[k:, 2 - k] = band[2 - k, k:]
+    return rows
+
+
+def _lower_inverse(T: np.ndarray) -> np.ndarray:
+    """Inverse of the lower triangular T = [[A, 0], [C, D]] by halves."""
+    k = len(T) // 2
+    if k < 16:
+        return np.linalg.inv(T)
+    A, D = _lower_inverse(T[:k, :k]), _lower_inverse(T[k:, k:])
+    inverse = np.zeros_like(T)
+    inverse[:k, :k], inverse[k:, k:] = A, D
+    inverse[k:, :k] = -D @ (T[k:, :k] @ A)
+    return inverse
+
+
+class MatrixFree:
+    """A grid operator given by its product ``A @ u``, with ``toarray()``."""
+
+    def __init__(self, apply: Callable[[np.ndarray], np.ndarray], size: int):
+        self.apply, self.shape = apply, (size, size)
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return self.apply(u)
+
+    def toarray(self) -> np.ndarray:
+        return np.column_stack([self.apply(e) for e in np.eye(self.shape[0])])
 
 
 class GridOperators:
@@ -108,53 +131,75 @@ class GridOperators:
         self.embeddings: dict[tuple, tuple[float, np.ndarray]] = {}
         # (product, exact solve) of each fixed form, by name in FORMS
         self.forms: dict[str, tuple[Callable, Callable]] = {}
+        n, self.inv_h2 = grid.n_interior, 1.0 / grid.h**2
+        self.edge_term = (2.0 / grid.h**4) * self.edges  # B - Lap_h^2
+        self.row_mask = None if grid.dim == 1 else (  # see ``laplacian``
+            np.arange(1, grid.size) % n != 0).astype(float)
+        if grid.dim == 1:
+            lapack()  # here, so that a run's first solve does not pay it
 
-    @cached_property
-    def L(self) -> sp.csr_matrix:
-        """Dirichlet Laplacian on the interior nodes (negative definite)."""
-        g = self.grid
-        L1 = _stencil_1d(g.n_interior, g.h, 2).tocsr()
-        if g.dim == 1:
-            return L1
-        eye = sp.identity(g.n_interior, format="csr")
-        return (sp.kron(L1, eye) + sp.kron(eye, L1)).tocsr()
+    def laplacian(self, u: np.ndarray, a: float = 1.0,
+                  c: float = 0.0) -> np.ndarray:
+        """a L u - c u: the neighbours less (2 dim + c h^2/a) u, times a/h^2;
+        in 2d the row mask drops the flat pairs k, k + 1 on two rows."""
+        n, mask, scale = self.grid.n_interior, self.row_mask, a * self.inv_h2
+        s = u * (-2.0 * self.grid.dim - c / scale)
+        if mask is None:
+            s[1:] += u[:-1]
+            s[:-1] += u[1:]
+        else:
+            s[n:] += u[:-n]
+            s[:-n] += u[n:]
+            t = u[1:] * mask
+            s[:-1] += t
+            s[1:] += np.multiply(u[:-1], mask, out=t)
+        s *= scale
+        return s
 
-    @cached_property
-    def B(self) -> sp.csr_matrix:
-        """Clamped biharmonic operator (symmetric positive definite).
+    def biharmonic(self, u: np.ndarray, c: float = 0.0) -> np.ndarray:
+        """B u - c L u = L (L u - c u) + (2/h^4) edges u: the plate."""
+        Bu = self.laplacian(self.laplacian(u, 1.0, c))
+        Bu += self.edge_term * u
+        return Bu
 
-        In 2d the mixed term pairs the two 1d Dirichlet Laplacians, and
-        the pure fourth differences use the mirror-ghost closure, giving
-        the 13-point clamped plate stencil.
-        """
-        g = self.grid
-        B1 = _stencil_1d(g.n_interior, g.h, 4).tocsr()
-        if g.dim == 1:
-            return B1
-        L1 = _stencil_1d(g.n_interior, g.h, 2).tocsr()
-        eye = sp.identity(g.n_interior, format="csr")
-        return (sp.kron(B1, eye) + 2.0 * sp.kron(L1, L1)
-                + sp.kron(eye, B1)).tocsr()
+    def assembled(self, order: int) -> np.ndarray:
+        """The rows of L (order 2) or B (order 4), assembled as the 2d kron(A1,
+        I) + m kron(L1, L1) + kron(I, A1), m = order - 2, rounds them: each
+        row's entries in the stencil's reach, in column order."""
+        _, B_band, L_band = self.bands
+        A = _band_rows(B_band if order == 4 else L_band)
+        if self.grid.dim == 1:
+            return A
+        L, centre = _band_rows(L_band), np.eye(5)[2]
+        return ((A[:, None, :, None] * centre
+                 + (order - 2.0) * (L[:, None, :, None] * L[None, :, None, :]))
+                + centre[:, None] * A[None, :, None, :]).reshape(-1, 25)
 
+    # the infinity norms as an assembled sparse matrix's row sums give
+    # them, each row's |entries| added in column order
     @cached_property
     def norm_L(self) -> float:
-        return operator_norm_estimate(self.L)
+        return float(np.cumsum(abs(self.assembled(2)), 1)[:, -1].max())
 
     @cached_property
     def norm_B(self) -> float:
-        return operator_norm_estimate(self.B)
+        return float(np.cumsum(abs(self.assembled(4)), 1)[:, -1].max())
+
+    @cached_property
+    def assembled_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonals of the ``assembled`` L and B."""
+        mid = 2 if self.grid.dim == 1 else 12
+        return tuple(self.assembled(k)[:, mid].copy() for k in (2, 4))
 
     @cached_property
     def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Upper banded storage (bandwidth 2) of I, B and L in 1d, in the
-        layout of LAPACK's pbsv: row 2 - k holds the k-th superdiagonal.
-        The first k entries of that row lie outside the matrix and are
-        never read."""
+        """Upper banded storage of I, B1 and L1 along an axis of the grid
+        (``_bands_1d``)."""
         g = self.grid
-        B_band = _stencil_1d(g.n_interior, g.h, 4).data[:3]
+        B_band = _bands_1d(g.n_interior, g.h, 4)
         eye_band = np.zeros_like(B_band)
         eye_band[2] = 1.0
-        return eye_band, B_band, _stencil_1d(g.n_interior, g.h, 2).data[:3]
+        return eye_band, B_band, _bands_1d(g.n_interior, g.h, 2)
 
     @cached_property
     def sine(self) -> np.ndarray:
@@ -203,46 +248,18 @@ class GridOperators:
         return lambda r: (S @ ((S @ r.reshape(n, n) @ S) / diag) @ S).ravel()
 
     @cached_property
-    def newton_pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """The 2d Newton matrix's fixed parts on the CSR pattern of
-        ``B``: the entries of ``L`` at B's (row, column) pairs, an array
-        aligned with ``B.data`` (zero where L has no entry), and the
-        positions of the diagonal in ``B.data``.  The 13-point pattern of
-        B holds the 5-point pattern of L and the diagonal, so
-        I + a B - c L + diag(d) is one array on that pattern."""
-        B = self.B
-        rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
-        L_on_B = np.asarray(self.L[rows, B.indices]).ravel()
-        return L_on_B, np.flatnonzero(rows == B.indices)
-
-    def newton_matrix(self, a: float, c: float, d: np.ndarray
-                      ) -> sp.csr_matrix:
-        """The 2d Newton matrix without its rank-1 term,
-        I + a B - c L + diag(d), assembled on the pattern of ``B``."""
-        B = self.B
-        L_on_B, diagonal = self.newton_pattern
-        # a (B - (c/a) L) written into one new array: a second temporary
-        # of this size costs more in page faults than the arithmetic
-        # (a threaded BLAS axpy avoids both, but on two threads it
-        # stalls the sine products that follow it)
-        data = np.multiply(L_on_B, -c / a)
-        data += B.data
-        data *= a
-        data[diagonal] += 1.0 + d
-        return sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
+    def boundary(self) -> np.ndarray:
+        """Flat indices of the first and last line along each axis."""
+        n, k = self.grid.n_interior, np.arange(self.grid.n_interior)
+        if self.grid.dim == 1:
+            return np.array([0, n - 1])
+        return np.concatenate((k, k + n * (n - 1), n * k, n * k + n - 1))
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """The number of boundary lines next to each node of a 2d grid
-        (0 inside, 1 along an edge, 2 at a corner, 4 when n = 1), so
-        that B - Lap_h^2 = (2/h^4) diag(edges): each 1d fourth
-        difference differs from the squared Laplacian only at its ends
-        (``_stencil_1d``)."""
-        n = self.grid.n_interior
-        ends = np.zeros(n)
-        ends[0] += 1.0
-        ends[-1] += 1.0
-        return (ends[:, None] + ends[None, :]).ravel()
+        """The number of boundary lines next to each node, so that
+        B - Lap_h^2 = (2/h^4) diag(edges) (``_bands_1d``)."""
+        return np.bincount(self.boundary, minlength=self.grid.size) * 1.0
 
     def solve(self, a: float, c: float, d: np.ndarray, rho: float,
               w: np.ndarray, rhs: np.ndarray, rtol: float,
@@ -263,10 +280,10 @@ class GridOperators:
         only diag(e) and the rank-1 term (``conjugate_gradient``'s
         ``rest``); K is applied through the sine basis only at the
         refreshes.  Once the damping dominates, as it does near
-        blow-up, K^{-1} misses what matters: an iteration applies
-        ``newton_matrix`` and the same rank-1 term, and CG is
-        preconditioned by the diagonal of that matrix; these solves
-        are counted in ``counts.diagonal_solves``.  No factorization is
+        blow-up, K^{-1} misses what matters: an iteration applies the
+        matrix as L (a L x - c x) + (1 + e) x and the same rank-1 term,
+        and CG is preconditioned by its diagonal; these solves are
+        counted in ``counts.diagonal_solves``.  No factorization is
         ever made."""
         if self.grid.dim == 1:
             eye_band, B_band, L_band = self.bands
@@ -276,6 +293,7 @@ class GridOperators:
             return x - (rho * (w @ x) / (1.0 + rho * (w @ y))) * y
         a_norm = (1.0 + a * self.norm_B + c * self.norm_L + np.abs(d)
                   + rho * np.abs(w) * np.abs(w).sum())
+        e = (2.0 * a / self.grid.h**4) * self.edges + d
 
         def rank1(x: np.ndarray) -> np.ndarray:
             return (rho * (w @ x)) * w
@@ -283,7 +301,6 @@ class GridOperators:
         if d.max() <= a * self.norm_B + c * self.norm_L:
             S, mu, n = self.sine, self.mu, self.grid.n_interior
             symbols = 1.0 + a * mu * mu - c * mu
-            e = (2.0 * a / self.grid.h**4) * self.edges + d
 
             def rest(x: np.ndarray) -> np.ndarray:
                 return e * x + rank1(x)
@@ -294,10 +311,10 @@ class GridOperators:
 
             M = self.sine_inverse(a, c)
         else:
-            rest = None
-            A = self.newton_matrix(a, c, d)
-            apply = lambda x: A @ x + rank1(x)
-            diagonal = A.diagonal()
+            rest, lap, shift = None, self.laplacian, 1.0 + e
+            apply = lambda x: lap(lap(x, a, c)) + shift * x + rank1(x)
+            dL, dB = self.assembled_diagonals
+            diagonal = (dL * (-c / a) + dB) * a + (1.0 + d)
             M = lambda r: r / diagonal
             counts.diagonal_solves += 1
         try:
@@ -311,34 +328,31 @@ class GridOperators:
         return x
 
     def form(self, name: str) -> tuple[Callable, Callable]:
-        """Matrix product and exact solve of the fixed quadratic form
-        ``name``: ``grad`` (-L), ``lap`` (B) or ``H`` (B - L).  Each form
-        is built once, on first use, with the 2d capacitance inverse of
-        ``lap`` and ``H``."""
+        """Product and exact solve of the fixed quadratic form ``name``:
+        ``grad`` (-L), ``lap`` (B) or ``H`` (B - L).  Each form is built
+        once, on first use, with the 2d capacitance inverse of ``lap``
+        and ``H``."""
         if name not in self.forms:
             self.forms[name] = self._make_form(name)
         return self.forms[name]
 
     def _make_form(self, name: str) -> tuple[Callable, Callable]:
-        if name == "grad":
-            A = -self.L
-        elif name == "lap":
-            A = self.B
-        elif name == "H":
-            A = self.B - self.L
-        else:
+        if name not in FORMS:
             raise ValueError(f"unknown form {name!r}, "
                              f"expected one of {FORMS}")
+        apply = {"grad": lambda u: self.laplacian(u, -1.0),
+                 "lap": self.biharmonic,
+                 "H": lambda u: self.biharmonic(u, 1.0)}[name]
         if self.grid.dim == 1:
             # one LAPACK pbsv, factor and solve, on the form's bands
             _, B_band, L_band = self.bands
             ab = {"grad": -L_band, "lap": B_band, "H": B_band - L_band}[name]
-            return A.dot, lambda r: solve_spd_banded(ab, r)
+            return apply, lambda r: solve_spd_banded(ab, r)
         if name == "grad":
             # exact: the sine basis diagonalizes the Laplacian
-            return A.dot, self.sine_inverse(0.0, 1.0, shift=0.0)
+            return apply, self.sine_inverse(0.0, 1.0, shift=0.0)
         # B - c L with c = 0 (lap) or 1 (H)
-        return A.dot, self._capacitance_solve(float(name == "H"))
+        return apply, self._capacitance_solve(float(name == "H"))
 
     def _capacitance_solve(self, c: float) -> Callable:
         """Exact solve of B - c L in 2d by the Woodbury identity, worked
@@ -363,11 +377,11 @@ class GridOperators:
         lines of the same direction, and S M S between a row and a
         column, with w and M built from the first and last rows of S
         over the symbols of K.  Cap is factored once per form and grid
-        (Cholesky), and its inverse is formed in place from the factor
-        (LAPACK potri), so the set-up holds one 4n-by-4n array.  Cap is
-        well conditioned, about 0.6 N (condition number 9.8, 37 and 56
-        at N = 16, 64 and 96), so applying the inverse costs no
-        accuracy: the normwise backward error is about 2e-16.
+        (Cholesky, Cap = F F^T), and its inverse is formed from the
+        factor as F^{-T} F^{-1} (``_lower_inverse``).  Cap is well
+        conditioned, about 0.6 N (condition number 9.8, 37 and 56 at
+        N = 16, 64 and 96), so applying the inverse costs no accuracy:
+        the normwise backward error is about 2e-16.
 
         The solve inverts the exact symbols of K, while the product
         applies the stencil with each entry rounded to a float.  On
@@ -390,17 +404,8 @@ class GridOperators:
                        + [[cross[b][a].T for b in (0, 1)] + same[a]
                           for a in (0, 1)])
         cap[np.diag_indices_from(cap)] += 0.5 * g.h**4
-        # the transpose is Fortran-ordered, so LAPACK works in place;
-        # its lower triangle is the upper triangle of cap
-        factor, _ = sla.cho_factor(cap.T, lower=True, overwrite_a=True,
-                                   check_finite=False)
-        cap_inverse, _ = sla.lapack.dpotri(factor, lower=True,
-                                           overwrite_c=True)
-        # potri sets the lower triangle; numpy's own BLAS applies the
-        # full matrix, since calling scipy's BLAS between numpy's dense
-        # products makes the two thread pools contend
-        for j in range(len(cap_inverse) - 1):
-            cap_inverse[j, j + 1:] = cap_inverse[j + 1:, j]
+        inverse_factor = _lower_inverse(np.linalg.cholesky(cap))
+        cap_inverse = inverse_factor.T @ inverse_factor
 
         def solve(r: np.ndarray) -> np.ndarray:
             Y = S @ r.reshape(n, n) @ S

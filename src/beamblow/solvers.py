@@ -1,4 +1,4 @@
-"""Sparse linear algebra helpers.
+"""Linear algebra helpers; scipy is imported only where it is used.
 
 Fixed symmetric positive definite forms are solved exactly, by one
 banded Cholesky call (``solve_spd_banded``) per solve in 1d and by a
@@ -29,20 +29,29 @@ only the rest.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import cache
+from types import ModuleType
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpbsv
 
 from .errors import ConvergenceFailure
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
     from scipy.sparse.linalg import LinearOperator
 
 
+@cache
+def lapack() -> ModuleType:
+    """scipy's LAPACK wrappers, imported on the first call, which the
+    operators of a 1d grid make when they are built."""
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack
+
+
 def operator_norm_estimate(A: sp.spmatrix) -> float:
-    """Infinity norm of a sparse matrix."""
+    """Infinity norm of a matrix, for perfbench/tracing.py."""
     return float(np.abs(A).sum(axis=1).max())
 
 
@@ -63,7 +72,7 @@ def solve_spd_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if len(b) != ab.shape[-1]:
         raise ValueError("shapes of ab and b are not compatible.")
-    _, x, info = dpbsv(ab, b)
+    _, x, info = lapack().dpbsv(ab, b)
     if info > 0:
         raise ConvergenceFailure(f"banded Cholesky breakdown: {info}th "
                                  "leading minor not positive definite")

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import beamblow.bounds as bounds
 import beamblow.cli as cli
 import beamblow.dynamics as dynamics
 import beamblow.harness as harness
@@ -23,6 +24,8 @@ from beamblow import (
     verify,
 )
 from beamblow.cli import main
+
+from conftest import reference_L
 
 QUIET = RunConfig(N=48, preset="sine_bump", amplitude=0.0, t_max=0.02,
                   thresholds=(10.0, 100.0, 1000.0))
@@ -386,10 +389,8 @@ def test_verify_negative_control(monkeypatch):
                  "_suite_lemma21", "_suite_chain_consistency",
                  "_suite_sandwich"):
         monkeypatch.setattr(harness, name, lambda: (True, "stubbed"))
-    laplacian = harness.mesh.laplacian_matrix
-
     def corrupted(grid):
-        L = laplacian(grid).tolil()
+        L = reference_L(grid).tolil()
         L[0, 1] += 1e-8
         return L.tocsr()
 
@@ -506,15 +507,37 @@ def test_cli_simulate_ends_when_the_clipped_step_fails_at_dt_min(
     assert "run failed: SolverFailure" in capsys.readouterr().err
 
 
-def test_a_nan_lower_bound_fails_the_sandwich():
-    # at amplitude 1e200 ||grad u0||^2 comes out as inf - inf = nan, so
-    # the Theorem 3.5 lower bound is nan and certifies nothing
+def test_a_nan_lower_bound_fails_the_sandwich(monkeypatch):
+    # a Theorem 3.5 lower bound that comes out nan certifies nothing, and
+    # the sandwich is phrased so that it fails
+    thm35_lower = bounds.thm35_lower
+    monkeypatch.setattr(bounds, "thm35_lower", lambda *args: replace(
+        thm35_lower(*args), T_lower_35=math.nan))
     cfg = RunConfig(N=32, preset="sine_bump", amplitude=1e200)
     with np.errstate(all="ignore"):
         report = harness.evaluate(cfg).report
     assert report.blowup_detected
     assert math.isnan(report.lowers.T_lower_35)
     assert not report.sandwich_ok
+
+
+def test_an_overflowing_field_has_an_infinite_gradient_energy(tmp_path):
+    # at amplitude 1e200 the squared differences overflow: ||grad u0||^2
+    # is inf, where u . (-L u) gave inf - inf = nan, so the Theorem 3.5
+    # bound is the trivial T >= 0; the run exits 0, as it did with nan
+    cfg = RunConfig(N=32, preset="sine_bump", amplitude=1e200)
+    out = tmp_path / "big"
+    with np.errstate(all="ignore"):
+        assert run(cfg, out) == 0
+        artifacts = harness.evaluate(cfg)
+    report = artifacts.report
+    assert artifacts.traj.records[0].snap.grad_u_sq == math.inf
+    assert report.blowup_detected
+    assert report.lowers.G0 == math.inf
+    assert report.lowers.T_lower_35 == 0.0
+    assert report.sandwich_ok
+    lines = (out / "report.txt").read_text().splitlines()
+    assert "lower.G0 = inf" in lines
 
 def test_cli_spectra(tmp_path, capsys):
     cfg = tmp_path / "run.txt"

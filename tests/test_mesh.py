@@ -14,9 +14,16 @@ from beamblow import (
     norm_l2,
     norm_lq,
     max_norm,
+    smallest_eigen,
 )
 
-from conftest import rel_err
+from beamblow.mesh import lap_form
+from beamblow.operators import operators
+
+from conftest import (rel_err, reference_B, reference_L, stencil_1d)
+
+STENCIL_GRIDS = [(1, 1), (1, 2), (1, 5), (1, 128),
+                 (2, 1), (2, 2), (2, 8), (2, 64)]
 
 
 def test_grid_geometry():
@@ -50,10 +57,66 @@ def test_biharmonic_is_not_laplacian_squared():
     # Clamped plate closure differs from composing two Dirichlet
     # Laplacians at the boundary rows.
     g = make_grid(1, 16)
-    L = laplacian_matrix(g)
-    B = biharmonic_matrix(g)
-    diff = abs((B - L @ L).toarray()).max()
+    L = laplacian_matrix(g).toarray()
+    B = biharmonic_matrix(g).toarray()
+    diff = abs(B - L @ L).max()
     assert diff > 1.0
+
+
+@pytest.mark.parametrize("dim,n", STENCIL_GRIDS)
+def test_stencils_match_the_assembled_matrices(dim, n):
+    # the matrix-free products against the CSR Kronecker assembly of the
+    # 1d stencils, to the rounding of a product: 4 eps ||A|| ||u||, in
+    # the max norm, on random fields and on the unit vectors of the
+    # first and last nodes
+    g = make_grid(dim, n)
+    ops = operators(g)
+    rng = np.random.default_rng(31 * n + dim)
+    fields = [rng.standard_normal(g.size) for _ in range(5)]
+    fields += list(np.eye(g.size)[[0, -1]])
+    eps = np.finfo(float).eps
+    for apply, A in ((ops.laplacian, reference_L(g)),
+                     (ops.biharmonic, reference_B(g))):
+        a_norm = float(np.abs(A).sum(axis=1).max())
+        for u in fields:
+            gap = np.max(np.abs(apply(u) - A @ u))
+            assert gap <= 4.0 * eps * a_norm * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("dim,n", STENCIL_GRIDS)
+def test_closed_form_norms_are_the_assembled_norms(dim, n):
+    # they enter the Newton solve's stopping rule and its preconditioner
+    # switch, so they equal the assembled matrices' infinity norms to
+    # the last bit
+    g = make_grid(dim, n)
+    ops = operators(g)
+    for got, A in ((ops.norm_L, reference_L(g)), (ops.norm_B, reference_B(g))):
+        assert got == float(np.abs(A).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 128])
+def test_bands_are_the_1d_stencils(n):
+    # the banded storage of the 1d solves is the upper three diagonals of
+    # the 1d stencils, bit for bit
+    g = make_grid(1, n)
+    eye_band, B_band, L_band = operators(g).bands
+    assert np.array_equal(B_band, stencil_1d(n, g.h, 4).data[:3])
+    assert np.array_equal(L_band, stencil_1d(n, g.h, 2).data[:3])
+    assert np.array_equal(eye_band, np.vstack((np.zeros((2, n)),
+                                               np.ones(n))))
+
+
+def test_plate_form_scales_without_cancellation():
+    # the plate form is a sum of squares, so scaling a field scales it
+    # to rounding; u @ (B u) lost up to 1.1e-10 here to cancellation in
+    # the clamped fourth differences
+    g = make_grid(1, 128)
+    _, phi = smallest_eigen(g, "biharmonic")
+    ops = operators(g)
+    base = lap_form(ops, phi)
+    for k in range(5):
+        a = 43.7 + k * 1e-12
+        assert abs(lap_form(ops, a * phi) / (a * a * base) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 12)])

@@ -17,6 +17,8 @@ from beamblow.operators import FORMS, GRIDS_KEPT, operators
 from beamblow.solvers import (CG_REFRESH, conjugate_gradient,
                               operator_norm_estimate, solve_spd_banded)
 
+from conftest import reference_B, reference_form, reference_L, stencil_1d
+
 
 @pytest.mark.parametrize("n", [1, 7, 32, 64])
 def test_sine_matrix_is_orthonormal_and_symmetric(n):
@@ -30,7 +32,7 @@ def test_sine_basis_diagonalizes_the_1d_laplacian(n):
     g = make_grid(1, n)
     ops = operators(g)
     S = ops.sine
-    D = S @ ops.L.toarray() @ S
+    D = S @ reference_L(g).toarray() @ S
     k = np.arange(1, n + 1)
     mu = -(4.0 / g.h**2) * np.sin(k * np.pi * g.h / 2.0)**2
     scale = 4.0 / g.h**2
@@ -42,25 +44,26 @@ def test_sine_basis_diagonalizes_the_1d_laplacian(n):
 def test_clamped_fourth_difference_is_squared_laplacian_plus_corners(n):
     g = make_grid(1, n)
     ops = operators(g)
-    L1 = ops.L.toarray()
+    L1 = reference_L(g).toarray()
+    B1 = reference_B(g).toarray()
     corner = np.zeros((n, n))
     corner[0, 0] += 2.0
     corner[-1, -1] += 2.0  # the same node when n = 1
-    gap = ops.B.toarray() - L1 @ L1 - corner / g.h**4
+    gap = B1 - L1 @ L1 - corner / g.h**4
     assert np.max(np.abs(gap)) < 1e-14 / g.h**4
     # every entry is its integer stencil value divided by h^4, to the
     # last bit: a product with 1/h^4 rounds 6/h^4 differently on some
     # grids (n = 48 among them)
     T = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
          + np.diag(np.ones(n - 1), -1))
-    assert np.array_equal(ops.B.toarray(), (T @ T + corner) / g.h**4)
+    assert np.array_equal(B1, (T @ T + corner) / g.h**4)
 
 
 @pytest.mark.parametrize("n", [4, 12])
 def test_plate_minus_squared_laplacian_is_low_rank_psd_in_2d(n):
     ops = operators(make_grid(2, n))
-    L = ops.L.toarray()
-    E = ops.B.toarray() - L @ L
+    L = reference_L(ops.grid).toarray()
+    E = reference_B(ops.grid).toarray() - L @ L
     assert np.allclose(E, E.T, rtol=0.0, atol=1e-12 * np.max(np.abs(E)))
     eig = np.linalg.eigvalsh(E)
     tol = 1e-10 * eig[-1]
@@ -72,7 +75,8 @@ def test_plate_minus_squared_laplacian_is_low_rank_psd_in_2d(n):
     assert np.allclose(edges, ops.edges, rtol=0.0, atol=1e-12)
     assert sorted(set(ops.edges)) == [0.0, 1.0, 2.0]
     # so the diagonal of B is (20 + edges)/h^4
-    assert np.allclose(ops.B.diagonal() * ops.grid.h**4, 20.0 + ops.edges,
+    assert np.allclose(reference_B(ops.grid).diagonal() * ops.grid.h**4,
+                       20.0 + ops.edges,
                        rtol=1e-14, atol=0.0)
 
 
@@ -83,7 +87,7 @@ def test_sine_solve_inverts_the_shifted_laplacian(dim, n, c):
     ops = operators(g)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(g.size)
-    A = sp.identity(g.size) - c * ops.L
+    A = sp.identity(g.size) - c * reference_L(g)
     got = ops.sine_inverse(0.0, c)(A @ x)
     assert np.linalg.norm(got - x) <= 1e-13 * np.linalg.norm(x)
 
@@ -94,7 +98,7 @@ def test_form_solve_is_the_exact_inverse_of_its_product(name, dim, n):
     g = make_grid(dim, n)
     ops = operators(g)
     apply, solve = ops.form(name)
-    A = {"grad": -ops.L, "lap": ops.B, "H": ops.B - ops.L}[name].tocsc()
+    A = reference_form(g, name).tocsc()
     rng = np.random.default_rng(5)
     x = rng.standard_normal(g.size)
     assert np.linalg.norm(apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
@@ -121,7 +125,7 @@ def test_capacitance_solve_is_backward_stable(name, n):
     g = make_grid(2, n)
     ops = operators(g)
     _, solve = ops.form(name)
-    A = {"lap": ops.B, "H": ops.B - ops.L}[name]
+    A = reference_form(g, name)
     a_norm = float(np.abs(A).sum(axis=1).max())
     rng = np.random.default_rng(11)
     # a random right-hand side, and the image of a random field, whose
@@ -152,7 +156,7 @@ def test_sine_preconditioned_cg_solves_the_2d_step_system(n, dt):
     a, c = coefficients(dt, mbar=5.0)
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(g.size)
-    A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()
+    A = (sp.identity(g.size) + a * reference_B(g) - c * reference_L(g)).tocsc()
     # raises ConvergenceFailure if rtol is not met within max_iter
     x, _ = conjugate_gradient(A.dot, rhs, np.zeros(g.size),
                               rtol=1e-10, max_iter=30,
@@ -178,7 +182,8 @@ def test_cg_fails_fast_on_a_non_finite_operator():
 
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
             ConvergenceFailure, match="not finite"):
-        apply = ops.newton_matrix(a, c, np.zeros(g.size)).dot
+        apply = (sp.identity(g.size) + a * reference_B(g)
+                 - c * reference_L(g)).dot
         conjugate_gradient(counted, rhs, np.zeros(g.size), rtol=1e-10,
                            max_iter=500, M=ops.sine_inverse(a, c),
                            a_norm=1.0 + a * ops.norm_B + c * ops.norm_L)
@@ -193,7 +198,7 @@ def test_cg_reports_the_iterations_it_made():
     # Started at zero with no x0, it makes no product for the initial
     # residual and reaches the same x bit for bit
     ops = operators(make_grid(2, 32))
-    A = -ops.L
+    A = -reference_L(ops.grid)
     products, preconditions = [], []
 
     def apply(x):
@@ -260,7 +265,8 @@ def test_step_solve_on_the_sine_path_matches_a_direct_solve(dt, sign,
     rhs = rng.standard_normal(g.size)
     counts = StepCounts()
     x = ops.solve(a, c, d, rho, w, rhs, 1e-12, counts)
-    A = (sp.identity(g.size) + a * ops.B - c * ops.L).toarray()
+    A = (sp.identity(g.size) + a * reference_B(g)
+         - c * reference_L(g)).toarray()
     ref = np.linalg.solve(A + np.diag(d) + rho * np.outer(w, w), rhs)
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
     assert counts.diagonal_solves == 0
@@ -281,7 +287,8 @@ def test_step_solve_takes_the_diagonal_once_the_damping_dominates():
     rhs = rng.standard_normal(g.size)
     counts = StepCounts()
     x = ops.solve(a, c, d, 0.0, rhs, rhs, 1e-12, counts)
-    A = (sp.identity(g.size) + a * ops.B - c * ops.L).toarray() + np.diag(d)
+    A = (sp.identity(g.size) + a * reference_B(g)
+         - c * reference_L(g)).toarray() + np.diag(d)
     assert counts.diagonal_solves == 1
     assert np.linalg.norm(x - np.linalg.solve(A, rhs)) <= (
         1e-9 * np.linalg.norm(rhs))
@@ -301,7 +308,8 @@ def test_step_solve_matches_a_direct_solve(dim, n):
     rho = 1.0 / (w @ w)
     counts = StepCounts()
     x = ops.solve(a, c, d, rho, w, rhs, 1e-12, counts)
-    A = (sp.identity(g.size) + a * ops.B - c * ops.L).tocsc()
+    A = (sp.identity(g.size) + a * reference_B(g)
+         - c * reference_L(g)).tocsc()
     ref = np.linalg.solve(A.toarray() + np.diag(d) + rho * np.outer(w, w),
                           rhs)
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -311,9 +319,10 @@ def test_step_solve_matches_a_direct_solve(dim, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 24])
 def test_newton_matrix_is_the_explicit_newton_matrix(n, monkeypatch):
-    # every entry of the assembled Newton matrix equals
-    # I + a B - c L + diag(d) built term by term, and the Jacobi path
-    # inverts its diagonal: the dense diagonal in the assembly's order of
+    # every entry of the Newton matrix that the Jacobi path applies,
+    # read off its columns, equals I + a B - c L + diag(d) built term by
+    # term from the assembled L and B, and the path inverts its
+    # diagonal: the dense diagonal in the assembly's order of
     # operations, bit for bit.  n <= 3 puts nodes on two or four
     # boundary lines at once
     g = make_grid(2, n)
@@ -323,25 +332,26 @@ def test_newton_matrix_is_the_explicit_newton_matrix(n, monkeypatch):
     d = rng.choice((-1.0, 1.0), g.size) * 10.0**rng.uniform(-3.0, 3.0, g.size)
     # past the switch, so that ``solve`` takes the Jacobi path
     d[0] = 1e3 + a * ops.norm_B + c * ops.norm_L
-    B, L = ops.B.toarray(), ops.L.toarray()
+    B, L = reference_B(g).toarray(), reference_L(g).toarray()
     A = np.eye(g.size) + a * B - c * L + np.diag(d)
-    got = ops.newton_matrix(a, c, d)
-    assert np.max(np.abs(got.toarray() - A)) <= 1e-14 * np.max(np.abs(A))
     x = rng.standard_normal(g.size)
-    assert np.linalg.norm(got @ x - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
 
-    preconditioners = []
+    recorded = []
 
     def record(apply, rhs, **kwargs):
-        preconditioners.append(kwargs["M"])
+        recorded.append((apply, kwargs["M"]))
         return np.zeros_like(rhs), 0
 
     monkeypatch.setattr("beamblow.operators.conjugate_gradient", record)
     counts = StepCounts()
     ops.solve(a, c, d, 0.0, x, x, 1e-12, counts)
     assert counts.diagonal_solves == 1
+    apply, preconditioner = recorded[0]
+    got = np.column_stack([apply(e) for e in np.eye(g.size)])
+    assert np.max(np.abs(got - A)) <= 1e-14 * np.max(np.abs(A))
+    assert np.linalg.norm(apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
     diagonal = (np.diag(L) * (-c / a) + np.diag(B)) * a + (1.0 + d)
-    assert np.array_equal(preconditioners[0](np.ones(g.size)), 1.0 / diagonal)
+    assert np.array_equal(preconditioner(np.ones(g.size)), 1.0 / diagonal)
 
 
 @pytest.mark.parametrize("n", [8, 24])
@@ -359,7 +369,8 @@ def test_newton_product_is_the_explicit_newton_matrix(n, rank_one,
     d[0] = 1e3 + a * ops.norm_B + c * ops.norm_L
     w = rng.standard_normal(g.size)
     rho = 1.0 / (w @ w) if rank_one else 0.0
-    A = ((sp.identity(g.size) + a * ops.B - c * ops.L).toarray()
+    A = ((sp.identity(g.size) + a * reference_B(g)
+          - c * reference_L(g)).toarray()
          + np.diag(d) + rho * np.outer(w, w))
 
     products = []
@@ -396,7 +407,7 @@ def test_banded_solve_equals_solveh_banded_bit_for_bit(dt, mbar):
     # form's own matrix they equal solveh_banded and a kept banded
     # Cholesky factor bit for bit
     for name in FORMS:
-        A = {"grad": -ops.L, "lap": ops.B, "H": ops.B - ops.L}[name]
+        A = reference_form(ops.grid, name)
         ab = np.zeros((3, 128))
         for k in range(3):
             ab[2 - k, k:] = A.diagonal(k)

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.linalg
 
 import beamblow.operators
@@ -25,6 +24,8 @@ from beamblow import (
 )
 from beamblow.errors import ConvergenceFailure
 from beamblow.operators import operators
+
+from conftest import reference_L
 
 # first clamped-beam frequency: smallest positive root of
 # cos(k) cosh(k) = 1, eigenvalue k^4
@@ -50,10 +51,10 @@ def test_biharmonic_eigenvalue_1d():
 
 def test_eigenvalues_match_dense_solver():
     g = make_grid(1, 64)
-    for op, A in (("laplacian", -laplacian_matrix(g)),
-                  ("biharmonic", biharmonic_matrix(g))):
+    for op, A in (("laplacian", -laplacian_matrix(g).toarray()),
+                  ("biharmonic", biharmonic_matrix(g).toarray())):
         lam, _ = smallest_eigen(g, op)
-        dense = np.linalg.eigvalsh(A.toarray())
+        dense = np.linalg.eigvalsh(A)
         assert lam == pytest.approx(dense[0], rel=1e-10)
 
 
@@ -203,15 +204,26 @@ def test_maximizers_lie_on_the_ellipsoid_of_the_product(name, n, tol):
     # symbols of the form, 5.7e-11 off the ellipsoid of the stencil as
     # rounded at n = 64; the returned field lies on the latter, summed
     # here beyond double precision, to the rounding of the double sum
-    # that puts it there (up to 1.1e-12 at n = 64)
+    # that puts it there (up to 1.1e-12 at n = 64).  The stencil as
+    # applied is the float entries of L composed, -L, L L + E or
+    # L L - L + E, with E = (2/h^4) diag(edges) the plate's boundary term
     g = make_grid(2, n)
-    ops = operators(g)
-    A = {"grad": -ops.L, "lap": ops.B, "H": ops.B - ops.L}[name].tocoo()
-    entries = A.data.astype(np.longdouble)
+    L = reference_L(g).tocoo()
+    entries = L.data.astype(np.longdouble)
+    ends = np.zeros(n)
+    ends[[0, -1]] += 1.0
+    edge_term = ((2.0 / g.h**4)
+                 * (ends[:, None] + ends[None, :]).ravel()).astype(np.longdouble)
     for q in (3.5, 7.0):
         C, u = embedding_constant(g, q, name)
         v = u.astype(np.longdouble)
-        quad = float(np.sum(entries * v[A.row] * v[A.col]))
+        Lv = np.zeros_like(v)
+        np.add.at(Lv, L.row, entries * v[L.col])
+        quad = {"grad": -np.sum(v * Lv),
+                "lap": np.sum(Lv * Lv) + np.sum(edge_term * v * v),
+                "H": (np.sum(Lv * Lv) - np.sum(v * Lv)
+                      + np.sum(edge_term * v * v))}[name]
+        quad = float(quad)
         assert abs(g.weight * quad - 1.0) <= tol
         assert norm_lq(g, u, q) == pytest.approx(C, rel=1e-14)
 
@@ -285,7 +297,7 @@ def test_shared_embedding_constant_is_swept_once(monkeypatch):
     # p = 2.5 needs the Laplacian-form constant at q = 2p = 5 (B_star),
     # p = 4 needs it at q = p + 1 = 5 (C_b): one sweep serves both
     g = make_grid(1, 37)
-    plate = operators(g).B.dot
+    plate = operators(g).form("lap")[0]
     swept = []
     sweep = spectra._extremal_sweep
 
@@ -310,22 +322,22 @@ def test_shared_embedding_constant_is_swept_once(monkeypatch):
 
 def test_constants_make_one_capacitance_factorization_per_form(monkeypatch):
     # no sparse LU or ILU and no banded factor is made in 2d; B and B - L
-    # each get one capacitance factorization, however many parameter
-    # sets share the grid
+    # each get one capacitance factorization (Cholesky), however many
+    # parameter sets share the grid
     def refuse(*args, **kwargs):
         raise AssertionError("sparse LU or banded factorization in 2d")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
     monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
     monkeypatch.setattr(beamblow.operators, "solve_spd_banded", refuse)
-    cho_factor = scipy.linalg.cho_factor
+    cholesky = np.linalg.cholesky
     sizes = []
 
     def counted(a, *args, **kwargs):
         sizes.append(a.shape)
-        return cho_factor(a, *args, **kwargs)
+        return cholesky(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
     operators.cache_clear()
     g = make_grid(2, 24)
     for p in (2.5, 3.0, 4.0):
