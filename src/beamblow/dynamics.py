@@ -79,10 +79,10 @@ _REJECTIONS = {NewtonFailure: "rejected_newton",
 class StepControls:
     """Time-step policy.
 
-    ``dt_min`` defaults to 1e-12 * dt_max; a step request below it (not
-    caused by clipping at the final time) aborts the run, and so does a
-    step clipped at the final time that fails with the request at
-    dt_min, which no retry could shrink.  Setting
+    ``dt_min`` defaults to 1e-12 * dt_max.  A request dt_max * scale
+    below it (not caused by clipping at the final time) aborts the run,
+    and so does a failed step clipped at the final time once the
+    request is below dt_min; a request equal to dt_min is taken.  Setting
     ``residual_target = inf`` gives fixed steps.  A fixed-step run past
     the blow-up ends in ``solver_failure``: its attempts fail (the
     Newton matrix turns indefinite, Newton does not converge, or the
@@ -326,12 +326,12 @@ def simulate(grid: Grid, params: ModelParams, u0: np.ndarray,
             break
 
         dt = adapt_dt(controls, scale)
-        floored = dt <= controls.dt_min
+        floored = controls.dt_max * scale < controls.dt_min
         clipped = t + dt > t_max
         if clipped:
             dt = t_max - t
         # a clipped step t_max - t that failed is retried only while
-        # the request can still shrink below it; at dt_min it cannot,
+        # the request is not below dt_min; below it dt stays clamped,
         # and every retry would repeat the failed attempt
         if floored and (rejected or not clipped):
             termination = "solver_failure"

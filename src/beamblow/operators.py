@@ -19,9 +19,9 @@ difference is its square plus a corner term,
 so on the square ``B`` is the squared Laplacian plus a diagonal
 boundary term, (2/h^4) times the number of boundary lines next to each
 node (``edges``): B u = L (L u) + (2/h^4) edges u.  Every operator
-s I + a Lap_h^2 - c Lap_h is diagonal in the sine basis and is applied
-or inverted with four dense matrix products, and with s = 1 it lies
-below I + a B - c L, which makes it a preconditioner whose error is
+s I + a Lap_h^2 - c Lap_h is diagonal in the sine basis and is inverted
+with four dense matrix products, and with s = 1 it lies below
+I + a B - c L, which makes it a preconditioner whose error is
 confined to the boundary (Bjorstad, SIAM J. Numer. Anal. 20, 1983).
 
 The fixed forms -L, B and B - L have exact solves.  In 1d they are
@@ -36,17 +36,19 @@ Lap_h^2 - c Lap_h plus the boundary term.  The Woodbury identity
 1974) then solves them in the sine basis: one transform there and one
 back, four dense n-by-n products, with the boundary terms read off and
 put back as rank-4 products, and one matrix-vector product with the
-inverse of the 4n-by-4n capacitance matrix, formed once per form and
-grid from its Cholesky factor.  The Newton matrix of the time
+inverse of the 4n-by-4n capacitance matrix.  That matrix is formed
+once per form and grid in the sine basis of the four boundary lines,
+where its blocks are diagonal or scaled arrays of inverse symbols,
+and inverted from its Cholesky factor.  The Newton matrix of the time
 step adds a diagonal and a rank-1 term to I + a B - c L: in 1d both
 enter the banded solve, and in 2d it is solved by conjugate gradients
-from zero.  While the plate dominates the diagonal, they are
+from zero, which apply it as L (a L x - c x) plus a diagonal and the
+rank-1 term.  While the plate dominates the diagonal, they are
 preconditioned by the sine-basis inverse of I + a Lap_h^2 - c Lap_h,
 and an iteration makes no stencil product: it applies the diagonal
-rest and the rank-1 term to a vector (``solve``).  Once the damping
-dominates, each iteration applies the matrix as L (a L x - c x) plus a
-diagonal and the same rank-1 term, and CG is preconditioned by the
-diagonal.
+rest and the rank-1 term to a vector, and the matrix only at the
+refreshes (``solve``).  Once the damping dominates, every iteration
+applies the matrix, and CG is preconditioned by its diagonal.
 """
 
 from __future__ import annotations
@@ -274,17 +276,17 @@ class GridOperators:
         diagonal in the sine basis and e = (2a/h^4) edges + d, and
         conjugate gradients solve it from zero, starting at r = rhs
         with no product; the iterations they make, converged or not,
-        are added to ``counts.cg_iters``.  While the plate dominates,
-        max(d) <= a ||B|| + c ||L||, they are preconditioned by
-        ``sine_inverse``, the inverse of K, and an iteration applies
-        only diag(e) and the rank-1 term (``conjugate_gradient``'s
-        ``rest``); K is applied through the sine basis only at the
-        refreshes.  Once the damping dominates, as it does near
-        blow-up, K^{-1} misses what matters: an iteration applies the
-        matrix as L (a L x - c x) + (1 + e) x and the same rank-1 term,
-        and CG is preconditioned by its diagonal; these solves are
-        counted in ``counts.diagonal_solves``.  No factorization is
-        ever made."""
+        are added to ``counts.cg_iters``.  Both paths hand CG one
+        operator, the matrix applied as L (a L x - c x) + (1 + e) x plus
+        the rank-1 term.  While the plate dominates, max(d) <= a ||B||
+        + c ||L||, CG is preconditioned by ``sine_inverse``, the
+        inverse of K, and an iteration applies only diag(e) and the
+        rank-1 term (``conjugate_gradient``'s ``rest``); the matrix is
+        applied only at the refreshes.  Once the damping dominates, as
+        it does near blow-up, K^{-1} misses what matters: every
+        iteration applies the matrix, and CG is preconditioned by its
+        diagonal; these solves are counted in
+        ``counts.diagonal_solves``.  No factorization is ever made."""
         if self.grid.dim == 1:
             eye_band, B_band, L_band = self.bands
             ab = eye_band + a * B_band - c * L_band
@@ -294,25 +296,19 @@ class GridOperators:
         a_norm = (1.0 + a * self.norm_B + c * self.norm_L + np.abs(d)
                   + rho * np.abs(w) * np.abs(w).sum())
         e = (2.0 * a / self.grid.h**4) * self.edges + d
+        lap, shift = self.laplacian, 1.0 + e
 
         def rank1(x: np.ndarray) -> np.ndarray:
             return (rho * (w @ x)) * w
 
+        def apply(x: np.ndarray) -> np.ndarray:
+            return lap(lap(x, a, c)) + shift * x + rank1(x)
+
         if d.max() <= a * self.norm_B + c * self.norm_L:
-            S, mu, n = self.sine, self.mu, self.grid.n_interior
-            symbols = 1.0 + a * mu * mu - c * mu
-
-            def rest(x: np.ndarray) -> np.ndarray:
-                return e * x + rank1(x)
-
-            def apply(x: np.ndarray) -> np.ndarray:
-                Kx = (S @ ((S @ x.reshape(n, n) @ S) * symbols) @ S).ravel()
-                return Kx + rest(x)
-
+            rest = lambda x: e * x + rank1(x)
             M = self.sine_inverse(a, c)
         else:
-            rest, lap, shift = None, self.laplacian, 1.0 + e
-            apply = lambda x: lap(lap(x, a, c)) + shift * x + rank1(x)
+            rest = None
             dL, dB = self.assembled_diagonals
             diagonal = (dL * (-c / a) + dB) * a + (1.0 + d)
             M = lambda r: r / diagonal
@@ -365,20 +361,20 @@ class GridOperators:
 
             x = y - K^{-1} U Cap^{-1} U^T y,  Cap = (h^4/2) I + U^T K^{-1} U.
 
-        A solve transforms r once, Y^ = (S R S) / k with k the symbols
-        of K, and reads the four boundary lines U^T y of y = S Y^ S off
-        the first and last rows of S in O(n^2), without forming y.  The
-        correction K^{-1} U z is a rank-4 product in the sine basis, so
-        one transform back gives x: four dense n-by-n products in all,
-        where a solve through y took eight, and one matrix-vector
-        product with Cap^{-1}.
+        The solve stays in the sine basis, the boundary lines too.  It
+        transforms r once, Y^ = (S R S) / k with k the symbols of K,
+        reads the lines U^T y of y = S Y^ S, in the sine basis of each
+        line, as e Y^ and (Y^ e^T)^T with e the first and last rows of
+        S, and puts the correction back as a rank-4 product of e and
+        z = Cap^{-1} U^T y: four dense n-by-n products in all and one
+        matrix-vector product with Cap^{-1}.
 
-        Each n-by-n block of U^T K^{-1} U is S diag(w) S between two
-        lines of the same direction, and S M S between a row and a
-        column, with w and M built from the first and last rows of S
-        over the symbols of K.  Cap is factored once per form and grid
-        (Cholesky, Cap = F F^T), and its inverse is formed from the
-        factor as F^{-T} F^{-1} (``_lower_inverse``).  Cap is well
+        In that basis the n-by-n blocks of Cap are diag(sum_i e_ai e_bi
+        / k_ij) between lines a, b of the same direction, and 1 / k
+        times the outer product of e_b and e_a between row a and column
+        b: no block takes a dense product.  Cap is factored once per
+        form and grid (Cholesky, Cap = F F^T), and its inverse is formed
+        from the factor as F^{-T} F^{-1} (``_lower_inverse``).  Cap is well
         conditioned, about 0.6 N (condition number 9.8, 37 and 56 at
         N = 16, 64 and 96), so applying the inverse costs no accuracy:
         the normwise backward error is about 2e-16.
@@ -396,10 +392,10 @@ class GridOperators:
         ends = S[[0, -1]]
         # same[a][b]: rows a, b (or columns a, b); cross[a][b]: row a,
         # column b; a, b = 0 for the first line and 1 for the last
-        same = [[(S * ((ends[a] * ends[b]) @ inv)) @ S for b in (0, 1)]
+        same = [[np.diag((ends[a] * ends[b]) @ inv) for b in (0, 1)]
                 for a in (0, 1)]
-        cross = [[S @ (np.outer(ends[b], ends[a]) * inv) @ S
-                  for b in (0, 1)] for a in (0, 1)]
+        cross = [[np.outer(ends[b], ends[a]) * inv for b in (0, 1)]
+                 for a in (0, 1)]
         cap = np.block([same[a] + cross[a] for a in (0, 1)]
                        + [[cross[b][a].T for b in (0, 1)] + same[a]
                           for a in (0, 1)])
@@ -411,13 +407,12 @@ class GridOperators:
             Y = S @ r.reshape(n, n) @ S
             Y *= inv
             # the first and last rows of S Y S, then its first and last
-            # columns
-            lines = np.concatenate(((ends @ Y) @ S, (Y @ ends.T).T @ S))
-            z = cap_inverse @ lines.ravel()
-            # S (U z) S, with the rows of z on the end rows and its
-            # columns on the end columns: the outer products of the end
-            # rows of S with the transformed lines z S
-            z = z.reshape(4, n) @ S
+            # columns, each in the sine basis of its line
+            lines = np.concatenate((ends @ Y, (Y @ ends.T).T))
+            z = (cap_inverse @ lines.ravel()).reshape(4, n)
+            # S (U z) S in the sine basis: the rows of z on the end rows
+            # and its columns on the end columns, as outer products with
+            # the end rows of S
             Y -= inv * (np.vstack((ends, z[2:])).T @ np.vstack((z[:2], ends)))
             return (S @ Y @ S).ravel()
 

@@ -399,6 +399,9 @@ def test_verify_negative_control(monkeypatch):
     assert not bad.ok
     by_name = {s.name: s for s in bad.suites}
     assert not by_name["green-identity"].passed
+    # detected, not crashed: a suite that raises reads "raised ..."
+    assert by_name["green-identity"].detail.startswith(
+        "worst relative identity gap")
     assert all(s.passed for s in bad.suites if s.name != "green-identity")
     assert bad.lines()[-1] == "one or more suites FAILED"
 
@@ -505,6 +508,20 @@ def test_cli_simulate_ends_when_the_clipped_step_fails_at_dt_min(
     assert "clipped" in report["run.note"]
     assert report["run.attempts"] == "1"
     assert "run failed: SolverFailure" in capsys.readouterr().err
+
+
+def test_cli_simulate_runs_at_dt_min_equal_to_dt_max(tmp_path):
+    # a request equal to dt_min is taken, not read as a collapse: the
+    # run steps at dt_max = dt_min to t_max
+    cfg = tmp_path / "run.txt"
+    cfg.write_text("N = 32\npreset = sine_bump\namplitude = 0.5\n"
+                   "dt_max = 1e-4\ndt_min = 1e-4\nt_max = 1e-3\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    report = dict(line.split(" = ", 1) for line in
+                  (out / "report.txt").read_text().splitlines())
+    assert report["run.termination"] == "time_limit"
+    assert report["run.n_steps"] == report["run.attempts"] == "10"
 
 
 def test_a_nan_lower_bound_fails_the_sandwich(monkeypatch):

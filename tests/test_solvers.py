@@ -319,9 +319,10 @@ def test_step_solve_matches_a_direct_solve(dim, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 24])
 def test_newton_matrix_is_the_explicit_newton_matrix(n, monkeypatch):
-    # every entry of the Newton matrix that the Jacobi path applies,
-    # read off its columns, equals I + a B - c L + diag(d) built term by
-    # term from the assembled L and B, and the path inverts its
+    # every entry of the Newton matrix that CG applies, read off its
+    # columns, equals I + a B - c L + diag(d) built term by term from
+    # the assembled L and B, on the Jacobi path (d past the switch) and
+    # on the sine path (d below it); the Jacobi path inverts its
     # diagonal: the dense diagonal in the assembly's order of
     # operations, bit for bit.  n <= 3 puts nodes on two or four
     # boundary lines at once
@@ -330,10 +331,8 @@ def test_newton_matrix_is_the_explicit_newton_matrix(n, monkeypatch):
     a, c = coefficients(1e-3, mbar=5.0)
     rng = np.random.default_rng(19)
     d = rng.choice((-1.0, 1.0), g.size) * 10.0**rng.uniform(-3.0, 3.0, g.size)
-    # past the switch, so that ``solve`` takes the Jacobi path
-    d[0] = 1e3 + a * ops.norm_B + c * ops.norm_L
+    switch = a * ops.norm_B + c * ops.norm_L
     B, L = reference_B(g).toarray(), reference_L(g).toarray()
-    A = np.eye(g.size) + a * B - c * L + np.diag(d)
     x = rng.standard_normal(g.size)
 
     recorded = []
@@ -344,14 +343,21 @@ def test_newton_matrix_is_the_explicit_newton_matrix(n, monkeypatch):
 
     monkeypatch.setattr("beamblow.operators.conjugate_gradient", record)
     counts = StepCounts()
+    # past the switch, so that ``solve`` takes the Jacobi path, then
+    # scaled below it onto the sine path
+    d[0] = 1e3 + switch
     ops.solve(a, c, d, 0.0, x, x, 1e-12, counts)
+    sine_d = d * (0.5 * switch / np.abs(d).max())
+    ops.solve(a, c, sine_d, 0.0, x, x, 1e-12, counts)
     assert counts.diagonal_solves == 1
-    apply, preconditioner = recorded[0]
-    got = np.column_stack([apply(e) for e in np.eye(g.size)])
-    assert np.max(np.abs(got - A)) <= 1e-14 * np.max(np.abs(A))
-    assert np.linalg.norm(apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
+    for (apply, _), dd in zip(recorded, (d, sine_d)):
+        A = np.eye(g.size) + a * B - c * L + np.diag(dd)
+        got = np.column_stack([apply(e) for e in np.eye(g.size)])
+        assert np.max(np.abs(got - A)) <= 1e-14 * np.max(np.abs(A))
+        assert np.linalg.norm(apply(x) - A @ x) <= (
+            1e-14 * np.linalg.norm(A @ x))
     diagonal = (np.diag(L) * (-c / a) + np.diag(B)) * a + (1.0 + d)
-    assert np.array_equal(preconditioner(np.ones(g.size)), 1.0 / diagonal)
+    assert np.array_equal(recorded[0][1](np.ones(g.size)), 1.0 / diagonal)
 
 
 @pytest.mark.parametrize("n", [8, 24])
